@@ -22,6 +22,7 @@ from .families import (
     shift_Lambda,
 )
 from .params import ParamSubstitution, as_fraction
+from .quasidet import SingularMinor
 from .ribbon import (
     Composition,
     RibbonElement,
@@ -33,12 +34,19 @@ from .shifts import shift_S
 from .special import VariableAssignment, spec_value
 from .suites import SUITES, run_suite
 
-MAX_RESEED_ENV = "NCSHIFT_MAX_RESEED"
-
 
 def _usage(msg: str) -> SystemExit:
     print(f"error: {msg}", file=sys.stderr)
     return SystemExit(2)
+
+
+def _load_exact(fh):
+    """JSON with every number exact: a float literal is an input error."""
+
+    def reject(literal: str):
+        raise ValueError(f"{literal} is not exact; write rationals as strings such as \"1/2\"")
+
+    return json.load(fh, parse_float=reject)
 
 
 def _parse_comp(text: str) -> Composition:
@@ -58,7 +66,7 @@ def _parse_params(text: str) -> ParamSubstitution:
         return ParamSubstitution.equidistant(as_fraction(parts[0]), as_fraction(parts[1]))
     if text.startswith("file:"):
         with open(text.split(":", 1)[1]) as fh:
-            table = json.load(fh)
+            table = _load_exact(fh)
         return ParamSubstitution.explicit({int(k): as_fraction(v) for k, v in table.items()})
     raise _usage("--params symbolic | equidistant:c,base | file:<path>")
 
@@ -166,10 +174,13 @@ def cmd_verify(args) -> int:
 
 def cmd_specialize(args) -> int:
     with open(args.assignment) as fh:
-        assignment = VariableAssignment.from_json(json.load(fh))
+        assignment = VariableAssignment.from_json(_load_exact(fh))
     if args.shift:
         assignment = assignment.shift_all(args.shift)
-    value = spec_value(args.family, args.k, assignment)
+    try:
+        value = spec_value(args.family, args.k, assignment)
+    except SingularMinor:
+        raise _usage("singular assignment: a quasiminor of its shifted powers is not invertible")
     print(json.dumps({"family": args.family, "k": args.k, "value": value.to_json()}, indent=2))
     return 0
 

@@ -11,8 +11,9 @@ Two evaluators cover everything in scope:
 
 * an exact numeric evaluator for matrices whose entries are square rational
   matrices, using the defining formula
-  |A|_{pq} = a_{pq} - row_p(A^{pq}) (A^{pq})^{-1} col_q(A^{pq}) with the minor
-  flattened to one big rational matrix.
+  |A|_{pq} = a_{pq} - row_p(A^{pq}) (A^{pq})^{-1} col_q(A^{pq}) with the minor,
+  the row and the column flattened to rational matrices: one inverse and two
+  products, each done on integers over common denominators.
 
 Any scalar (rational) subdiagonal is accepted in the symbolic engine:
 left-scaling a non-boxed row leaves the quasideterminant unchanged, so rows
@@ -21,6 +22,7 @@ are normalized first.
 
 from __future__ import annotations
 
+import math
 import os
 import random
 from fractions import Fraction
@@ -31,8 +33,14 @@ from .params import as_fraction
 
 
 def max_reseed_default() -> int:
-    """Resampling budget for singular draws; NCSHIFT_MAX_RESEED overrides."""
-    return int(os.environ.get("NCSHIFT_MAX_RESEED", "16"))
+    """Resampling budget for singular draws; NCSHIFT_MAX_RESEED overrides.
+
+    Raises ValueError unless the variable holds a non-negative integer.
+    """
+    raw = os.environ.get("NCSHIFT_MAX_RESEED", "16")
+    if not raw.strip().isdecimal():
+        raise ValueError(f"NCSHIFT_MAX_RESEED must be a non-negative integer, got {raw!r}")
+    return int(raw)
 
 
 class ShapeError(ValueError):
@@ -111,6 +119,14 @@ class MatValue:
             if len(row) != self.n:
                 raise ValueError("matrix must be square")
 
+    @classmethod
+    def _of(cls, data: tuple) -> "MatValue":
+        """Wrap a square tuple of tuples of Fractions without coercing it."""
+        out = object.__new__(cls)
+        out.data = data
+        out.n = len(data)
+        return out
+
     @staticmethod
     def identity(n: int) -> "MatValue":
         return MatValue([[1 if i == j else 0 for j in range(n)] for i in range(n)])
@@ -136,69 +152,70 @@ class MatValue:
         return all(x == 0 for row in self.data for x in row)
 
     def __add__(self, other: "MatValue") -> "MatValue":
-        return MatValue(
-            [
-                [a + b for a, b in zip(r1, r2)]
+        return MatValue._of(
+            tuple(
+                tuple(a + b for a, b in zip(r1, r2))
                 for r1, r2 in zip(self.data, other.data)
-            ]
+            )
         )
 
     def __sub__(self, other: "MatValue") -> "MatValue":
-        return MatValue(
-            [
-                [a - b for a, b in zip(r1, r2)]
+        return MatValue._of(
+            tuple(
+                tuple(a - b for a, b in zip(r1, r2))
                 for r1, r2 in zip(self.data, other.data)
-            ]
+            )
         )
 
     def __neg__(self) -> "MatValue":
-        return MatValue([[-a for a in row] for row in self.data])
+        return MatValue._of(tuple(tuple(-a for a in row) for row in self.data))
 
     def scale(self, c) -> "MatValue":
         c = as_fraction(c)
-        return MatValue([[c * a for a in row] for row in self.data])
+        return MatValue._of(tuple(tuple(c * a for a in row) for row in self.data))
 
     def __mul__(self, other: "MatValue") -> "MatValue":
         if not isinstance(other, MatValue):
             return self.scale(other)
-        n = self.n
-        cols = list(zip(*other.data))
-        return MatValue(
-            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.data]
-        )
+        return MatValue._of(_product(self.data, other.data))
 
     __rmul__ = scale
 
     def inverse(self) -> "MatValue":
-        """Gauss-Jordan over Fraction; raises SingularMinor if singular."""
+        """Fraction-free Gauss-Jordan; raises SingularMinor if singular.
+
+        With rows cleared to integers M = diag(den) A, Bareiss's update keeps
+        every entry an integer minor of [M | I], so each division is exact.
+        """
         n = self.n
-        aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(self.data)]
+        cleared = _cleared(self.data)
+        m = [ints + [int(i == j) for j in range(n)] for i, (_, ints) in enumerate(cleared)]
+        prev = 1
         for col in range(n):
-            piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+            piv = next((r for r in range(col, n) if m[r][col]), None)
             if piv is None:
                 raise SingularMinor("singular matrix")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            p = aug[col][col]
-            aug[col] = [x / p for x in aug[col]]
+            m[col], m[piv] = m[piv], m[col]
+            pivot_row = m[col]
+            p = pivot_row[col]
             for r in range(n):
-                if r != col and aug[r][col]:
-                    f = aug[r][col]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-        return MatValue([row[n:] for row in aug])
+                if r != col:
+                    f = m[r][col]
+                    m[r] = [(p * x - f * y) // prev for x, y in zip(m[r], pivot_row)]
+            prev = p
+        # the left block is now prev * I, and A^{-1} = M^{-1} diag(den)
+        dens = [den for den, _ in cleared]
+        inv = [[Fraction(x * den, prev) for x, den in zip(row[n:], dens)] for row in m]
+        return MatValue._of(tuple(map(tuple, inv)))
 
     def det(self) -> Fraction:
         """Fraction-free Bareiss elimination on a denominator-cleared copy."""
         n = self.n
         if n == 0:
             return Fraction(1)
-        denom = Fraction(1)
-        m = []
-        for row in self.data:
-            lcm = 1
-            for x in row:
-                lcm = lcm * x.denominator // _gcd(lcm, x.denominator)
-            denom *= lcm
-            m.append([int(x * lcm) for x in row])
+        cleared = _cleared(self.data)
+        denom = math.prod(den for den, _ in cleared)
+        m = [ints for _, ints in cleared]
         sign = 1
         prev = 1
         for col in range(n - 1):
@@ -224,10 +241,22 @@ class MatValue:
     __repr__ = __str__
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+def _cleared(vectors) -> list[tuple[int, list[int]]]:
+    """Each vector of Fractions as (common denominator, integer numerators)."""
+    out = []
+    for v in vectors:
+        den = math.lcm(*(x.denominator for x in v))
+        out.append((den, [x.numerator * (den // x.denominator) for x in v]))
+    return out
+
+
+def _product(left: Sequence[Sequence[Fraction]], right: Sequence[Sequence[Fraction]]) -> tuple:
+    """Product of rectangular Fraction matrices: one integer dot product per entry."""
+    cols = _cleared(zip(*right))
+    return tuple(
+        tuple(Fraction(sum(a * b for a, b in zip(r, c)), dr * dc) for dc, c in cols)
+        for dr, r in _cleared(left)
+    )
 
 
 def _flatten(blocks: Sequence[Sequence[MatValue]], d: int) -> MatValue:
@@ -249,27 +278,13 @@ def block_quasidet(
     d = blocks[0][0].n
     if n == 1:
         return blocks[0][0]
-    minor = [
-        [blocks[i][j] for j in range(n) if j != q - 1]
-        for i in range(n)
-        if i != p - 1
-    ]
-    inv = _flatten(minor, d).inverse()
-    row = [blocks[p - 1][j] for j in range(n) if j != q - 1]  # 1 x (n-1) blocks
-    col = [blocks[i][q - 1] for i in range(n) if i != p - 1]  # (n-1) x 1 blocks
-    # row * inv * col, assembled blockwise
-    m = n - 1
-    acc = MatValue.zeros(d)
-    for bi in range(m):
-        for bj in range(m):
-            sub = MatValue(
-                [
-                    [inv.data[bi * d + r][bj * d + c] for c in range(d)]
-                    for r in range(d)
-                ]
-            )
-            acc = acc + row[bi] * sub * col[bj]
-    return blocks[p - 1][q - 1] - acc
+    rows = [i for i in range(n) if i != p - 1]
+    cols = [j for j in range(n) if j != q - 1]
+    inv = _flatten([[blocks[i][j] for j in cols] for i in rows], d).inverse()
+    # the boxed row (d x (n-1)d) and column ((n-1)d x d), flattened
+    row = [[x for j in cols for x in blocks[p - 1][j].data[r]] for r in range(d)]
+    col = [blk_row for i in rows for blk_row in blocks[i][q - 1].data]
+    return blocks[p - 1][q - 1] - MatValue._of(_product(_product(row, inv.data), col))
 
 
 # -- randomized property checks ----------------------------------------------
@@ -280,11 +295,6 @@ RANDOM_POOL = [Fraction(k) for k in range(-3, 4)] + [Fraction(1, 2), Fraction(-1
 
 def random_mat(rng: random.Random, d: int) -> MatValue:
     return MatValue([[rng.choice(RANDOM_POOL) for _ in range(d)] for _ in range(d)])
-
-
-def submatrix_rows(blocks, rows):
-    """Block rows selected by 1-indexed row list."""
-    return [blocks[i - 1] for i in rows]
 
 
 def verify_bazin(
@@ -327,8 +337,7 @@ def verify_bazin(
             # pos is the 1-indexed position of the boxed row within the list;
             # the list may repeat a row label, in which case the block is a
             # legitimate zero of the identity, not a sampling failure.
-            sub = submatrix_rows(A, rows)
-            return block_quasidet(sub, pos, q)
+            return block_quasidet([A[i - 1] for i in rows], pos, q)
 
         try:
             if variant == "printed":

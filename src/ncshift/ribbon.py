@@ -23,7 +23,7 @@ from .algebra import NCElement, nc_prod
 from .params import SEQ_A, ParamPoly, ParamSequence
 from .quasidet import hessenberg_quasidet
 from .shifts import shift_S
-from .families import lambda_in_S, shift_Lambda
+from .families import compositions_of, lambda_in_S, shift_Lambda
 
 
 @dataclass(frozen=True)
@@ -89,19 +89,8 @@ class Composition:
 
 
 def all_compositions(degree: int) -> list[Composition]:
-    if degree == 0:
-        return []
-    out: list[Composition] = []
-
-    def rec(rest: int, acc: tuple[int, ...]):
-        if rest == 0:
-            out.append(Composition(acc))
-            return
-        for k in range(1, rest + 1):
-            rec(rest - k, acc + (k,))
-
-    rec(degree, ())
-    return out
+    """Compositions of a positive degree, lexicographically; none for 0."""
+    return [Composition(w) for w in compositions_of(degree)] if degree else []
 
 
 @cache

@@ -10,12 +10,17 @@ shifted powers
 evaluated by the exact block engine.  Everything in this module is numeric;
 identities of rational functions are checked at seeded random matrix points,
 with bounded resampling when a quasiminor happens to be singular.
+
+Values are memoized per assignment: a VariableAssignment keeps its shifted-power
+chains, inverted denominators and S/Lambda values for as long as it lives, so
+each point is evaluated once.  Shifted or swapped assignments start empty, and
+a singular minor is never stored: it is raised again on every call.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import NCElement
@@ -35,6 +40,8 @@ class VariableAssignment:
 
     vars: tuple[MatValue, ...]
     sub: ParamSubstitution
+    # values computed at this point; not part of its identity
+    _memo: dict = field(init=False, repr=False, compare=False)
 
     def __init__(self, vars, sub: ParamSubstitution):
         if sub.kind != "equidistant":
@@ -47,6 +54,7 @@ class VariableAssignment:
             raise ValueError("all variables must share one dimension")
         object.__setattr__(self, "vars", vars)
         object.__setattr__(self, "sub", sub)
+        object.__setattr__(self, "_memo", {})
 
     @property
     def n(self) -> int:
@@ -113,6 +121,16 @@ def shifted_power(x: MatValue, sub: ParamSubstitution, k: int, seq=SEQ_A) -> Mat
     return out
 
 
+def _power(assignment: VariableAssignment, j: int, t: int, m: int) -> MatValue:
+    """<x_j | tau^t a>^m, read from a chain extended by P_{i} = P_{i-1} (x_j - a_{i+t})."""
+    x = assignment.vars[j]
+    chain = assignment._memo.get(("power", j, t)) or [MatValue.identity(x.n)]
+    assignment._memo["power", j, t] = chain
+    while len(chain) <= m:
+        chain.append(chain[-1] * (x - MatValue.scalar(x.n, assignment.a(len(chain) + t))))
+    return chain[m]
+
+
 def _dpower(assignment: VariableAssignment, s: int, exps: list[int], box_row: int) -> MatValue:
     """Quasideterminant of the grid of shifted powers.
 
@@ -120,14 +138,16 @@ def _dpower(assignment: VariableAssignment, s: int, exps: list[int], box_row: in
     (box_row, n), 1-indexed.
     """
     n = assignment.n
-    blocks = [
-        [
-            shifted_power(assignment.vars[j], assignment.sub, m, SEQ_A.tau(j + 1 - s))
-            for j in range(n)
-        ]
-        for m in exps
-    ]
+    blocks = [[_power(assignment, j, j + 1 - s, m) for j in range(n)] for m in exps]
     return block_quasidet(blocks, box_row, n)
+
+
+def _inverse_denominator(assignment: VariableAssignment, box_row: int) -> MatValue:
+    """The inverted denominator grid (exponents 0..n-1) boxed at (box_row, n)."""
+    memo, n = assignment._memo, assignment.n
+    if ("den", box_row) not in memo:
+        memo["den", box_row] = _dpower(assignment, n, list(range(n)), box_row).inverse()
+    return memo["den", box_row]
 
 
 def s_spec(k: int, assignment: VariableAssignment) -> MatValue:
@@ -144,9 +164,11 @@ def s_spec(k: int, assignment: VariableAssignment) -> MatValue:
         raise ValueError("negative degree")
     if k == 0:
         return MatValue.identity(d)
-    num = _dpower(assignment, n, list(range(n - 1)) + [n + k - 1], n)
-    den = _dpower(assignment, n, list(range(n)), n)
-    return num * den.inverse()
+    memo = assignment._memo
+    if ("S", k) not in memo:
+        num = _dpower(assignment, n, list(range(n - 1)) + [n + k - 1], n)
+        memo["S", k] = num * _inverse_denominator(assignment, n)
+    return memo["S", k]
 
 
 def lambda_spec(k: int, assignment: VariableAssignment) -> MatValue:
@@ -163,11 +185,12 @@ def lambda_spec(k: int, assignment: VariableAssignment) -> MatValue:
         return MatValue.identity(d)
     if k > n:
         return MatValue.zeros(d)
-    exps = [m for m in range(n + 1) if m != n - k]
-    num = _dpower(assignment, n, exps, n)
-    den = _dpower(assignment, n, list(range(n)), n - k + 1)
-    val = num * den.inverse()
-    return val if (k - 1) % 2 == 0 else -val
+    memo = assignment._memo
+    if ("L", k) not in memo:
+        exps = [m for m in range(n + 1) if m != n - k]
+        val = _dpower(assignment, n, exps, n) * _inverse_denominator(assignment, n - k + 1)
+        memo["L", k] = val if (k - 1) % 2 == 0 else -val
+    return memo["L", k]
 
 
 def spec_value(family: str, k: int, assignment: VariableAssignment) -> MatValue:
@@ -247,15 +270,12 @@ def check_extension(k: int, assignment: VariableAssignment) -> bool:
 # -- commutative recovery -------------------------------------------------------
 
 
-def _falling(x: Fraction, m: int) -> Fraction:
+def falling(x: Fraction, m: int) -> Fraction:
+    """The falling power x (x - 1) ... (x - m + 1)."""
     out = Fraction(1)
     for t in range(m):
         out *= x - t
     return out
-
-
-def _det(rows: list[list[Fraction]]) -> Fraction:
-    return MatValue(rows).det()
 
 
 def commutative_oracle(family: str, k: int, scalars: list[Fraction]) -> Fraction:
@@ -277,10 +297,10 @@ def commutative_oracle(family: str, k: int, scalars: list[Fraction]) -> Fraction
         exps = [m for m in range(n + 1) if m != n - k]
     else:
         raise ValueError(f"unknown family {family!r}")
-    den = _det([[_falling(y, m) for y in ys] for m in range(n)])
+    den = MatValue([[falling(y, m) for y in ys] for m in range(n)]).det()
     if den == 0:
         raise ZeroDenominator("vanishing Vandermonde-type determinant")
-    num = _det([[_falling(y, m) for y in ys] for m in exps])
+    num = MatValue([[falling(y, m) for y in ys] for m in exps]).det()
     return num / den
 
 

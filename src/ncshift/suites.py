@@ -16,6 +16,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 
 from .algebra import NCElement, serial_key
 from .families import (
@@ -37,6 +38,7 @@ from .quasidet import (
     MatValue,
     SingularMinor,
     hessenberg_quasidet,
+    max_reseed_default,
     random_mat,
     verify_bazin,
 )
@@ -61,15 +63,16 @@ from .special import (
     ZeroDenominator,
     check_extension,
     check_shifted_symmetry,
-    commutative_oracle,
+    commutative_recovery,
     evaluate_nc,
+    falling,
+    frobenius_form,
     giambelli_check,
     lambda_spec,
     quasi_schur_lambda_form,
     quasi_schur_spec,
     random_assignment,
     s_spec,
-    spec_value,
     swap_variables,
     variable_shift_defect,
 )
@@ -128,6 +131,9 @@ def mat_witness(got: MatValue, want: MatValue) -> str | None:
     return None
 
 
+#: witness of a randomized case whose every draw hit a singular minor
+NO_SAMPLE = "no sample was evaluated: every draw was singular"
+
 EXAMPLE_SUBS = {
     "a=0": ParamSubstitution.equidistant(0, 0),
     "a=i-1": ParamSubstitution.equidistant(1, -1),
@@ -176,22 +182,6 @@ def suite_base_change(degree: int = 8, seed: int = 0) -> Report:
     return rep
 
 
-def _falling(x: Fraction, nu: int) -> Fraction:
-    out = Fraction(1)
-    for t in range(nu):
-        out *= x - t
-    return out
-
-
-def _binom(s: int, nu: int) -> int:
-    if nu < 0 or nu > s:
-        return 0
-    out = 1
-    for t in range(nu):
-        out = out * (s - t) // (t + 1)
-    return out
-
-
 def suite_shift_coefficients(degree: int = 6, seed: int = 0) -> Report:
     rep = Report("shift-coefficients", seed=seed)
     ok, witness = True, None
@@ -207,7 +197,7 @@ def suite_shift_coefficients(degree: int = 6, seed: int = 0) -> Report:
         for l in range(degree + 1):
             for nu in range(degree + 1):
                 for k in range(-2, degree + 1):
-                    want = c**nu * _binom(l, nu) * _falling(Fraction(k + nu - 1), nu)
+                    want = c**nu * comb(l, nu) * falling(Fraction(k + nu - 1), nu)
                     if a_binomial(l, nu, k).substitute(sub) != want:
                         ok, witness = False, f"c={cname} (l,nu,k)=({l},{nu},{k})"
     rep.add("equidistant-closed-form", ok, witness)
@@ -216,7 +206,7 @@ def suite_shift_coefficients(degree: int = 6, seed: int = 0) -> Report:
     for s in range(degree + 1):
         for nu in range(degree + 1):
             for k in range(0, degree + 1):
-                want = _binom(s, nu) * _falling(Fraction(k + nu - 1), nu)
+                want = comb(s, nu) * falling(Fraction(k + nu - 1), nu)
                 if a_binomial(s, nu, k).substitute(sub) != want:
                     ok, witness = False, f"(s,nu,k)=({s},{nu},{k})"
     rep.add("falling-power-example", ok, witness)
@@ -542,8 +532,6 @@ def _tensor3_right(d: TensorElement) -> dict:
 
 
 def _sample_assignment(rng: random.Random, n: int, d: int, tries: int | None = None):
-    from .quasidet import max_reseed_default
-
     if tries is None:
         tries = max_reseed_default()
     last = None
@@ -563,6 +551,7 @@ def suite_specialization(degree: int = 4, seed: int = 0) -> Report:
     rng = random.Random(seed or 20240)
     sub = EXAMPLE_SUBS["a=i-1"]
     ok, witness = True, None
+    evaluated = 0
     for d in (1, 2, 3):
         for rep_i in range(3):
             x1, x2 = random_mat(rng, d), random_mat(rng, d)
@@ -582,8 +571,11 @@ def suite_specialization(degree: int = 4, seed: int = 0) -> Report:
                 s2 = (x2 * (x2 - I) * (x2 - 2 * I) - (x1 + I) * x1 * (x1 - I)) * den
                 if s_spec(2, A2) != s2:
                     ok, witness = False, f"S2 d={d}"
+                evaluated += 1
             except SingularMinor:
                 continue
+    if not evaluated:
+        ok, witness = False, NO_SAMPLE
     rep.add("printed-n2-formulas", ok, witness)
 
     ok, witness = True, None
@@ -608,19 +600,23 @@ def suite_specialization(degree: int = 4, seed: int = 0) -> Report:
                 continue
     if not evaluated:
         ok = okS = False
-        witness = witnessS = "no sample was evaluated: every draw was singular"
+        witness = witnessS = NO_SAMPLE
     rep.add("vanishing-lambda", ok, witness)
     rep.add("vanishing-s-printed", okS, witnessS)
 
     ok, witness = True, None
+    evaluated = 0
     for n in (2, 3):
         for k in range(1, n + 1):
             try:
                 A = _sample_assignment(random.Random(seed + 101 * n + k), n, 2)
                 if not variable_shift_defect(k, A).is_zero():
                     ok, witness = False, f"n={n} k={k}"
+                evaluated += 1
             except (SingularMinor, ExhaustedRetries):
                 continue
+    if not evaluated:
+        ok, witness = False, NO_SAMPLE
     rep.add("variable-shift-law", ok, witness)
     return rep
 
@@ -631,7 +627,6 @@ def suite_symmetry(degree: int = 4, seed: int = 0) -> Report:
     for n in range(2, degree + 1):
         for k in range(1, min(degree, 4) + 1):
             for i in range(1, n):
-                done = False
                 for attempt in range(16):
                     try:
                         A = _sample_assignment(
@@ -639,15 +634,15 @@ def suite_symmetry(degree: int = 4, seed: int = 0) -> Report:
                         )
                         if not check_shifted_symmetry(k, A, i):
                             ok, witness = False, f"n={n} k={k} i={i}"
-                        done = True
                         break
                     except (SingularMinor, ExhaustedRetries):
                         continue
-                if not done:
+                else:
                     ok, witness = False, f"n={n} k={k} i={i}: no nonsingular sample"
     rep.add("shifted-symmetry", ok, witness)
     # ribbon specializations inherit the symmetry
     ok, witness = True, None
+    evaluated = 0
     for d_I in range(1, 5):
         for I in all_compositions(d_I):
             expansion = ribbon(I)
@@ -661,8 +656,11 @@ def suite_symmetry(degree: int = 4, seed: int = 0) -> Report:
                             expansion, swap_variables(A, i)
                         ):
                             ok, witness = False, f"I={I} n={n} i={i}"
+                    evaluated += 1
                 except (SingularMinor, ExhaustedRetries):
                     continue
+    if not evaluated:
+        ok, witness = False, NO_SAMPLE
     rep.add("ribbon-symmetry", ok, witness)
     return rep
 
@@ -672,7 +670,6 @@ def suite_extension(degree: int = 3, seed: int = 0) -> Report:
     ok, witness = True, None
     for n in range(1, degree + 1):
         for k in range(1, degree + 1):
-            done = False
             for attempt in range(16):
                 try:
                     A = _sample_assignment(
@@ -680,11 +677,10 @@ def suite_extension(degree: int = 3, seed: int = 0) -> Report:
                     )
                     if not check_extension(k, A):
                         ok, witness = False, f"n={n} k={k}"
-                    done = True
                     break
                 except (SingularMinor, ExhaustedRetries):
                     continue
-            if not done:
+            else:
                 ok, witness = False, f"n={n} k={k}: no nonsingular sample"
     rep.add("extension-stability", ok, witness)
     return rep
@@ -696,28 +692,18 @@ def suite_recovery(degree: int = 4, seed: int = 0) -> Report:
     ok, witness = True, None
     for n in range(1, degree + 1):
         for k in range(1, degree + 1):
-            done = False
             for attempt in range(64):
                 scalars = [
                     Fraction(rng.randint(-9, 12), rng.choice([1, 2, 3]))
                     for _ in range(n)
                 ]
                 try:
-                    got = spec_value("S", k, VariableAssignment(
-                        tuple(MatValue([[x]]) for x in scalars), EXAMPLE_SUBS["a=i-1"]
-                    )).data[0][0]
-                    want = commutative_oracle("S", k, scalars)
-                    gotL = spec_value("L", k, VariableAssignment(
-                        tuple(MatValue([[x]]) for x in scalars), EXAMPLE_SUBS["a=i-1"]
-                    )).data[0][0]
-                    wantL = commutative_oracle("L", k, scalars)
-                    if got != want or gotL != wantL:
+                    if not commutative_recovery(k, n, scalars):
                         ok, witness = False, f"n={n} k={k} at {scalars}"
-                    done = True
                     break
                 except (ZeroDenominator, SingularMinor):
                     continue
-            if not done:
+            else:
                 ok, witness = False, f"n={n} k={k}: no usable sample"
     rep.add("determinant-quotient-oracle", ok, witness)
     return rep
@@ -746,39 +732,22 @@ def suite_giambelli(degree: int = 6, seed: int = 0) -> Report:
         )
     except SingularMinor as e:
         rep.add("conjugate-112-13", False, f"singular: {e}")
-    shapes = [
-        s
-        for s in _partitions_increasing(degree)
-        if len(_frob_rank(s)) <= 2 and sum(s) >= 2
-    ]
+    # partitions of 2..degree, parts increasing, of Frobenius rank <= 2
+    parts = {tuple(sorted(I.parts)) for m in range(2, degree + 1) for I in all_compositions(m)}
+    shapes = [s for s in sorted(parts) if len(frobenius_form(s)[0]) <= 2]
     ok, witness = True, None
+    evaluated = 0
     for shape in shapes:
         try:
             if not giambelli_check(shape, A):
                 ok, witness = False, f"shape {shape}"
+            evaluated += 1
         except SingularMinor:
             continue
+    if not evaluated:
+        ok, witness = False, NO_SAMPLE if shapes else "no shape of size 2..degree to check"
     rep.add("giambelli-rank-le-2", ok, witness)
     return rep
-
-
-def _partitions_increasing(total: int) -> list[tuple[int, ...]]:
-    """All partitions of size <= total, parts listed in increasing order."""
-    out: set[tuple[int, ...]] = set()
-
-    def gen(rest: int, minimum: int, acc: list[int]):
-        if acc:
-            out.add(tuple(acc))
-        for p in range(minimum, rest + 1):
-            gen(rest - p, p, acc + [p])
-
-    gen(total, 1, [])
-    return sorted(out)
-
-
-def _frob_rank(shape: tuple[int, ...]) -> tuple[int, ...]:
-    dec = sorted(shape, reverse=True)
-    return tuple(i for i, p in enumerate(dec, start=1) if p >= i)
 
 
 def suite_bazin(degree: int = 3, seed: int = 0) -> Report:

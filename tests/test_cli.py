@@ -188,6 +188,45 @@ def test_specialize_with_variable_shift(tmp_path, capsys):
     assert json.loads(out)["value"] == [["10"]]
 
 
+def _assert_input_error(code, out, err):
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_specialize_rejects_float_entries(tmp_path, capsys):
+    assignment = {"c": 0.5, "base": "-1", "d": 1, "vars": [["3"], ["5"]]}
+    path = tmp_path / "vars.json"
+    path.write_text(json.dumps(assignment))
+    argv = ["specialize", "--family", "S", "--k", "2", "--assignment", str(path)]
+    _assert_input_error(*run_cli(argv, capsys))
+
+
+def test_specialize_singular_assignment(tmp_path, capsys):
+    # x_2 - x_1 - 1 = 0: the denominator quasiminor is singular
+    assignment = {"c": "1", "base": "-1", "d": 1, "vars": [["0"], ["1"]]}
+    path = tmp_path / "vars.json"
+    path.write_text(json.dumps(assignment))
+    for family in ("S", "L"):
+        argv = ["specialize", "--family", family, "--k", "2", "--assignment", str(path)]
+        _assert_input_error(*run_cli(argv, capsys))
+
+
+def test_convert_rejects_float_params_file(tmp_path, capsys):
+    from ncshift.families import lambda_in_S
+
+    src = tmp_path / "x.json"
+    src.write_text(json.dumps(lambda_in_S(2).to_json("S")))
+    table = tmp_path / "params.json"
+    table.write_text(json.dumps({"1": 0.5, "2": "1"}))
+    argv = ["convert", "--to", "R", "--params", f"file:{table}", "--input", str(src)]
+    _assert_input_error(*run_cli(argv, capsys))
+
+
+def test_verify_rejects_bad_max_reseed(monkeypatch, capsys):
+    monkeypatch.setenv("NCSHIFT_MAX_RESEED", "-3")
+    _assert_input_error(*run_cli(["verify", "extension", "--degree", "1"], capsys))
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "ncshift.cli", "expand", "--psi", "2"],

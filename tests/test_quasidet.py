@@ -112,6 +112,42 @@ def test_matvalue_inverse_and_det():
         assert m.det() == brute
 
 
+def _gauss_jordan_inverse(m):
+    """Reference inverse: Gauss-Jordan over Fraction, or None if singular."""
+    n = m.n
+    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m.data)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                aug[r] = [x - aug[r][col] * y for x, y in zip(aug[r], aug[col])]
+    return MatValue([row[n:] for row in aug])
+
+
+def test_matvalue_inverse_matches_fraction_gauss_jordan():
+    # many zero entries force row exchanges; mixed denominators exercise the
+    # exact divisions of the fraction-free elimination
+    rng = random.Random(41)
+    pool = [Fraction(k) for k in range(-3, 4)] + [Fraction(1, 2), Fraction(-5, 7), Fraction(9, 4)]
+    pool += [Fraction(0)] * 3
+    singular = 0
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        m = MatValue([[rng.choice(pool) for _ in range(n)] for _ in range(n)])
+        want = _gauss_jordan_inverse(m)
+        if want is None:
+            singular += 1
+            with pytest.raises(SingularMinor):
+                m.inverse()
+        else:
+            assert m.inverse() == want
+    assert 0 < singular < 400
+
+
 def test_block_quasidet_base_cases():
     rng = random.Random(11)
     b = random_mat(rng, 2)
@@ -175,8 +211,7 @@ def test_block_quasidet_commutative_det_ratio():
 def test_block_quasidet_inverse_block_property():
     # |A|_{pq} = ((A^{-1})_{qp})^{-1}
     rng = random.Random(37)
-    for _ in range(10):
-        n, d = 3, 2
+    for n, d in [(3, 2)] * 10 + [(4, 2)] * 4:
         blocks = [[random_mat(rng, d) for _ in range(n)] for _ in range(n)]
         try:
             inv = _flatten(blocks, d).inverse()
@@ -248,3 +283,16 @@ def test_bazin_respects_reseed_env(monkeypatch):
         verify_bazin(2, 1, 1, seed=1)
     # 3 attempts (max_reseed + 1), each drawing a 2n x n = 4 x 2 block matrix
     assert len(calls) == 3 * 8
+
+
+def test_max_reseed_default(monkeypatch):
+    from ncshift.quasidet import max_reseed_default
+
+    monkeypatch.delenv("NCSHIFT_MAX_RESEED", raising=False)
+    assert max_reseed_default() == 16
+    monkeypatch.setenv("NCSHIFT_MAX_RESEED", "0")
+    assert max_reseed_default() == 0
+    for bad in ("-1", "two", "1.5", ""):
+        monkeypatch.setenv("NCSHIFT_MAX_RESEED", bad)
+        with pytest.raises(ValueError, match="NCSHIFT_MAX_RESEED must be a non-negative integer"):
+            max_reseed_default()

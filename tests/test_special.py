@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from ncshift.params import ParamSubstitution
-from ncshift.quasidet import MatValue, SingularMinor, random_mat
+from ncshift.params import SEQ_A, ParamSubstitution
+from ncshift.quasidet import MatValue, SingularMinor, block_quasidet, random_mat
 from ncshift.ribbon import Composition, ribbon
 from ncshift.special import (
     VariableAssignment,
@@ -283,3 +283,129 @@ def test_vanishing_cases_fail_when_no_sample_is_evaluated(monkeypatch):
     for id in ("vanishing-lambda", "vanishing-s-printed"):
         assert not cases[id].passed
         assert cases[id].witness.startswith("no sample was evaluated")
+
+
+@pytest.mark.parametrize(
+    "suite, patched, case",
+    [
+        ("suite_specialization", "lambda_spec", "printed-n2-formulas"),
+        ("suite_specialization", "lambda_spec", "variable-shift-law"),
+        ("suite_symmetry", "evaluate_nc", "ribbon-symmetry"),
+        ("suite_giambelli", "giambelli_check", "giambelli-rank-le-2"),
+    ],
+)
+def test_randomized_cases_fail_when_no_sample_is_evaluated(monkeypatch, suite, patched, case):
+    import ncshift.suites as suites
+
+    def singular(*args):
+        raise SingularMinor("forced")
+
+    monkeypatch.setenv("NCSHIFT_MAX_RESEED", "2")
+    monkeypatch.setattr(suites, patched, singular)
+    cases = {c.id: c for c in getattr(suites, suite)(degree=2).cases}
+    assert not cases[case].passed
+    assert cases[case].witness == suites.NO_SAMPLE
+
+
+# -- the per-assignment memo against the formula restated without it ------------
+
+
+def _reference(family, k, A):
+    """S_k / Lambda_k from public shifted_power, block_quasidet and inverse alone."""
+    n, d = A.n, A.d
+
+    def grid(exps, box_row):
+        blocks = [
+            [shifted_power(A.vars[j], A.sub, m, SEQ_A.tau(j + 1 - n)) for j in range(n)]
+            for m in exps
+        ]
+        return block_quasidet(blocks, box_row, n)
+
+    if k == 0:
+        return MatValue.identity(d)
+    if family == "S":
+        return grid(list(range(n - 1)) + [n + k - 1], n) * grid(list(range(n)), n).inverse()
+    if k > n:
+        return MatValue.zeros(d)
+    num = grid([m for m in range(n + 1) if m != n - k], n)
+    val = num * grid(list(range(n)), n - k + 1).inverse()
+    return val if (k - 1) % 2 == 0 else -val
+
+
+SPEC = {"S": s_spec, "L": lambda_spec}
+KS = range(5)
+ORDERS = {
+    "lambda-first": [(f, k) for f in ("L", "S") for k in KS],
+    "k-descending": [(f, k) for k in reversed(KS) for f in ("S", "L")],
+    "repeated": [(f, k) for f in ("S", "L") for k in KS for _ in range(2)],
+}
+
+
+def _memo_points():
+    for n in (1, 2, 3):
+        for d in (1, 2):
+            for seed in range(3):
+                yield n, d, 500 + 100 * n + 10 * d + seed
+
+
+def _reference_or_singular(family, k, A):
+    try:
+        return _reference(family, k, A)
+    except SingularMinor:
+        return SingularMinor
+
+
+@pytest.mark.parametrize("order", sorted(ORDERS))
+def test_memoized_values_match_reference(order):
+    for n, d, seed in _memo_points():
+        rng = random.Random(seed)
+        vars = tuple(random_mat(rng, d) for _ in range(n))
+        fresh = VariableAssignment(vars, STAR)
+        want = {(f, k): _reference_or_singular(f, k, fresh) for f in SPEC for k in KS}
+        A = VariableAssignment(vars, STAR)
+        for f, k in ORDERS[order]:
+            if want[f, k] is SingularMinor:
+                with pytest.raises(SingularMinor):
+                    SPEC[f](k, A)
+            else:
+                assert SPEC[f](k, A) == want[f, k], (order, n, d, seed, f, k)
+
+
+def test_memo_is_not_shared_with_derived_assignments():
+    from ncshift.special import _power
+
+    A = assignment(3, 2, 600)
+    for k in KS:
+        s_spec(k, A), lambda_spec(k, A)
+    for B in (swap_variables(A, 1), swap_variables(A, 2), A.shift_all(1)):
+        for f in SPEC:
+            for k in range(1, 4):
+                assert SPEC[f](k, B) == _reference(f, k, B)
+        # S and Lambda are invariant under the swaps, the shifted powers are
+        # not: a power chain served from A's memo would show here
+        for j in range(3):
+            for m in range(1, 7):
+                want = shifted_power(B.vars[j], B.sub, m, SEQ_A.tau(j - 2))
+                assert want != _power(A, j, j - 2, m) or B.vars[j] == A.vars[j]
+                assert _power(B, j, j - 2, m) == want
+    shifted = A.shift_all(1)
+    assert all(s_spec(k, shifted) != s_spec(k, A) for k in (1, 2, 3))
+
+
+def test_memo_is_not_part_of_identity():
+    A = assignment(2, 2, 610)
+    fresh = VariableAssignment(A.vars, A.sub)
+    for k in KS:
+        s_spec(k, A), lambda_spec(k, A)
+    assert A == fresh and hash(A) == hash(fresh)
+    assert repr(A) == repr(fresh)
+    assert s_spec(3, fresh) == s_spec(3, A)
+
+
+def test_singular_assignment_raises_on_every_call():
+    # a_i = i - 1: the denominator <x_2|a>^1 - <x_1|tau^-1 a>^1 = x_2 - x_1 - 1 vanishes
+    A = VariableAssignment((MatValue([[0]]), MatValue([[1]])), STAR)
+    for spec in (s_spec, lambda_spec):
+        for _ in range(2):
+            with pytest.raises(SingularMinor):
+                spec(2, A)
