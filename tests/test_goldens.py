@@ -1,0 +1,83 @@
+"""Golden outputs: the sha256 of canonical JSON for fixed inputs.
+
+The digests were captured before the sparse container and the letter map were
+shared between the element classes; they pin that every expansion,
+conversion, coproduct, antipode, shift and duality image is unchanged byte for
+byte.  Each group hashes the concatenation of its outputs, in a fixed order.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from ncshift.algebra import NCElement
+from ncshift.cli import main
+from ncshift.families import all_words, compositions_of
+from ncshift.hopf import antipode, coproduct
+from ncshift.ribbon import Composition, omega, ribbon
+from ncshift.shifts import phi_shift
+
+GOLDEN = {
+    "expand-ribbon": "bd4722e7466e90e4e1f8c7c60a75025005a1fdc93ac1a7da1ed5a31e12c44507",
+    "expand-psi": "acab051d31f1879b0774a2a4ed18406e3cc50b58afbea274e858cddfef2b53df",
+    "expand-lambda-shift-1": "d8d3e2d070a67ff828304243d96c71530e6edc8d3f2f4c8cde57c3fe82456987",
+    "convert-words": "3b9f866bb386e0d0be604973d42818e769752eec0116d9fef82cac9f88ac8761",
+    "coproduct": "ebac4dc235ee798b7bcf5d75c060e384cd69cc36f4a67fcceb2726dee7b79d8d",
+    "antipode": "70500aa3100fca6c34816d5779238838985fdf947a0ffb709ed6c8b952799681",
+    "phi-shift": "98f099d92bf4542bf9eeaccf17eed1accd67b88d6d4c2c157978e84681b080a7",
+    "omega-ribbon": "3bf2238423693c923ffd54cb20552864dfe3ba7bfadb13ceb566bef2ab7a7d2a",
+}
+
+
+def _comps(max_degree):
+    return [w for d in range(1, max_degree + 1) for w in compositions_of(d)]
+
+
+def _cli(argv, capsys):
+    code = main(argv)
+    out, _ = capsys.readouterr()
+    return f"{code}\n{out}"
+
+
+def _dump(data) -> str:
+    return json.dumps(data, sort_keys=True) + "\n"
+
+
+def _outputs(group, tmp_path, capsys):
+    if group == "expand-ribbon":
+        for w in _comps(5):
+            yield _cli(["expand", "--ribbon", ",".join(map(str, w))], capsys)
+    elif group == "expand-psi":
+        for n in range(1, 6):
+            yield _cli(["expand", "--psi", str(n)], capsys)
+    elif group == "expand-lambda-shift-1":
+        for n in range(1, 6):
+            yield _cli(["expand", "--lambda", str(n), "--shift", "1"], capsys)
+    elif group == "convert-words":
+        src = tmp_path / "word.json"
+        for w in all_words(4):
+            src.write_text(json.dumps(NCElement.word(w).to_json("S")))
+            for target in ("L", "Psi", "R"):
+                yield _cli(["convert", "--to", target, "--input", str(src)], capsys)
+    elif group == "coproduct":
+        for k in range(1, 5):
+            yield _dump(coproduct(NCElement.gen(k)).to_json())
+    elif group == "antipode":
+        for k in range(1, 5):
+            yield _dump(antipode(NCElement.gen(k)).to_json())
+    elif group == "phi-shift":
+        for k in range(1, 5):
+            for s in (1, -1):
+                yield _dump(phi_shift(NCElement.gen(k), s).to_json())
+    elif group == "omega-ribbon":
+        for w in _comps(4):
+            yield _dump(omega(ribbon(Composition(w))).to_json())
+
+
+@pytest.mark.parametrize("group", sorted(GOLDEN))
+def test_golden_digest(group, tmp_path, capsys):
+    h = hashlib.sha256()
+    for text in _outputs(group, tmp_path, capsys):
+        h.update(text.encode())
+    assert h.hexdigest() == GOLDEN[group]
