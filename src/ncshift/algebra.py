@@ -1,10 +1,18 @@
 """Free associative algebra over Q[a] in the generators S_1, S_2, ...
 
-Elements are finite Q[a]-linear combinations of words; the word (k_1,...,k_m)
-stands for the monomial S_{k_1}...S_{k_m} and the empty word is the unit.  The
-generator S_k has degree k, so the degree of a word is the sum of its letters.
-Words in other generating families (elementary, power-sum) reuse the same
-container; which family the letters denote is purely contextual.
+Every element class of the package is a LinComb: a finite, zero-pruned map
+from basis keys to nonzero ParamPoly coefficients, with the linear structure,
+equality and sorted serialization written once.  NCElement is keyed by words;
+the word (k_1,...,k_m) stands for the monomial S_{k_1}...S_{k_m} and the empty
+word is the unit.  The generator S_k has degree k, so the degree of a word is
+the sum of its letters.  Words in other generating families (elementary,
+power-sum) reuse the same container; which family the letters denote is
+purely contextual.  Ribbon and tensor combinations subclass LinComb in
+their own modules; accumulate() is the in-place sum they all build on.
+
+Each change of generating set, the duality map, the shift automorphism and
+the antipode is fixed by the image of each letter: apply_letters() extends
+such an image to words, multiplicatively or (reversed) anti-multiplicatively.
 
 Two word orders matter:
 
@@ -35,55 +43,40 @@ def elimination_key(w: Word):
     return (len(w), word_degree(w), w)
 
 
-class NCElement:
-    """A finite map word -> nonzero ParamPoly.
+def accumulate(terms: dict, key, c) -> None:
+    """terms[key] += c in place, dropping the key when the sum vanishes."""
+    s = terms.get(key)
+    s = c if s is None else s + c
+    if s:
+        terms[key] = s
+    else:
+        terms.pop(key, None)
 
-    Immutable by convention.  Multiplication concatenates words bilinearly;
-    equality is equality of the underlying term maps, which is linear
-    independence of the word basis made operational.
+
+class LinComb:
+    """A finite map key -> nonzero ParamPoly: a Q[a]-linear combination.
+
+    Immutable by convention.  The term map never stores a zero coefficient.
+    Subclasses fix the key type and set ``_sort_key``, the key function of
+    their serialization order (None for the keys' own order).
     """
 
     __slots__ = ("terms",)
+    _sort_key: Callable | None = None
 
-    def __init__(self, terms: Mapping[Word, ParamPoly] | None = None):
-        self.terms: dict[Word, ParamPoly] = {}
-        if terms:
-            for w, c in terms.items():
-                if c:
-                    self.terms[w] = c
+    def __init__(self, terms: Mapping | None = None):
+        self.terms: dict = {k: c for k, c in terms.items() if c} if terms else {}
 
-    # -- constructors -----------------------------------------------------
+    @classmethod
+    def _of(cls, terms: dict):
+        """Wrap a zero-pruned dict without copying it."""
+        out = cls.__new__(cls)
+        out.terms = terms
+        return out
 
-    @staticmethod
-    def zero() -> "NCElement":
-        return NCElement()
-
-    @staticmethod
-    def one() -> "NCElement":
-        return NCElement({(): ParamPoly.one()})
-
-    @staticmethod
-    def gen(k: int) -> "NCElement":
-        """The generator S_k; S_0 is the unit and negative degrees vanish."""
-        if k < 0:
-            return NCElement.zero()
-        if k == 0:
-            return NCElement.one()
-        return NCElement({(k,): ParamPoly.one()})
-
-    @staticmethod
-    def word(w: Iterable[int]) -> "NCElement":
-        w = tuple(w)
-        if any(k < 1 for k in w):
-            raise ValueError(f"word letters must be positive, got {w}")
-        return NCElement({w: ParamPoly.one()})
-
-    @staticmethod
-    def scalar(c) -> "NCElement":
-        c = ParamPoly.coerce(c)
-        return NCElement({(): c}) if c else NCElement.zero()
-
-    # -- linear structure ---------------------------------------------------
+    @classmethod
+    def zero(cls):
+        return cls._of({})
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -92,41 +85,91 @@ class NCElement:
         return not self.terms
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, NCElement):
+        if type(other) is not type(self):
             return NotImplemented
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash(tuple(sorted(self.terms.items(), key=lambda t: t[0])))
+        return hash(frozenset(self.terms.items()))
 
-    def __add__(self, other: "NCElement") -> "NCElement":
+    def __add__(self, other):
         out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w)
-            s = c if s is None else s + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-        res = NCElement()
-        res.terms = out
-        return res
+        for k, c in other.terms.items():
+            accumulate(out, k, c)
+        return self._of(out)
 
-    def __neg__(self) -> "NCElement":
-        res = NCElement()
-        res.terms = {w: -c for w, c in self.terms.items()}
-        return res
+    def __neg__(self):
+        return self._of({k: -c for k, c in self.terms.items()})
 
-    def __sub__(self, other: "NCElement") -> "NCElement":
-        return self + (-other)
+    def __sub__(self, other):
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            accumulate(out, k, -c)
+        return self._of(out)
 
-    def scale(self, c) -> "NCElement":
+    def scale(self, c):
         c = ParamPoly.coerce(c)
-        if not c:
+        return self._of({k: c * v for k, v in self.terms.items()} if c else {})
+
+    def sorted_terms(self) -> list:
+        terms = self.terms
+        return [(k, terms[k]) for k in sorted(terms, key=self._sort_key)]
+
+    @classmethod
+    def _from_json(cls, data: Mapping, key_of: Callable):
+        """Sum the JSON terms; a ValueError names the first malformed one."""
+        items = data["terms"]
+        if not isinstance(items, list):
+            raise ValueError(f"terms must be a list, got {items!r}")
+        out: dict = {}
+        for item in items:
+            try:
+                key, c = key_of(item), ParamPoly.from_json(item["coeff"])
+            except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as e:
+                raise ValueError(f"malformed term {item!r}: {e!r}") from None
+            accumulate(out, key, c)
+        return cls._of(out)
+
+
+class NCElement(LinComb):
+    """A finite map word -> nonzero ParamPoly.
+
+    Multiplication concatenates words bilinearly; equality is equality of
+    the underlying term maps, which is linear independence of the word basis
+    made operational.
+    """
+
+    __slots__ = ()
+    _sort_key = staticmethod(serial_key)
+
+    # -- constructors -----------------------------------------------------
+
+    @staticmethod
+    def one() -> "NCElement":
+        return NCElement._of({(): ParamPoly.one()})
+
+    @staticmethod
+    def gen(k: int) -> "NCElement":
+        """The generator S_k; S_0 is the unit and negative degrees vanish."""
+        if k < 0:
             return NCElement.zero()
-        res = NCElement()
-        res.terms = {w: c * v for w, v in self.terms.items()}
-        return res
+        if k == 0:
+            return NCElement.one()
+        return NCElement._of({(k,): ParamPoly.one()})
+
+    @staticmethod
+    def word(w: Iterable[int]) -> "NCElement":
+        w = tuple(w)
+        if any(k < 1 for k in w):
+            raise ValueError(f"word letters must be positive, got {w}")
+        return NCElement._of({w: ParamPoly.one()})
+
+    @staticmethod
+    def scalar(c) -> "NCElement":
+        c = ParamPoly.coerce(c)
+        return NCElement({(): c})
+
+    # -- products -------------------------------------------------------------
 
     def __mul__(self, other) -> "NCElement":
         if not isinstance(other, NCElement):
@@ -142,9 +185,7 @@ class NCElement:
                     out[w] = s
                 else:
                     out.pop(w, None)
-        res = NCElement()
-        res.terms = out
-        return res
+        return NCElement._of(out)
 
     def __rmul__(self, other) -> "NCElement":
         # scalars commute with everything
@@ -168,20 +209,8 @@ class NCElement:
             raise ValueError("zero element has no leading word")
         return max(self.terms, key=elimination_key)
 
-    def map_words(self, f: Callable[[Word], "NCElement"]) -> "NCElement":
-        """Sum of coeff * f(word) over the support (a linear extension)."""
-        out = NCElement.zero()
-        for w, c in self.terms.items():
-            out = out + f(w).scale(c)
-        return out
-
     def map_coefficients(self, f: Callable[[ParamPoly], ParamPoly]) -> "NCElement":
-        res = NCElement()
-        for w, c in self.terms.items():
-            fc = f(c)
-            if fc:
-                res.terms[w] = fc
-        return res
+        return NCElement({w: f(c) for w, c in self.terms.items()})
 
     def substitute(self, sub: ParamSubstitution) -> dict[Word, Fraction]:
         """Numeric coefficients under a parameter substitution."""
@@ -194,9 +223,6 @@ class NCElement:
 
     # -- presentation --------------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[Word, ParamPoly]]:
-        return sorted(self.terms.items(), key=lambda t: serial_key(t[0]))
-
     def to_json(self, basis: str = "S") -> dict:
         return {
             "basis": basis,
@@ -207,11 +233,13 @@ class NCElement:
 
     @staticmethod
     def from_json(data: Mapping) -> "NCElement":
-        out = NCElement.zero()
-        for item in data["terms"]:
+        def word(item) -> Word:
             w = tuple(int(k) for k in item["word"])
-            out = out + NCElement({w: ParamPoly.from_json(item["coeff"])})
-        return out
+            if any(k < 1 for k in w):
+                raise ValueError(f"word letters must be positive, got {w}")
+            return w
+
+        return NCElement._from_json(data, word)
 
     def __str__(self) -> str:
         return self.pretty("S")
@@ -254,18 +282,28 @@ class NCElement:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def nc_sum(items: Iterable[NCElement]) -> NCElement:
-    out = NCElement.zero()
-    for x in items:
-        out = out + x
-    return out
+def apply_letters(
+    x: NCElement, image: Callable[[int], NCElement], reverse: bool = False
+) -> NCElement:
+    """The sum of c_w image(w_1)...image(w_m) over the terms c_w w of x.
 
+    This is the algebra map fixed by the image of each letter; with reverse
+    set, each word is read backwards, which gives the anti-homomorphism.
+    Within one call the product for each shared prefix is computed once.
+    """
+    prefixes = {(): NCElement.one()}
 
-def nc_prod(items: Iterable[NCElement]) -> NCElement:
-    out = NCElement.one()
-    for x in items:
-        out = out * x
-    return out
+    def product(w: Word) -> NCElement:
+        p = prefixes.get(w)
+        if p is None:
+            p = prefixes[w] = product(w[:-1]) * image(w[-1])
+        return p
+
+    out: dict[Word, ParamPoly] = {}
+    for w, c in x.terms.items():
+        for u, d in product(w[::-1] if reverse else w).terms.items():
+            accumulate(out, u, c * d)
+    return NCElement._of(out)
 
 
 # -- commutative symmetric polynomials of parameter values -------------------

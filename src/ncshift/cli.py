@@ -110,9 +110,11 @@ def cmd_expand(args) -> int:
 
 def _load_element(path: str | None):
     fh = sys.stdin if path in (None, "-") else open(path)
-    data = json.load(fh)
+    data = _load_exact(fh)
     if fh is not sys.stdin:
         fh.close()
+    if not isinstance(data, dict):
+        raise ValueError("an element file holds one JSON object with a list of terms")
     basis = data.get("basis", "S")
     if basis == "R":
         return basis, RibbonElement.from_json(data)

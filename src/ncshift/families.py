@@ -31,10 +31,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 
-from .algebra import NCElement, Word, complete_homogeneous, elementary, nc_prod
+from .algebra import NCElement, Word, apply_letters, complete_homogeneous, elementary
 from .params import SEQ_A, ParamSequence
 from .quasidet import hessenberg_quasidet
-from .shifts import lambda_shift_coeffs, s_shift_coeffs, shift_S
+from .shifts import lambda_shift_coeffs, shift_S
 
 
 @cache
@@ -55,24 +55,14 @@ def lambda_in_S(n: int, base: ParamSequence = SEQ_A) -> NCElement:
 @cache
 def shift_Lambda(k: int, s: int, base: ParamSequence = SEQ_A) -> NCElement:
     """Lambda_k^[s] in the S-basis."""
-    if k == 0:
-        return NCElement.one()
-    out = NCElement.zero()
-    for nu, c in enumerate(lambda_shift_coeffs(k, s, base)):
-        if c:
-            out = out + lambda_in_S(k - nu, base).scale(c)
-    return out
+    return lambda_words_to_s(lambda_letter_shift(k, s, base), base)
 
 
 def lambda_letter_shift(k: int, s: int, base: ParamSequence = SEQ_A) -> NCElement:
     """Lambda_k^[s] as a combination of words in Lambda-letters."""
     if k == 0:
         return NCElement.one()
-    out = NCElement.zero()
-    for nu, c in enumerate(lambda_shift_coeffs(k, s, base)):
-        if c:
-            out = out + NCElement.gen(k - nu).scale(c)
-    return out
+    return NCElement({(k - nu,): c for nu, c in enumerate(lambda_shift_coeffs(k, s, base))})
 
 
 def jacobi_trudi_matrix(n: int, base: ParamSequence = SEQ_A) -> list[list[NCElement | None]]:
@@ -123,33 +113,30 @@ def s_in_lambda_table(n: int, base: ParamSequence = SEQ_A) -> NCElement:
         return NCElement.one()
     # S_n^[n-1] = sum_{j=1}^{n} (-1)^{j+1} S_{n-j}^[n-1] Lambda_j, then strip
     # the shift triangularly.
+    table = lambda k: s_in_lambda_table(k, base)
     acc = NCElement.zero()
     for j in range(1, n + 1):
-        coeffs = s_shift_coeffs(n - j, n - 1, base)
-        s_shifted = NCElement.zero()
-        for nu, c in enumerate(coeffs):
-            if c:
-                s_shifted = s_shifted + s_in_lambda_table(n - j - nu, base).scale(c)
-        if n - j == 0:
-            s_shifted = NCElement.one()
-        term = s_shifted * NCElement.gen(j)
+        term = apply_letters(shift_S(n - j, n - 1, base), table) * NCElement.gen(j)
         acc = acc + (term if (j + 1) % 2 == 0 else -term)
-    # acc = S_n^[n-1] over Lambda-letters; now S_n = S_n^[n-1] - corrections
-    out = acc
-    for nu, c in enumerate(s_shift_coeffs(n, n - 1, base)):
-        if nu and c:
-            out = out - s_in_lambda_table(n - nu, base).scale(c)
-    return out
+    return _strip_shift(acc, n, table, base)
+
+
+def _strip_shift(top: NCElement, n: int, table, base: ParamSequence) -> NCElement:
+    """S_n over other letters, given S_n^[n-1] over them (top) and S_k (k < n) by table.
+
+    S_n^[n-1] is S_n plus lower single-letter terms; their images are subtracted.
+    """
+    return top - apply_letters(shift_S(n, n - 1, base) - NCElement.gen(n), table)
 
 
 def lambda_words_to_s(x: NCElement, base: ParamSequence = SEQ_A) -> NCElement:
     """Interpret words of x as Lambda-monomials and expand in the S-basis."""
-    return x.map_words(lambda w: nc_prod(lambda_in_S(k, base) for k in w))
+    return apply_letters(x, lambda k: lambda_in_S(k, base))
 
 
 def s_to_lambda(x: NCElement, base: ParamSequence = SEQ_A) -> NCElement:
     """Rewrite an S-basis element over Lambda-letters."""
-    return x.map_words(lambda w: nc_prod(s_in_lambda_table(k, base) for k in w))
+    return apply_letters(x, lambda k: s_in_lambda_table(k, base))
 
 
 # -- power sums ---------------------------------------------------------------
@@ -183,35 +170,22 @@ def s_in_psi_table(n: int, base: ParamSequence = SEQ_A) -> NCElement:
     """
     if n == 0:
         return NCElement.one()
-
-    def s_shifted_in_psi(k: int) -> NCElement:
-        if k == 0:
-            return NCElement.one()
-        out = NCElement.zero()
-        for nu, c in enumerate(s_shift_coeffs(k, n - 1, base)):
-            if c:
-                out = out + s_in_psi_table(k - nu, base).scale(c)
-        return out
-
+    table = lambda k: s_in_psi_table(k, base)
     acc = NCElement.gen(n)  # the Psi_n letter
     for k in range(1, n):
-        acc = acc + s_shifted_in_psi(k) * NCElement.gen(n - k)
-    acc = acc.scale(Fraction(1, n))  # acc = S_n^[n-1] over Psi-letters
-    out = acc
-    for nu, c in enumerate(s_shift_coeffs(n, n - 1, base)):
-        if nu and c:
-            out = out - s_in_psi_table(n - nu, base).scale(c)
-    return out
+        acc = acc + apply_letters(shift_S(k, n - 1, base), table) * NCElement.gen(n - k)
+    # acc / n = S_n^[n-1] over Psi-letters
+    return _strip_shift(acc.scale(Fraction(1, n)), n, table, base)
 
 
 def psi_words_to_s(x: NCElement, base: ParamSequence = SEQ_A) -> NCElement:
     """Interpret words of x as Psi-monomials and expand in the S-basis."""
-    return x.map_words(lambda w: nc_prod(psi(k, base) for k in w))
+    return apply_letters(x, lambda k: psi(k, base))
 
 
 def s_to_psi(x: NCElement, base: ParamSequence = SEQ_A) -> NCElement:
     """Rewrite an S-basis element over Psi-letters (denominators 1/n appear)."""
-    return x.map_words(lambda w: nc_prod(s_in_psi_table(k, base) for k in w))
+    return apply_letters(x, lambda k: s_in_psi_table(k, base))
 
 
 # -- identity checks -----------------------------------------------------------

@@ -4,99 +4,48 @@ The coproduct is defined on the free generating set Psi_n by
 Delta(Psi_n) = Psi_n x 1 + 1 x Psi_n, the counit kills every Psi_n, and the
 antipode is the anti-algebra extension of Psi_n -> -Psi_n.  All three are
 computed by rewriting into the power-sum generating set, acting there, and
-rewriting each tensor leg back into the S-basis.
+rewriting back into the S-basis: the coproduct splits each Psi-word over its
+subsets, merges the tensor terms in the Psi basis and expands each leg; the
+antipode is apply_letters with the image -Psi_n, reversed.  Tensors are
+LinComb combinations keyed by pairs of words.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
-
-from .algebra import NCElement, Word
-from .families import psi_words_to_s, s_to_psi
+from .algebra import LinComb, NCElement, accumulate, apply_letters
+from .families import psi, psi_words_to_s, s_to_psi
 from .params import SEQ_A, ParamPoly, ParamSequence
 
 
-class TensorElement:
+class TensorElement(LinComb):
     """Finite map (word, word) -> nonzero ParamPoly in the S x S basis."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[tuple[Word, Word], ParamPoly] | None = None):
-        self.terms: dict[tuple[Word, Word], ParamPoly] = {}
-        if terms:
-            for k, c in terms.items():
-                if c:
-                    self.terms[k] = c
-
-    @staticmethod
-    def zero() -> "TensorElement":
-        return TensorElement()
+    __slots__ = ()
+    _sort_key = None  # word pairs in their own order
 
     @staticmethod
     def one() -> "TensorElement":
-        return TensorElement({((), ()): ParamPoly.one()})
+        return TensorElement._of({((), ()): ParamPoly.one()})
 
     @staticmethod
     def of(x: NCElement, y: NCElement) -> "TensorElement":
-        out = TensorElement()
-        for w1, c1 in x.terms.items():
-            for w2, c2 in y.terms.items():
-                c = c1 * c2
-                if c:
-                    out.terms[(w1, w2)] = out.terms.get((w1, w2), ParamPoly.zero()) + c
-        return TensorElement({k: c for k, c in out.terms.items() if c})
-
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, ParamPoly.zero()) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return TensorElement(out)
-
-    def __neg__(self) -> "TensorElement":
-        return TensorElement({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "TensorElement") -> "TensorElement":
-        return self + (-other)
+        # distinct word pairs, and Q[a] has no zero divisors: nothing to merge
+        return TensorElement._of(
+            {(w1, w2): c1 * c2 for w1, c1 in x.terms.items() for w2, c2 in y.terms.items()}
+        )
 
     def __mul__(self, other: "TensorElement") -> "TensorElement":
-        out: dict[tuple[Word, Word], ParamPoly] = {}
+        out: dict = {}
         for (l1, r1), c1 in self.terms.items():
             for (l2, r2), c2 in other.terms.items():
-                k = (l1 + l2, r1 + r2)
-                s = out.get(k, ParamPoly.zero()) + c1 * c2
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return TensorElement(out)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def map_legs(self, f, g) -> "TensorElement":
-        """Apply NCElement maps to the two legs and recollect."""
-        out = TensorElement.zero()
-        for (w1, w2), c in self.terms.items():
-            x = f(NCElement.word(w1) if w1 else NCElement.one())
-            y = g(NCElement.word(w2) if w2 else NCElement.one())
-            out = out + TensorElement.of(x.scale(c), y)
-        return out
+                accumulate(out, (l1 + l2, r1 + r2), c1 * c2)
+        return TensorElement._of(out)
 
     def to_json(self) -> dict:
-        items = sorted(self.terms.items(), key=lambda t: (t[0][0], t[0][1]))
         return {
             "terms": [
                 {"left": list(w1), "right": list(w2), "coeff": c.to_json()}
-                for (w1, w2), c in items
+                for (w1, w2), c in self.sorted_terms()
             ]
         }
 
@@ -104,7 +53,7 @@ class TensorElement:
         if not self.terms:
             return "0"
         parts = []
-        for (w1, w2), c in sorted(self.terms.items(), key=lambda t: t[0]):
+        for (w1, w2), c in self.sorted_terms():
             b1 = "*".join(f"S{k}" for k in w1) or "1"
             b2 = "*".join(f"S{k}" for k in w2) or "1"
             cs = str(c)
@@ -117,21 +66,19 @@ class TensorElement:
 
 def coproduct(x: NCElement, base: ParamSequence = SEQ_A) -> TensorElement:
     """Delta(x), computed through the primitive power-sum generators."""
-    in_psi = s_to_psi(x, base)
-    out_psi: dict[tuple[Word, Word], ParamPoly] = {}
-    for w, c in in_psi.terms.items():
+    in_psi: dict = {}
+    for w, c in s_to_psi(x, base).terms.items():
         m = len(w)
         for mask in range(1 << m):
             left = tuple(w[i] for i in range(m) if mask >> i & 1)
             right = tuple(w[i] for i in range(m) if not mask >> i & 1)
-            key = (left, right)
-            s = out_psi.get(key, ParamPoly.zero()) + c
-            if s:
-                out_psi[key] = s
-            else:
-                out_psi.pop(key, None)
-    back = lambda e: psi_words_to_s(e, base)
-    return TensorElement(out_psi).map_legs(back, back)
+            accumulate(in_psi, (left, right), c)
+    out: dict = {}
+    for (left, right), c in in_psi.items():
+        x1, x2 = (psi_words_to_s(NCElement.word(w), base) for w in (left, right))
+        for key, d in TensorElement.of(x1, x2).terms.items():
+            accumulate(out, key, c * d)
+    return TensorElement._of(out)
 
 
 def counit(x: NCElement, base: ParamSequence = SEQ_A) -> ParamPoly:
@@ -141,13 +88,7 @@ def counit(x: NCElement, base: ParamSequence = SEQ_A) -> ParamPoly:
 
 def antipode(x: NCElement, base: ParamSequence = SEQ_A) -> NCElement:
     """Word-reversing extension of Psi_n -> -Psi_n, back in the S-basis."""
-    in_psi = s_to_psi(x, base)
-    flipped = NCElement.zero()
-    for w, c in in_psi.terms.items():
-        sign = ParamPoly.const((-1) ** len(w))
-        word = tuple(reversed(w))
-        flipped = flipped + NCElement({word: sign * c})
-    return psi_words_to_s(flipped, base)
+    return apply_letters(s_to_psi(x, base), lambda k: -psi(k, base), reverse=True)
 
 
 def convolution_defect(x: NCElement, base: ParamSequence = SEQ_A) -> tuple[NCElement, NCElement]:
@@ -157,8 +98,7 @@ def convolution_defect(x: NCElement, base: ParamSequence = SEQ_A) -> tuple[NCEle
     left = NCElement.zero()
     right = NCElement.zero()
     for (w1, w2), c in d.terms.items():
-        e1 = NCElement.word(w1) if w1 else NCElement.one()
-        e2 = NCElement.word(w2) if w2 else NCElement.one()
+        e1, e2 = NCElement.word(w1), NCElement.word(w2)
         left = left + (antipode(e1, base) * e2).scale(c)
         right = right + (e1 * antipode(e2, base)).scale(c)
     return left - eps, right - eps

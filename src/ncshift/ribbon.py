@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .algebra import NCElement, nc_prod
+from .algebra import LinComb, NCElement, apply_letters
 from .params import SEQ_A, ParamPoly, ParamSequence
 from .quasidet import hessenberg_quasidet
 from .shifts import shift_S
@@ -125,43 +125,16 @@ def ribbon_uniform(I: Composition, s: int, base: ParamSequence = SEQ_A) -> NCEle
 # -- the ribbon basis ----------------------------------------------------------
 
 
-class RibbonElement:
+class RibbonElement(LinComb):
     """Finite map (composition, shift vector) -> nonzero ParamPoly."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms: dict[tuple[tuple[int, ...], tuple[int, ...]], ParamPoly] = {}
-        if terms:
-            for key, c in terms.items():
-                if c:
-                    self.terms[key] = c
+    __slots__ = ()
+    _sort_key = staticmethod(lambda key: (sum(key[0]), key))
 
     @staticmethod
     def single(I: Composition, K: tuple[int, ...] | None = None, coeff=1) -> "RibbonElement":
         K = I.row_shifts() if K is None else tuple(K)
         return RibbonElement({(I.parts, K): ParamPoly.coerce(coeff)})
-
-    def __add__(self, other: "RibbonElement") -> "RibbonElement":
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key, ParamPoly.zero()) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return RibbonElement(out)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RibbonElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: (sum(t[0][0]), t[0]))
 
     def to_json(self) -> dict:
         return {
@@ -174,13 +147,14 @@ class RibbonElement:
 
     @staticmethod
     def from_json(data) -> "RibbonElement":
-        out = RibbonElement()
-        for item in data["terms"]:
-            key = (tuple(item["comp"]), tuple(item["shifts"]))
-            c = ParamPoly.from_json(item["coeff"])
-            if c:
-                out = out + RibbonElement({key: c})
-        return out
+        def key(item):
+            comp = Composition(item["comp"]).parts
+            K = tuple(int(k) for k in item["shifts"])
+            if len(K) != len(comp):
+                raise ValueError("shift vector length must match the composition")
+            return comp, K
+
+        return RibbonElement._from_json(data, key)
 
     def integer_coefficients(self, sub) -> bool:
         """Whether every coefficient evaluates to an integer under sub."""
@@ -307,9 +281,7 @@ def omega(x: NCElement, base: ParamSequence = SEQ_A) -> NCElement:
     sequence, and coefficient polynomials pass through unchanged.
     """
     dual = base.dual()
-    return x.map_words(
-        lambda w: nc_prod(lambda_in_S(k, dual) for k in reversed(w))
-    )
+    return apply_letters(x, lambda k: lambda_in_S(k, dual), reverse=True)
 
 
 def duality_shift(I: Composition) -> int:

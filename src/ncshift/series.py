@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import NCElement, complete_homogeneous
+from .algebra import NCElement, accumulate, complete_homogeneous
 from .families import lambda_in_S
 from .params import SEQ_A, ParamPoly, ParamSequence
 
@@ -103,12 +103,7 @@ def reexpand_values(
         hs = complete_homogeneous(values[:k], order - k)
         for i in range(order - k + 1):
             if hs[i]:
-                prev = out.get(k + i, NCElement.zero())
-                s = prev + c.scale(hs[i])
-                if s.is_zero():
-                    out.pop(k + i, None)
-                else:
-                    out[k + i] = s
+                accumulate(out, k + i, c.scale(hs[i]))
     return TruncatedTSeries(order, constant, out, None)
 
 

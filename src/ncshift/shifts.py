@@ -28,7 +28,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import combinations
 
-from .algebra import NCElement
+from .algebra import NCElement, apply_letters
 from .params import SEQ_A, ParamPoly, ParamSequence
 
 
@@ -93,11 +93,7 @@ def shift_S(k: int, s: int, base: ParamSequence = SEQ_A) -> NCElement:
     """S_k^[s] expanded in the S-basis."""
     if k == 0:
         return NCElement.one()
-    out = NCElement.zero()
-    for nu, c in enumerate(s_shift_coeffs(k, s, base)):
-        if c:
-            out = out + NCElement.gen(k - nu).scale(c)
-    return out
+    return NCElement({(k - nu,): c for nu, c in enumerate(s_shift_coeffs(k, s, base))})
 
 
 def coeff_shift(c: ParamPoly, s: int, base: ParamSequence = SEQ_A) -> ParamPoly:
@@ -113,10 +109,6 @@ def phi_shift(x: NCElement, s: int, base: ParamSequence = SEQ_A) -> NCElement:
     """The algebra map phi^[s]: letters via shift_S, coefficients re-indexed."""
     if s == 0:
         return x
-    out = NCElement.zero()
-    for w, c in x.terms.items():
-        term = NCElement.scalar(coeff_shift(c, s, base))
-        for k in w:
-            term = term * shift_S(k, s, base)
-        out = out + term
-    return out
+    return apply_letters(
+        x.map_coefficients(lambda c: coeff_shift(c, s, base)), lambda k: shift_S(k, s, base)
+    )

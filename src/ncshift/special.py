@@ -81,15 +81,24 @@ class VariableAssignment:
 
     @staticmethod
     def from_json(data) -> "VariableAssignment":
-        d = int(data["d"])
-        sub = ParamSubstitution.equidistant(
-            as_fraction(data["c"]), as_fraction(data.get("base", 0))
-        )
+        try:
+            d = int(data["d"])
+            sub = ParamSubstitution.equidistant(
+                as_fraction(data["c"]), as_fraction(data.get("base", 0))
+            )
+            flats = list(data["vars"])
+        except (AttributeError, TypeError, ZeroDivisionError) as e:
+            raise ValueError(f"bad d, c, base or vars: {e!r}") from None
+        if d < 1:
+            raise ValueError(f"d must be a positive integer, got {d}")
         vars = []
-        for flat in data["vars"]:
-            if len(flat) != d * d:
+        for j, flat in enumerate(flats):
+            if not isinstance(flat, list) or len(flat) != d * d:
                 raise ValueError("variable entries must be d*d row-major lists")
-            vars.append(MatValue([flat[r * d : (r + 1) * d] for r in range(d)]))
+            try:
+                vars.append(MatValue([flat[r * d : (r + 1) * d] for r in range(d)]))
+            except (TypeError, ZeroDivisionError) as e:
+                raise ValueError(f"bad entry in variable {j + 1}: {e!r}") from None
         return VariableAssignment(tuple(vars), sub)
 
     def to_json(self) -> dict:

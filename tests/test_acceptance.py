@@ -361,8 +361,8 @@ def test_criterion_08_delta_s3_printed_symbolic():
     (4/3)(a_0 - a_1) by (1/3)a_{-1} - (5/3)a_0 + (7/3)a_1 - a_2, which
     vanishes for every equidistant sequence but not for a_i = i^2: the
     display is the equidistant specialization of the true coefficient.  The
-    coefficient is read off coproduct(S_3) itself, since the report's
-    witness is a fixed sentence.
+    report's witness names that coefficient, as computed by coproduct(S_3),
+    against the displayed one.
     """
     rep = run_suite("hopf", degree=5)
     cases = _assert_refuted(
@@ -370,7 +370,19 @@ def test_criterion_08_delta_s3_printed_symbolic():
         {"delta-s3-printed-symbolic"},
         label="criterion 8: printed Delta(S_3) (verbatim, symbolic)",
     )
-    assert "S_1 x S_1" in cases["delta-s3-printed-symbolic"].witness
+    unit = ParamPoly.one()
+    printed_delta = TensorElement(
+        {
+            ((3,), ()): unit,
+            ((2,), (1,)): unit,
+            ((1,), (2,)): unit,
+            ((), (3,)): unit,
+            ((1,), (1,)): ParamPoly.const(Fraction(4, 3)) * (a(0) - a(1)),
+        }
+    )
+    witness = cases["delta-s3-printed-symbolic"].witness
+    assert witness == nc_witness(coproduct(S(3)), printed_delta)
+    assert witness.startswith("word ((1,), (1,)): ")
     _assert_cases(
         rep,
         {"delta-s2-printed", "delta-s3-printed-equidistant"},

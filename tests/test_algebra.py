@@ -1,18 +1,23 @@
 """Free algebra container: products, orders, commutative helpers."""
 
 import json
+import operator
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations_with_replacement
 
 from ncshift.algebra import (
     NCElement,
+    apply_letters,
     complete_homogeneous,
     elementary,
     elimination_key,
     serial_key,
 )
+from ncshift.families import lambda_in_S, psi
 from ncshift.params import ParamPoly
+from ncshift.shifts import shift_S
 
 a = ParamPoly.gen
 S = NCElement.gen
@@ -107,3 +112,27 @@ def test_latex_and_str_smoke():
     x = S(2).scale(a(1) - a(0)) + NCElement.word((1, 1))
     assert "S_{2;a}" in x.latex()
     assert "S2" in str(x)
+
+
+def _letters_by_word(x, image, reverse):
+    """sum_w c_w image(w_1)...image(w_m), one word at a time, no shared work."""
+    out = NCElement.zero()
+    for w, c in x.terms.items():
+        letters = reversed(w) if reverse else w
+        out = out + reduce(operator.mul, [image(k) for k in letters], NCElement.one()).scale(c)
+    return out
+
+
+def test_apply_letters_against_word_by_word_products():
+    rng = random.Random(4417)
+    # words sharing prefixes (read forwards) and suffixes (read backwards)
+    shared = NCElement.one().scale(a(0)) + NCElement.word((2,)).scale(-3)
+    for w in ((2, 1), (2, 1, 1), (2, 1, 2), (1, 1, 2), (3, 1, 2)):
+        shared = shared + NCElement.word(w).scale(a(len(w)) + 1)
+    corpus = [shared] + [random_element(rng, max_degree=5) for _ in range(15)]
+    images = {"Lambda": lambda_in_S, "Psi": psi, "S^[1]": lambda k: shift_S(k, 1)}
+    for name, image in images.items():
+        for reverse in (False, True):
+            for x in corpus:
+                want = _letters_by_word(x, image, reverse)
+                assert apply_letters(x, image, reverse) == want, (name, reverse, x)

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from ncshift.cli import main
 
 
@@ -209,6 +211,48 @@ def test_specialize_singular_assignment(tmp_path, capsys):
     for family in ("S", "L"):
         argv = ["specialize", "--family", family, "--k", "2", "--assignment", str(path)]
         _assert_input_error(*run_cli(argv, capsys))
+
+
+@pytest.mark.parametrize(
+    "change, named",
+    [
+        ({"vars": [[None], ["5"]]}, "variable 1"),
+        ({"vars": [["3"], [["1"]]]}, "variable 2"),
+        ({"vars": [["1/0"], ["5"]]}, "variable 1"),
+        ({"d": None}, "d, c"),
+    ],
+    ids=["null-entry", "list-entry", "zero-denominator-entry", "null-d"],
+)
+def test_specialize_rejects_malformed_assignment(change, named, tmp_path, capsys):
+    assignment = {"c": "1", "base": "-1", "d": 1, "vars": [["3"], ["5"]]} | change
+    path = tmp_path / "vars.json"
+    path.write_text(json.dumps(assignment))
+    argv = ["specialize", "--family", "S", "--k", "1", "--assignment", str(path)]
+    code, out, err = run_cli(argv, capsys)
+    _assert_input_error(code, out, err)
+    assert named in err
+
+
+def _term(word, c):
+    return {"word": word, "coeff": [{"c": c, "e": {}}]}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        json.dumps({"terms": [_term([1], "1/0")]}),
+        json.dumps({"terms": [_term(None, "1")]}),
+        json.dumps([_term([1], "1")]),
+        json.dumps({"terms": [_term([1], 0.5)]}),
+        json.dumps({"terms": [_term([0], "1")]}),
+        json.dumps({"basis": "R", "terms": [{"comp": [0], "shifts": [0], "coeff": []}]}),
+    ],
+    ids=["zero-denominator", "null-word", "top-level-list", "float", "letter-0", "ribbon-part-0"],
+)
+def test_convert_rejects_malformed_element(text, tmp_path, capsys):
+    src = tmp_path / "x.json"
+    src.write_text(text)
+    _assert_input_error(*run_cli(["convert", "--to", "S", "--input", str(src)], capsys))
 
 
 def test_convert_rejects_float_params_file(tmp_path, capsys):

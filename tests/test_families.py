@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 
-from ncshift.algebra import NCElement, complete_homogeneous, nc_prod
+from ncshift.algebra import NCElement, apply_letters, complete_homogeneous
 from ncshift.families import (
     all_words,
     check_lineareq,
@@ -203,13 +203,9 @@ def test_embedding_closed_form_and_round_trip():
     for n in range(1, 8):
         assert project_shifted(n) == project_shifted_closed_form(n)
         # substitute the inverse into the embedding and recover the generator
-        back = embed_unshifted(n).map_words(
-            lambda w: nc_prod(project_shifted(k) for k in w)
-        )
+        back = apply_letters(embed_unshifted(n), project_shifted)
         assert back == S(n)
-        forward = project_shifted(n).map_words(
-            lambda w: nc_prod(embed_unshifted(k) for k in w)
-        )
+        forward = apply_letters(project_shifted(n), embed_unshifted)
         assert forward == S(n)
 
 

@@ -89,12 +89,12 @@ def test_convolution_identities():
 
 
 def test_coassociativity():
-    from ncshift.suites import _tensor3_left, _tensor3_right
+    from ncshift.suites import _tensor3
 
     for w in all_words(4):
         x = NCElement.word(w) if w else NCElement.one()
         d = coproduct(x)
-        assert _tensor3_left(d) == _tensor3_right(d)
+        assert _tensor3(d, True) == _tensor3(d, False)
 
 
 def test_counit_laws():
