@@ -175,6 +175,7 @@ class NCElement(LinComb):
         if not isinstance(other, NCElement):
             return self.scale(other)
         out: dict[Word, ParamPoly] = {}
+        # accumulate() written out: this is the innermost loop of every product
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 w = w1 + w2
