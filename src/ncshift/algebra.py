@@ -290,19 +290,14 @@ def apply_letters(
 
     This is the algebra map fixed by the image of each letter; with reverse
     set, each word is read backwards, which gives the anti-homomorphism.
-    Within one call the product for each shared prefix is computed once.
     """
-    prefixes = {(): NCElement.one()}
-
-    def product(w: Word) -> NCElement:
-        p = prefixes.get(w)
-        if p is None:
-            p = prefixes[w] = product(w[:-1]) * image(w[-1])
-        return p
-
+    one = NCElement.one()
     out: dict[Word, ParamPoly] = {}
     for w, c in x.terms.items():
-        for u, d in product(w[::-1] if reverse else w).terms.items():
+        p = one
+        for k in reversed(w) if reverse else w:
+            p = p * image(k)
+        for u, d in p.terms.items():
             accumulate(out, u, c * d)
     return NCElement._of(out)
 

@@ -519,6 +519,8 @@ def _first_sample(seeds, n: int, d: int, check):
     """check(A) at the first nonsingular point drawn from the seeds, in order.
 
     Each seed starts its own draw sequence; None when every draw is singular.
+    A draw counts only when every evaluation in check succeeds: one that
+    raises SingularMinor part-way is dropped whole, for the next seed.
     """
     for s in seeds:
         try:
@@ -528,9 +530,19 @@ def _first_sample(seeds, n: int, d: int, check):
     return None
 
 
-def _vanishing(n: int, A) -> list[tuple[int, bool, bool]]:
-    """(k, Lambda_k(A) == 0, S_k(A) == 0) for the first two k past the variable count."""
-    return [(k, lambda_spec(k, A).is_zero(), s_spec(k, A).is_zero()) for k in (n + 1, n + 2)]
+def _vanishing(n: int, A, with_s: bool) -> list[tuple[int, bool, bool | None]]:
+    """(k, Lambda_k(A) == 0, S_k(A) == 0) for the first two k past the variable count.
+
+    S_k is left unevaluated (None) unless with_s is set, and after the first
+    nonzero one: the S verdict is settled by then.
+    """
+    out = []
+    for k in (n + 1, n + 2):
+        lambda_zero = lambda_spec(k, A).is_zero()
+        s_zero = s_spec(k, A).is_zero() if with_s else None
+        with_s = bool(s_zero)
+        out.append((k, lambda_zero, s_zero))
+    return out
 
 
 def _swaps_broken(expansion: NCElement, A) -> list[int]:
@@ -576,7 +588,7 @@ def suite_specialization(degree: int = 4, seed: int = 0) -> Report:
     evaluated = False
     for n in range(1, degree + 1):
         for d in (1, 2, 3):
-            zeros = _first_sample([seed + 31 * n + d], n, d, lambda A: _vanishing(n, A))
+            zeros = _first_sample([seed + 31 * n + d], n, d, lambda A: _vanishing(n, A, okS))
             if zeros is None:
                 continue
             evaluated = True
