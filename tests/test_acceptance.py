@@ -18,6 +18,9 @@ that is true.  Each *-corrected sibling asserts the identity that holds.
 The README tabulates the five displays.
 """
 
+import hashlib
+import inspect
+import json
 import random
 import time
 from fractions import Fraction
@@ -46,7 +49,7 @@ from ncshift.special import (
     s_spec,
     shifted_power,
 )
-from ncshift.suites import nc_witness
+from ncshift.suites import SUITES, nc_witness
 from ncshift.suites import run_suite as _run_suite_uncached
 
 a = ParamPoly.gen
@@ -535,3 +538,39 @@ def test_criterion_11_bazin_corrected():
     rep = run_suite("bazin", degree=3)
     ids = {c.id for c in rep.cases if c.id.startswith("bazin-corrected")}
     _assert_cases(rep, ids, label="criterion 11: Bazin (corrected reading)")
+
+
+#: each suite at the degree its acceptance test requests, which is its default
+DEFAULT_RUNS = {
+    "defining-relation": 8,
+    "base-change": 8,
+    "shift-coefficients": 6,
+    "macmahon": 6,
+    "duality": 6,
+    "nagelsbach": 6,
+    "wronski-newton": 8,
+    "translation": 6,
+    "hopf": 5,
+    "specialization": 4,
+    "symmetry": 4,
+    "extension": 3,
+    "recovery": 4,
+    "giambelli": 6,
+    "bazin": 3,
+}
+
+
+def test_verify_all_output_is_pinned():
+    """The 15 default-degree reports at seed 0, serialized as `ncshift verify
+    all --seed 0` prints them, hash to the digest of that command's stdout.
+
+    The digest pins every case id, verdict and witness text, so a rewrite of
+    how the suites record their cases has to keep the report byte for byte.
+    """
+    assert list(DEFAULT_RUNS) == list(SUITES)
+    for name, degree in DEFAULT_RUNS.items():
+        assert inspect.signature(SUITES[name]).parameters["degree"].default == degree
+    reports = [run_suite(name, degree) for name, degree in DEFAULT_RUNS.items()]
+    text = json.dumps([r.to_json() for r in reports], indent=2) + "\n"
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "cfad15c667a7a0b862cffcb621dfd7158bba1b95a976e4e3ac84c60055a8a873"
