@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
-from .params import ParamPoly, ParamSubstitution, as_fraction
+from .params import ParamPoly, ParamSubstitution
 
 Word = tuple[int, ...]
 
@@ -325,9 +325,3 @@ def elementary(values: list[ParamPoly], n: int) -> list[ParamPoly]:
         for i in range(min(n, len(values)), 0, -1):
             es[i] = es[i] + v * es[i - 1]
     return es
-
-
-def as_param(x) -> ParamPoly:
-    if isinstance(x, ParamPoly):
-        return x
-    return ParamPoly.const(as_fraction(x))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
 from .algebra import NCElement
 from .families import (
@@ -35,6 +36,15 @@ from .special import VariableAssignment, spec_value
 from .suites import SUITES, run_suite
 
 
+#: generating set -> (its words into the S-basis, S-words into it, LaTeX letter)
+BASES = {
+    "S": (lambda x: x, lambda x: x, "S"),
+    "L": (lambda_words_to_s, s_to_lambda, "\\Lambda"),
+    "Psi": (psi_words_to_s, s_to_psi, "\\Psi"),
+    "R": (from_ribbon_basis, to_ribbon_basis, None),
+}
+
+
 def _usage(msg: str) -> SystemExit:
     print(f"error: {msg}", file=sys.stderr)
     return SystemExit(2)
@@ -56,6 +66,13 @@ def _parse_comp(text: str) -> Composition:
         raise _usage(str(e))
 
 
+def _param_value(name: str, value) -> Fraction:
+    try:
+        return as_fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError) as e:
+        raise ValueError(f"--params entry {name} is not an exact rational: {e!r}") from None
+
+
 def _parse_params(text: str) -> ParamSubstitution:
     if text == "symbolic":
         return ParamSubstitution.symbolic()
@@ -63,11 +80,15 @@ def _parse_params(text: str) -> ParamSubstitution:
         parts = text.split(":", 1)[1].split(",")
         if len(parts) != 2:
             raise _usage("--params equidistant:c,base")
-        return ParamSubstitution.equidistant(as_fraction(parts[0]), as_fraction(parts[1]))
+        return ParamSubstitution.equidistant(*map(_param_value, ("c", "base"), parts))
     if text.startswith("file:"):
         with open(text.split(":", 1)[1]) as fh:
             table = _load_exact(fh)
-        return ParamSubstitution.explicit({int(k): as_fraction(v) for k, v in table.items()})
+        if not isinstance(table, dict):
+            raise ValueError("a --params file holds one JSON object mapping each i to a_i")
+        return ParamSubstitution.explicit(
+            {int(k): _param_value(f"a_{k}", v) for k, v in table.items()}
+        )
     raise _usage("--params symbolic | equidistant:c,base | file:<path>")
 
 
@@ -122,33 +143,17 @@ def _load_element(path: str | None):
 
 
 def _to_s_basis(basis: str, element) -> NCElement:
-    if basis == "S":
-        return element
-    if basis == "R":
-        return from_ribbon_basis(element)
-    if basis == "L":
-        return lambda_words_to_s(element)
-    if basis == "Psi":
-        return psi_words_to_s(element)
-    raise _usage(f"unknown source basis {basis!r}")
+    if basis not in BASES:
+        raise _usage(f"unknown source basis {basis!r}")
+    return BASES[basis][0](element)
 
 
 def cmd_convert(args) -> int:
     basis, element = _load_element(args.input)
-    x = _to_s_basis(basis, element)
-    target = args.to
-    if target == "S":
-        out, out_basis = x, "S"
-    elif target == "L":
-        out, out_basis = s_to_lambda(x), "L"
-    elif target == "Psi":
-        out, out_basis = s_to_psi(x), "Psi"
-    elif target == "R":
-        out, out_basis = to_ribbon_basis(x), "R"
-    else:
-        raise _usage("--to must be one of S, L, Psi, R")
+    out_basis = args.to
+    _, from_s, letter = BASES[out_basis]
+    out = from_s(_to_s_basis(basis, element))
     if args.format == "latex":
-        letter = {"S": "S", "L": "\\Lambda", "Psi": "\\Psi"}.get(out_basis)
         print(out.latex() if out_basis == "R" else out.latex(letter))
         return 0
     payload = out.to_json() if out_basis == "R" else out.to_json(out_basis)
@@ -162,6 +167,8 @@ def cmd_convert(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.degree is not None and args.degree < 0:
+        raise _usage(f"--degree must be nonnegative, got {args.degree}")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     for name in names:
         if name not in SUITES:
@@ -205,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.set_defaults(func=cmd_expand)
 
     pc = sub.add_parser("convert", help="convert between generating sets")
-    pc.add_argument("--to", required=True, choices=("S", "L", "Psi", "R"))
+    pc.add_argument("--to", required=True, choices=tuple(BASES))
     pc.add_argument("--input", help="JSON element file (default: stdin)")
     pc.add_argument("--params", help="symbolic | equidistant:c,base | file:<path>")
     pc.add_argument("--format", choices=("json", "latex"), default="json")

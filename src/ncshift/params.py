@@ -198,6 +198,9 @@ class ParamPoly:
         out = ParamPoly.zero()
         for item in data:
             m = tuple(sorted((int(i), int(e)) for i, e in item["e"].items()))
+            if any(e < 0 for _, e in m):
+                raise ValueError(f"negative exponent in {item!r}")
+            m = tuple((i, e) for i, e in m if e)  # a_i^0 = 1
             out = out + ParamPoly({m: as_fraction(item["c"])})
         return out
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
@@ -78,6 +79,10 @@ from .special import (
 )
 
 
+#: witness of a randomized case whose every draw hit a singular minor
+NO_SAMPLE = "no sample was evaluated: every draw was singular"
+
+
 @dataclass
 class Case:
     id: str
@@ -96,6 +101,44 @@ class Report:
 
     def check_nc(self, id: str, got: LinComb, want: LinComb):
         self.add(id, got == want, nc_witness(got, want))
+
+    def first(self, id: str, failures: Iterable[str]):
+        """Record id from a lazy stream of failure witnesses.
+
+        The case passes when the stream is empty; otherwise it fails with the
+        first witness, and nothing past that witness is computed.
+        """
+        witness = next(iter(failures), None)
+        self.add(id, witness is None, witness)
+
+    def check_rows(self, id: str, rows: Iterable[tuple]):
+        """Record id from (label, got, want) rows; it fails at the first got != want."""
+        self.first(id, (f"{lab}: {nc_witness(got, w)}" for lab, got, w in rows if got != w))
+
+    def check_pair(self, id: str, rows: Iterable[tuple]):
+        """Record id-printed and id-corrected from (label, got, printed, corrected) rows."""
+        rows = list(rows)
+        self.check_rows(f"{id}-printed", ((lab, got, p) for lab, got, p, _ in rows))
+        self.check_rows(f"{id}-corrected", ((lab, got, c) for lab, got, _, c in rows))
+
+    def sampled(self, id: str, points: Iterable, empty: str = NO_SAMPLE):
+        """Record a randomized case from its points, in order.
+
+        A point is None when it was skipped as singular, else the list of its
+        failure witnesses.  The case fails with the first witness, or with the
+        empty witness when every point was skipped: it has checked nothing.
+        """
+
+        def failures():
+            evaluated = False
+            for found in points:
+                if found is not None:
+                    evaluated = True
+                    yield from found
+            if not evaluated:
+                yield empty
+
+        self.first(id, failures())
 
     @property
     def passed(self) -> bool:
@@ -133,9 +176,6 @@ def mat_witness(got: MatValue, want: MatValue) -> str | None:
     return None
 
 
-#: witness of a randomized case whose every draw hit a singular minor
-NO_SAMPLE = "no sample was evaluated: every draw was singular"
-
 EXAMPLE_SUBS = {
     "a=0": ParamSubstitution.equidistant(0, 0),
     "a=i-1": ParamSubstitution.equidistant(1, -1),
@@ -172,8 +212,7 @@ def suite_defining_relation(degree: int = 8, seed: int = 0) -> Report:
 def suite_base_change(degree: int = 8, seed: int = 0) -> Report:
     rep = Report("base-change", seed=seed)
     for n in range(degree + 1):
-        d = check_lineareq(n)
-        rep.add(f"lineareq-n{n}", d.is_zero(), nc_witness(d, NCElement.zero()))
+        rep.check_nc(f"lineareq-n{n}", check_lineareq(n), NCElement.zero())
     for n in range(1, min(degree, 7) + 1):
         rep.check_nc(f"jacobi-trudi-n{n}", lambda_by_quasidet(n), lambda_in_S(n))
         rep.check_nc(
@@ -186,56 +225,49 @@ def suite_base_change(degree: int = 8, seed: int = 0) -> Report:
 
 def suite_shift_coefficients(degree: int = 6, seed: int = 0) -> Report:
     rep = Report("shift-coefficients", seed=seed)
-    ok, witness = True, None
-    for i in range(degree + 1):
-        for n in range(degree + 1):
-            for nu in range(1, min(i, n) + 1):
-                if a_binomial(i - 1, nu, n - nu) != a_binomial(n - 1, nu, i - nu):
-                    ok, witness = False, f"(i,n,nu)=({i},{n},{nu})"
-    rep.add("symmetry-lemma", ok, witness)
-    ok, witness = True, None
-    for cname, c in (("0", Fraction(0)), ("1", Fraction(1)), ("1/2", Fraction(1, 2))):
-        sub = ParamSubstitution.equidistant(c, 0)
-        for l in range(degree + 1):
-            for nu in range(degree + 1):
-                for k in range(-2, degree + 1):
-                    want = c**nu * comb(l, nu) * falling(Fraction(k + nu - 1), nu)
-                    if a_binomial(l, nu, k).substitute(sub) != want:
-                        ok, witness = False, f"c={cname} (l,nu,k)=({l},{nu},{k})"
-    rep.add("equidistant-closed-form", ok, witness)
-    ok, witness = True, None
+    r = range(degree + 1)
+    rep.first("symmetry-lemma", (
+        f"(i,n,nu)=({i},{n},{nu})"
+        for i in r for n in r for nu in range(1, min(i, n) + 1)
+        if a_binomial(i - 1, nu, n - nu) != a_binomial(n - 1, nu, i - nu)
+    ))
+
+    def falling_form(l: int, nu: int, k: int) -> Fraction:
+        return comb(l, nu) * falling(Fraction(k + nu - 1), nu)
+
+    subs = [(c, ParamSubstitution.equidistant(c, 0)) for c in map(Fraction, (0, 1, "1/2"))]
+    rep.first("equidistant-closed-form", (
+        f"c={c} (l,nu,k)=({l},{nu},{k})"
+        for c, sub in subs for l in r for nu in r for k in range(-2, degree + 1)
+        if a_binomial(l, nu, k).substitute(sub) != c**nu * falling_form(l, nu, k)
+    ))
     sub = EXAMPLE_SUBS["a=i-1"]
-    for s in range(degree + 1):
-        for nu in range(degree + 1):
-            for k in range(0, degree + 1):
-                want = comb(s, nu) * falling(Fraction(k + nu - 1), nu)
-                if a_binomial(s, nu, k).substitute(sub) != want:
-                    ok, witness = False, f"(s,nu,k)=({s},{nu},{k})"
-    rep.add("falling-power-example", ok, witness)
+    rep.first("falling-power-example", (
+        f"(s,nu,k)=({s},{nu},{k})"
+        for s in r for nu in r for k in r
+        if a_binomial(s, nu, k).substitute(sub) != falling_form(s, nu, k)
+    ))
     return rep
 
 
 def suite_macmahon(degree: int = 6, seed: int = 0) -> Report:
     rep = Report("macmahon", seed=seed)
     # basis round trip on all R_I with d_I <= degree
-    ok, witness = True, None
-    for d in range(1, degree + 1):
-        for I in all_compositions(d):
-            back = to_ribbon_basis(ribbon(I))
-            if back.terms != {(I.parts, I.row_shifts()): ParamPoly.one()}:
-                ok, witness = False, f"I={I}"
-    rep.add("ribbon-basis-round-trip", ok, witness)
+    rep.first("ribbon-basis-round-trip", (
+        f"I={I}"
+        for d in range(1, degree + 1) for I in all_compositions(d)
+        if to_ribbon_basis(ribbon(I)).terms != {(I.parts, I.row_shifts()): ParamPoly.one()}
+    ))
     # products against plain multiplication
-    ok, witness = True, None
-    for dI in range(1, degree):
-        for dJ in range(1, degree + 2 - dI):
-            for I in all_compositions(dI):
-                for J in all_compositions(dJ):
-                    lhs = ribbon_uniform(I, macmahon_left_shift(I, J)) * ribbon(J)
-                    rhs = from_ribbon_basis(macmahon_product(I, J))
-                    if lhs != rhs:
-                        ok, witness = False, f"I={I} J={J}: {nc_witness(lhs, rhs)}"
-    rep.add("product-formula", ok, witness)
+    rep.check_rows("product-formula", (
+        (
+            f"I={I} J={J}",
+            ribbon_uniform(I, macmahon_left_shift(I, J)) * ribbon(J),
+            from_ribbon_basis(macmahon_product(I, J)),
+        )
+        for dI in range(1, degree) for dJ in range(1, degree + 2 - dI)
+        for I in all_compositions(dI) for J in all_compositions(dJ)
+    ))
 
     a = ParamPoly.gen
     S = NCElement.gen
@@ -243,100 +275,78 @@ def suite_macmahon(degree: int = 6, seed: int = 0) -> Report:
     def hook_comp(k: int, last: int) -> Composition:
         return Composition((1,) * k + (last,))
 
-    # Lambda_k S_l example line
-    okp = okc = True
-    wp = wc = None
-    for k in range(1, degree):
-        for l in range(1, degree + 1 - k):
-            lhs = lambda_in_S(k) * S(l)
-            head = ribbon(hook_comp(k, l)) + ribbon_uniform(hook_comp(k - 1, l + 1), 1)
-            if k >= 2:
-                printed = head + (
-                    ribbon(hook_comp(k - 1, l)) + ribbon(hook_comp(k - 2, l + 1))
-                ).scale(a(1) - a(k))
-            else:
-                printed = head
-            corrected = (
-                ribbon(hook_comp(k, l))
-                + ribbon(hook_comp(k - 1, l + 1))
-                + ribbon(hook_comp(k - 1, l)).scale(a(l) - a(1 - k))
-            )
-            if lhs != printed and okp:
-                okp, wp = False, f"k={k} l={l}: {nc_witness(lhs, printed)}"
-            if lhs != corrected and okc:
-                okc, wc = False, f"k={k} l={l}: {nc_witness(lhs, corrected)}"
-    rep.add("example-lambda-s-printed", okp, wp)
-    rep.add("example-lambda-s-corrected", okc, wc)
+    def lambda_s_rows():
+        # Lambda_k S_l example line
+        for k in range(1, degree):
+            for l in range(1, degree + 1 - k):
+                printed = ribbon(hook_comp(k, l)) + ribbon_uniform(hook_comp(k - 1, l + 1), 1)
+                if k >= 2:
+                    printed = printed + (
+                        ribbon(hook_comp(k - 1, l)) + ribbon(hook_comp(k - 2, l + 1))
+                    ).scale(a(1) - a(k))
+                corrected = (
+                    ribbon(hook_comp(k, l))
+                    + ribbon(hook_comp(k - 1, l + 1))
+                    + ribbon(hook_comp(k - 1, l)).scale(a(l) - a(1 - k))
+                )
+                yield f"k={k} l={l}", lambda_in_S(k) * S(l), printed, corrected
 
-    # S_k S_l example line
-    okp = okc = True
-    wp = wc = None
-    for k in range(2, degree):
-        for l in range(1, degree + 1 - k):
-            lhs = S(k) * S(l)
-            printed = NCElement.zero()
-            corrected = NCElement.zero()
-            for nu in range(k):
-                term = ribbon(Composition((k - nu, l))) + shift_S(k - nu + l, k - nu)
-                printed = printed + term.scale(
-                    a_binomial(nu + k - 1, nu, 1 - k, SEQ_A.tau(k - nu))
-                )
-                corrected = corrected + term.scale(a_binomial(k - 1, nu, -k))
-            if lhs != printed and okp:
-                okp, wp = False, f"k={k} l={l}: {nc_witness(lhs, printed)}"
-            if lhs != corrected and okc:
-                okc, wc = False, f"k={k} l={l}: {nc_witness(lhs, corrected)}"
-    rep.add("example-s-s-printed", okp, wp)
-    rep.add("example-s-s-corrected", okc, wc)
+    def s_s_rows():
+        # S_k S_l example line
+        for k in range(2, degree):
+            for l in range(1, degree + 1 - k):
+                printed = NCElement.zero()
+                corrected = NCElement.zero()
+                for nu in range(k):
+                    term = ribbon(Composition((k - nu, l))) + shift_S(k - nu + l, k - nu)
+                    printed = printed + term.scale(
+                        a_binomial(nu + k - 1, nu, 1 - k, SEQ_A.tau(k - nu))
+                    )
+                    corrected = corrected + term.scale(a_binomial(k - 1, nu, -k))
+                yield f"k={k} l={l}", S(k) * S(l), printed, corrected
 
-    # Lambda_k Lambda_l example line
-    okp = okc = True
-    wp = wc = None
-    for k in range(1, degree - 1):
-        for l in range(2, degree + 1 - k):
-            lhs = lambda_in_S(k) * lambda_in_S(l)
-            printed = NCElement.zero()
-            corrected = NCElement.zero()
-            for nu in range(k):
-                body = lambda_in_S(k - nu + l) + ribbon(
-                    Composition((1,) * (k - nu - 1) + (2,) + (1,) * (l - 1))
-                )
-                printed = printed + body.scale(
-                    a_binomial(l, nu, k - nu, SEQ_AHAT.tau(-l))
-                )
-                corrected = corrected + body.scale(a_binomial(l, nu, k - nu, SEQ_AHAT))
-            if lhs != printed and okp:
-                okp, wp = False, f"k={k} l={l}: {nc_witness(lhs, printed)}"
-            if lhs != corrected and okc:
-                okc, wc = False, f"k={k} l={l}: {nc_witness(lhs, corrected)}"
-    rep.add("example-lambda-lambda-printed", okp, wp)
-    rep.add("example-lambda-lambda-corrected", okc, wc)
+    def lambda_lambda_rows():
+        # Lambda_k Lambda_l example line
+        for k in range(1, degree - 1):
+            for l in range(2, degree + 1 - k):
+                printed = NCElement.zero()
+                corrected = NCElement.zero()
+                for nu in range(k):
+                    body = lambda_in_S(k - nu + l) + ribbon(
+                        Composition((1,) * (k - nu - 1) + (2,) + (1,) * (l - 1))
+                    )
+                    printed = printed + body.scale(
+                        a_binomial(l, nu, k - nu, SEQ_AHAT.tau(-l))
+                    )
+                    corrected = corrected + body.scale(a_binomial(l, nu, k - nu, SEQ_AHAT))
+                yield f"k={k} l={l}", lambda_in_S(k) * lambda_in_S(l), printed, corrected
+
+    rep.check_pair("example-lambda-s", lambda_s_rows())
+    rep.check_pair("example-s-s", s_s_rows())
+    rep.check_pair("example-lambda-lambda", lambda_lambda_rows())
     return rep
 
 
 def suite_duality(degree: int = 6, seed: int = 0) -> Report:
     rep = Report("duality", seed=seed)
-    ok, witness = True, None
-    for k in range(1, 9):
-        got = omega(omega(NCElement.gen(k)), SEQ_AHAT)
-        if got != NCElement.gen(k):
-            ok, witness = False, f"k={k}"
-    rep.add("omega-involution", ok, witness)
-    okp = okc = True
-    wp = wc = None
-    for d in range(1, degree + 1):
-        for I in all_compositions(d):
-            lhs = omega(ribbon(I))
-            J = I.conjugate()
-            w = duality_shift(I)
-            cor = ribbon_uniform(J, w, SEQ_AHAT)
-            pri = ribbon_uniform(J, w + 1, SEQ_AHAT)
-            if lhs != pri and okp:
-                okp, wp = False, f"I={I}: {nc_witness(lhs, pri)}"
-            if lhs != cor and okc:
-                okc, wc = False, f"I={I}: {nc_witness(lhs, cor)}"
-    rep.add("corollary-shift-printed", okp, wp)
-    rep.add("corollary-shift-corrected", okc, wc)
+    rep.first("omega-involution", (
+        f"k={k}"
+        for k in range(1, 9)
+        if omega(omega(NCElement.gen(k)), SEQ_AHAT) != NCElement.gen(k)
+    ))
+
+    def corollary_rows():
+        for d in range(1, degree + 1):
+            for I in all_compositions(d):
+                J, w = I.conjugate(), duality_shift(I)
+                yield (
+                    f"I={I}",
+                    omega(ribbon(I)),
+                    ribbon_uniform(J, w + 1, SEQ_AHAT),
+                    ribbon_uniform(J, w, SEQ_AHAT),
+                )
+
+    rep.check_pair("corollary-shift", corollary_rows())
     # the worked (2,2,3,2) illustration
     I = Composition((2, 2, 3, 2))
     lhs = omega(ribbon(I))
@@ -351,14 +361,10 @@ def suite_duality(degree: int = 6, seed: int = 0) -> Report:
 
 def suite_nagelsbach(degree: int = 6, seed: int = 0) -> Report:
     rep = Report("nagelsbach", seed=seed)
-    ok, witness = True, None
-    for d in range(1, degree + 1):
-        for I in all_compositions(d):
-            got = nagelsbach_form(I)
-            want = ribbon_uniform(I, I.parts[-1] - 1)
-            if got != want:
-                ok, witness = False, f"I={I}: {nc_witness(got, want)}"
-    rep.add("dual-jacobi-trudi", ok, witness)
+    rep.check_rows("dual-jacobi-trudi", (
+        (f"I={I}", nagelsbach_form(I), ribbon_uniform(I, I.parts[-1] - 1))
+        for d in range(1, degree + 1) for I in all_compositions(d)
+    ))
 
     # the printed (2,1,1) matrix
     m211 = [
@@ -447,46 +453,39 @@ def suite_hopf(degree: int = 5, seed: int = 0) -> Report:
     rep.add("delta-s3-printed-equidistant", ok, "mismatch under example substitutions")
 
     words = [w for w in all_words(degree) if w]
-    ok, witness = True, None
-    for w in words:
+
+    def coassociative(w) -> bool:
+        d = coproduct(NCElement.word(w))
+        return _tensor3(d, True) == _tensor3(d, False)
+
+    def counital(w) -> bool:
         x = NCElement.word(w)
-        d = coproduct(x)
-        if _tensor3(d, True) != _tensor3(d, False):
-            ok, witness = False, f"word {w}"
-            break
-    rep.add("coassociativity", ok, witness)
-    ok, witness = True, None
-    for w in words:
-        x = NCElement.word(w)
-        d = coproduct(x)
-        l = NCElement.zero()
-        r = NCElement.zero()
-        for (w1, w2), c in d.terms.items():
+        l = r = NCElement.zero()
+        for (w1, w2), c in coproduct(x).terms.items():
             e1, e2 = NCElement.word(w1), NCElement.word(w2)
             l = l + e2.scale(counit(e1) * c)
             r = r + e1.scale(counit(e2) * c)
-        if l != x or r != x:
-            ok, witness = False, f"word {w}"
-            break
-    rep.add("counit-laws", ok, witness)
+        return l == x and r == x
+
     rng = random.Random(seed)
-    ok, witness = True, None
     degs = [w for w in words if sum(w) <= max(1, degree - 1)]
-    for _ in range(12):
-        w1 = rng.choice(degs)
-        w2 = rng.choice([w for w in degs if sum(w) + sum(w1) <= degree])
-        x, y = NCElement.word(w1), NCElement.word(w2)
-        if coproduct(x * y) != coproduct(x) * coproduct(y):
-            ok, witness = False, f"pair {w1}, {w2}"
-            break
-    rep.add("algebra-morphism", ok, witness)
-    ok, witness = True, None
-    for w in words:
-        l, r = convolution_defect(NCElement.word(w))
-        if not (l.is_zero() and r.is_zero()):
-            ok, witness = False, f"word {w}"
-            break
-    rep.add("antipode-convolutions", ok, witness)
+
+    def morphism_failures():
+        for _ in range(12):
+            w1 = rng.choice(degs)
+            w2 = rng.choice([w for w in degs if sum(w) + sum(w1) <= degree])
+            x, y = NCElement.word(w1), NCElement.word(w2)
+            if coproduct(x * y) != coproduct(x) * coproduct(y):
+                yield f"pair {w1}, {w2}"
+
+    rep.first("coassociativity", (f"word {w}" for w in words if not coassociative(w)))
+    rep.first("counit-laws", (f"word {w}" for w in words if not counital(w)))
+    rep.first("algebra-morphism", morphism_failures())
+    rep.first("antipode-convolutions", (
+        f"word {w}"
+        for w in words
+        if not all(side.is_zero() for side in convolution_defect(NCElement.word(w)))
+    ))
     rep.add("runtime-under-60s", time.monotonic() - t0 < 60.0, "too slow")
     return rep
 
@@ -530,21 +529,6 @@ def _first_sample(seeds, n: int, d: int, check):
     return None
 
 
-def _vanishing(n: int, A, with_s: bool) -> list[tuple[int, bool, bool | None]]:
-    """(k, Lambda_k(A) == 0, S_k(A) == 0) for the first two k past the variable count.
-
-    S_k is left unevaluated (None) unless with_s is set, and after the first
-    nonzero one: the S verdict is settled by then.
-    """
-    out = []
-    for k in (n + 1, n + 2):
-        lambda_zero = lambda_spec(k, A).is_zero()
-        s_zero = s_spec(k, A).is_zero() if with_s else None
-        with_s = bool(s_zero)
-        out.append((k, lambda_zero, s_zero))
-    return out
-
-
 def _swaps_broken(expansion: NCElement, A) -> list[int]:
     """The i whose swap of x_i and x_{i+1} changes the value of expansion at A."""
     value = evaluate_nc(expansion, A)
@@ -555,160 +539,138 @@ def suite_specialization(degree: int = 4, seed: int = 0) -> Report:
     rep = Report("specialization", seed=seed)
     rng = random.Random(seed or 20240)
     sub = EXAMPLE_SUBS["a=i-1"]
-    ok, witness = True, None
-    evaluated = 0
-    for d in (1, 2, 3):
-        for rep_i in range(3):
-            x1, x2 = random_mat(rng, d), random_mat(rng, d)
-            I = MatValue.identity(d)
-            try:
-                A1 = VariableAssignment((x1,), sub)
-                if s_spec(1, A1) != x1 or lambda_spec(1, A1) != x1:
-                    ok, witness = False, f"n=1 d={d}"
-                A2 = VariableAssignment((x1, x2), sub)
-                den = (x2 - x1 - I).inverse()
-                s1 = (x2 * (x2 - I) - (x1 + I) * x1) * den
-                if s_spec(1, A2) != s1 or lambda_spec(1, A2) != s1:
-                    ok, witness = False, f"S1/L1 n=2 d={d}"
-                l2 = (x2 * (x2 - I) - x1 * x2) * ((x1 + I).inverse() * x2 - I).inverse()
-                if lambda_spec(2, A2) != l2:
-                    ok, witness = False, f"L2 d={d}"
-                s2 = (x2 * (x2 - I) * (x2 - 2 * I) - (x1 + I) * x1 * (x1 - I)) * den
-                if s_spec(2, A2) != s2:
-                    ok, witness = False, f"S2 d={d}"
-                evaluated += 1
-            except SingularMinor:
-                continue
-    if not evaluated:
-        ok, witness = False, NO_SAMPLE
-    rep.add("printed-n2-formulas", ok, witness)
 
-    ok, witness = True, None
-    okS, witnessS = True, None
-    evaluated = False
-    for n in range(1, degree + 1):
-        for d in (1, 2, 3):
-            zeros = _first_sample([seed + 31 * n + d], n, d, lambda A: _vanishing(n, A, okS))
-            if zeros is None:
-                continue
-            evaluated = True
-            for k, lambda_zero, s_zero in zeros:
-                if not lambda_zero:
-                    ok, witness = False, f"Lambda_{k} of {n} variables"
-                if okS and not s_zero:
-                    okS = False
-                    witnessS = (
-                        f"S_{k} of {n} variables is nonzero (e.g. S_2(x_1) = "
-                        f"<x_1|a>^2); the defining series forces this, so the "
-                        f"claimed vanishing holds for the elementary family only"
-                    )
-    if not evaluated:
-        ok = okS = False
-        witness = witnessS = NO_SAMPLE
-    rep.add("vanishing-lambda", ok, witness)
-    rep.add("vanishing-s-printed", okS, witnessS)
+    def n2_failures(d: int) -> list[str] | None:
+        x1, x2 = random_mat(rng, d), random_mat(rng, d)
+        I = MatValue.identity(d)
+        failed = []  # a pair that hits a singular minor is skipped whole, as in _first_sample
+        try:
+            A1 = VariableAssignment((x1,), sub)
+            if s_spec(1, A1) != x1 or lambda_spec(1, A1) != x1:
+                failed.append(f"n=1 d={d}")
+            A2 = VariableAssignment((x1, x2), sub)
+            den = (x2 - x1 - I).inverse()
+            s1 = (x2 * (x2 - I) - (x1 + I) * x1) * den
+            if s_spec(1, A2) != s1 or lambda_spec(1, A2) != s1:
+                failed.append(f"S1/L1 n=2 d={d}")
+            l2 = (x2 * (x2 - I) - x1 * x2) * ((x1 + I).inverse() * x2 - I).inverse()
+            if lambda_spec(2, A2) != l2:
+                failed.append(f"L2 d={d}")
+            s2 = (x2 * (x2 - I) * (x2 - 2 * I) - (x1 + I) * x1 * (x1 - I)) * den
+            if s_spec(2, A2) != s2:
+                failed.append(f"S2 d={d}")
+        except SingularMinor:
+            return None
+        return failed
 
-    ok, witness = True, None
-    evaluated = False
-    for n in (2, 3):
-        for k in range(1, n + 1):
-            seeds = [seed + 101 * n + k]
-            held = _first_sample(seeds, n, 2, lambda A: variable_shift_defect(k, A).is_zero())
-            if held is None:
-                continue
-            evaluated = True
-            if not held:
-                ok, witness = False, f"n={n} k={k}"
-    if not evaluated:
-        ok, witness = False, NO_SAMPLE
-    rep.add("variable-shift-law", ok, witness)
+    rep.sampled("printed-n2-formulas", (n2_failures(d) for d in (1, 2, 3) for _ in range(3)))
+
+    s_claim = (
+        "S_{k} of {n} variables is nonzero (e.g. S_2(x_1) = <x_1|a>^2); the defining "
+        "series forces this, so the claimed vanishing holds for the elementary family only"
+    )
+    for id, spec, witness in (
+        ("vanishing-lambda", lambda_spec, "Lambda_{k} of {n} variables"),
+        ("vanishing-s-printed", s_spec, s_claim),
+    ):
+        rep.sampled(id, (
+            _first_sample([seed + 31 * n + d], n, d, lambda A: [
+                witness.format(k=k, n=n) for k in (n + 1, n + 2) if not spec(k, A).is_zero()
+            ])
+            for n in range(1, degree + 1) for d in (1, 2, 3)
+        ))
+    rep.sampled("variable-shift-law", (
+        _first_sample([seed + 101 * n + k], n, 2, lambda A: (
+            [] if variable_shift_defect(k, A).is_zero() else [f"n={n} k={k}"]
+        ))
+        for n in (2, 3) for k in range(1, n + 1)
+    ))
     return rep
 
 
 def suite_symmetry(degree: int = 4, seed: int = 0) -> Report:
     rep = Report("symmetry", seed=seed)
-    ok, witness = True, None
-    for n in range(2, degree + 1):
-        for k in range(1, min(degree, 4) + 1):
-            for i in range(1, n):
-                seeds = [seed + 1009 * n + 31 * k + i + t for t in range(16)]
-                held = _first_sample(seeds, n, 2, lambda A: check_shifted_symmetry(k, A, i))
-                if held is None:
-                    ok, witness = False, f"n={n} k={k} i={i}: no nonsingular sample"
-                elif not held:
-                    ok, witness = False, f"n={n} k={k} i={i}"
-    rep.add("shifted-symmetry", ok, witness)
+
+    def failures():
+        for n in range(2, degree + 1):
+            for k in range(1, min(degree, 4) + 1):
+                for i in range(1, n):
+                    seeds = [seed + 1009 * n + 31 * k + i + t for t in range(16)]
+                    held = _first_sample(seeds, n, 2, lambda A: check_shifted_symmetry(k, A, i))
+                    if held is None:
+                        yield f"n={n} k={k} i={i}: no nonsingular sample"
+                    elif not held:
+                        yield f"n={n} k={k} i={i}"
+
+    rep.first("shifted-symmetry", failures())
     # ribbon specializations inherit the symmetry
-    ok, witness = True, None
-    evaluated = False
-    for d_I in range(1, 5):
-        for I in all_compositions(d_I):
-            expansion = ribbon(I)
-            for n in (2, 3):
-                seeds = [seed + 7 * d_I + n + sum(I.parts)]
-                broken = _first_sample(seeds, n, 2, lambda A: _swaps_broken(expansion, A))
-                if broken is None:
-                    continue
-                evaluated = True
-                for i in broken:
-                    ok, witness = False, f"I={I} n={n} i={i}"
-    if not evaluated:
-        ok, witness = False, NO_SAMPLE
-    rep.add("ribbon-symmetry", ok, witness)
+    rep.sampled("ribbon-symmetry", (
+        _first_sample([seed + 7 * d_I + n + sum(I.parts)], n, 2, lambda A: [
+            f"I={I} n={n} i={i}" for i in _swaps_broken(ribbon(I), A)
+        ])
+        for d_I in range(1, 5) for I in all_compositions(d_I) for n in (2, 3)
+    ))
     return rep
 
 
 def suite_extension(degree: int = 3, seed: int = 0) -> Report:
     rep = Report("extension", seed=seed)
-    ok, witness = True, None
-    for n in range(1, degree + 1):
-        for k in range(1, degree + 1):
-            seeds = [seed + 77 * n + 13 * k + t for t in range(16)]
-            held = _first_sample(seeds, n, 2, lambda A: check_extension(k, A))
-            if held is None:
-                ok, witness = False, f"n={n} k={k}: no nonsingular sample"
-            elif not held:
-                ok, witness = False, f"n={n} k={k}"
-    rep.add("extension-stability", ok, witness)
+
+    def failures():
+        for n in range(1, degree + 1):
+            for k in range(1, degree + 1):
+                seeds = [seed + 77 * n + 13 * k + t for t in range(16)]
+                held = _first_sample(seeds, n, 2, lambda A: check_extension(k, A))
+                if held is None:
+                    yield f"n={n} k={k}: no nonsingular sample"
+                elif not held:
+                    yield f"n={n} k={k}"
+
+    rep.first("extension-stability", failures())
     return rep
 
 
 def suite_recovery(degree: int = 4, seed: int = 0) -> Report:
     rep = Report("recovery", seed=seed)
     rng = random.Random(seed or 4321)
-    ok, witness = True, None
-    for n in range(1, degree + 1):
-        for k in range(1, degree + 1):
-            for attempt in range(64):
-                scalars = [
-                    Fraction(rng.randint(-9, 12), rng.choice([1, 2, 3]))
-                    for _ in range(n)
-                ]
-                try:
-                    if not commutative_recovery(k, n, scalars):
-                        ok, witness = False, f"n={n} k={k} at {scalars}"
+
+    def failures():
+        for n in range(1, degree + 1):
+            for k in range(1, degree + 1):
+                for attempt in range(64):
+                    scalars = [
+                        Fraction(rng.randint(-9, 12), rng.choice([1, 2, 3]))
+                        for _ in range(n)
+                    ]
+                    try:
+                        held = commutative_recovery(k, n, scalars)
+                    except (ZeroDenominator, SingularMinor):
+                        continue
+                    if not held:
+                        yield f"n={n} k={k} at {scalars}"
                     break
-                except (ZeroDenominator, SingularMinor):
-                    continue
-            else:
-                ok, witness = False, f"n={n} k={k}: no usable sample"
-    rep.add("determinant-quotient-oracle", ok, witness)
+                else:
+                    yield f"n={n} k={k}: no usable sample"
+
+    rep.first("determinant-quotient-oracle", failures())
     return rep
 
 
 def suite_giambelli(degree: int = 6, seed: int = 0) -> Report:
     rep = Report("giambelli", seed=seed)
     A = _sample_assignment(random.Random(seed + 5550), 4, 2)
-    ok, witness = True, None
-    for k in range(1, 4):
-        try:
-            if quasi_schur_spec((k,), A) != s_spec(k, A):
-                ok, witness = False, f"row shape ({k},)"
-            if quasi_schur_spec((1,) * k, A) != lambda_spec(k, A):
-                ok, witness = False, f"column shape (1^{k})"
-        except SingularMinor:
-            ok, witness = False, f"singular at k={k}"
-    rep.add("quasi-schur-row-column", ok, witness)
+
+    def row_column_failures():
+        for k in range(1, 4):
+            try:
+                if quasi_schur_spec((k,), A) != s_spec(k, A):
+                    yield f"row shape ({k},)"
+                if quasi_schur_spec((1,) * k, A) != lambda_spec(k, A):
+                    yield f"column shape (1^{k})"
+            except SingularMinor:
+                yield f"singular at k={k}"
+
+    rep.first("quasi-schur-row-column", row_column_failures())
     try:
         lhs = quasi_schur_spec((1, 1, 2), A)
         rhs = quasi_schur_lambda_form((1, 3), A)
@@ -722,45 +684,44 @@ def suite_giambelli(degree: int = 6, seed: int = 0) -> Report:
     # partitions of 2..degree, parts increasing, of Frobenius rank <= 2
     parts = {tuple(sorted(I.parts)) for m in range(2, degree + 1) for I in all_compositions(m)}
     shapes = [s for s in sorted(parts) if len(frobenius_form(s)[0]) <= 2]
-    ok, witness = True, None
-    evaluated = 0
-    for shape in shapes:
+
+    def shape_failures(shape) -> list[str] | None:
         try:
-            if not giambelli_check(shape, A):
-                ok, witness = False, f"shape {shape}"
-            evaluated += 1
+            return [] if giambelli_check(shape, A) else [f"shape {shape}"]
         except SingularMinor:
-            continue
-    if not evaluated:
-        ok, witness = False, NO_SAMPLE if shapes else "no shape of size 2..degree to check"
-    rep.add("giambelli-rank-le-2", ok, witness)
+            return None
+
+    rep.sampled(
+        "giambelli-rank-le-2",
+        map(shape_failures, shapes),
+        NO_SAMPLE if shapes else "no shape of size 2..degree to check",
+    )
     return rep
 
 
 def suite_bazin(degree: int = 3, seed: int = 0) -> Report:
     rep = Report("bazin", seed=seed)
     base_seed = seed or 97531
+
+    def failures(variant: str, n: int, k: int, d: int):
+        note = ""
+        if variant == "printed" and d > 1 and k > 1:
+            note = (
+                "; the displayed reading fails for "
+                "noncommuting entries, see the corrected variant"
+            )
+        for s in range(10):
+            try:
+                if not verify_bazin(n, k, d, base_seed + 7919 * s, variant=variant):
+                    yield f"seed offset {s}{note}"
+            except ExhaustedRetries as e:
+                yield f"{e}{note}"
+
     for variant in ("printed", "corrected"):
         for n in range(1, degree + 1):
             for k in range(1, n + 1):
                 for d in (1, 2):
-                    ok, witness = True, None
-                    for s in range(10):
-                        try:
-                            if not verify_bazin(
-                                n, k, d, base_seed + 7919 * s, variant=variant
-                            ):
-                                ok, witness = False, f"seed offset {s}"
-                                break
-                        except ExhaustedRetries as e:
-                            ok, witness = False, str(e)
-                            break
-                    if variant == "printed" and not ok and d > 1 and k > 1:
-                        witness = (
-                            f"{witness}; the displayed reading fails for "
-                            "noncommuting entries, see the corrected variant"
-                        )
-                    rep.add(f"bazin-{variant}-n{n}-k{k}-d{d}", ok, witness)
+                    rep.first(f"bazin-{variant}-n{n}-k{k}-d{d}", failures(variant, n, k, d))
     return rep
 
 
@@ -782,28 +743,11 @@ SUITES = {
     "bazin": suite_bazin,
 }
 
-DEFAULT_DEGREES = {
-    "defining-relation": 8,
-    "base-change": 8,
-    "shift-coefficients": 6,
-    "macmahon": 6,
-    "duality": 6,
-    "nagelsbach": 6,
-    "wronski-newton": 8,
-    "translation": 6,
-    "hopf": 5,
-    "specialization": 4,
-    "symmetry": 4,
-    "extension": 3,
-    "recovery": 4,
-    "giambelli": 6,
-    "bazin": 3,
-}
-
 
 def run_suite(name: str, degree: int | None = None, seed: int = 0) -> Report:
+    """Run a suite; without a degree, at the default of its signature."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
     if degree is None:
-        degree = DEFAULT_DEGREES[name]
+        return SUITES[name](seed=seed)
     return SUITES[name](degree=degree, seed=seed)

@@ -246,8 +246,17 @@ def _term(word, c):
         json.dumps({"terms": [_term([1], 0.5)]}),
         json.dumps({"terms": [_term([0], "1")]}),
         json.dumps({"basis": "R", "terms": [{"comp": [0], "shifts": [0], "coeff": []}]}),
+        json.dumps({"terms": [{"word": [1], "coeff": [{"c": "1", "e": {"1": -1}}]}]}),
     ],
-    ids=["zero-denominator", "null-word", "top-level-list", "float", "letter-0", "ribbon-part-0"],
+    ids=[
+        "zero-denominator",
+        "null-word",
+        "top-level-list",
+        "float",
+        "letter-0",
+        "ribbon-part-0",
+        "negative-exponent",
+    ],
 )
 def test_convert_rejects_malformed_element(text, tmp_path, capsys):
     src = tmp_path / "x.json"
@@ -264,6 +273,44 @@ def test_convert_rejects_float_params_file(tmp_path, capsys):
     table.write_text(json.dumps({"1": 0.5, "2": "1"}))
     argv = ["convert", "--to", "R", "--params", f"file:{table}", "--input", str(src)]
     _assert_input_error(*run_cli(argv, capsys))
+
+
+def test_convert_drops_zero_exponents(tmp_path, capsys):
+    # 1*a_1^0 - 1 is the zero coefficient: the word cancels
+    coeff = [{"c": "1", "e": {"1": 0}}, {"c": "-1", "e": {}}]
+    src = tmp_path / "x.json"
+    src.write_text(json.dumps({"terms": [{"word": [1], "coeff": coeff}]}))
+    code, out, _ = run_cli(["convert", "--to", "S", "--input", str(src)], capsys)
+    assert code == 0
+    assert json.loads(out)["terms"] == []
+
+
+@pytest.mark.parametrize(
+    "params, named",
+    [
+        ("equidistant:1/0,0", "entry c"),
+        ("file:list", "JSON object"),
+        ("file:null", "entry a_2"),
+    ],
+    ids=["zero-denominator-c", "list-file", "null-entry-file"],
+)
+def test_convert_rejects_malformed_params(params, named, tmp_path, capsys):
+    from ncshift.families import lambda_in_S
+
+    src = tmp_path / "x.json"
+    src.write_text(json.dumps(lambda_in_S(2).to_json("S")))
+    (tmp_path / "list").write_text(json.dumps(["1", "2"]))
+    (tmp_path / "null").write_text(json.dumps({"1": "1", "2": None}))
+    if params.startswith("file:"):
+        params = f"file:{tmp_path / params[5:]}"
+    argv = ["convert", "--to", "R", "--params", params, "--input", str(src)]
+    code, out, err = run_cli(argv, capsys)
+    _assert_input_error(code, out, err)
+    assert named in err
+
+
+def test_verify_rejects_negative_degree(capsys):
+    _assert_input_error(*run_cli(["verify", "shift-coefficients", "--degree", "-1"], capsys))
 
 
 def test_verify_rejects_bad_max_reseed(monkeypatch, capsys):

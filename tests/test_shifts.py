@@ -77,6 +77,17 @@ def test_symmetry_lemma():
                 assert a_binomial(i - 1, nu, n - nu) == a_binomial(n - 1, nu, i - nu)
 
 
+def test_symmetry_lemma_case_names_the_first_failure(monkeypatch):
+    import ncshift.suites as suites
+
+    # a bracket that keeps only l breaks the lemma wherever i != n; the case
+    # must name the first such (i, n, nu) in loop order, not the last one
+    monkeypatch.setattr(suites, "a_binomial", lambda l, nu, k, seq=None: ParamPoly.const(l))
+    cases = {c.id: c for c in suites.suite_shift_coefficients(degree=2).cases}
+    assert not cases["symmetry-lemma"].passed
+    assert cases["symmetry-lemma"].witness == "(i,n,nu)=(1,2,1)"
+
+
 def test_bracket_recursion():
     # {l nu}^{tau a}_k + (a_{k+nu} - a_1) {l nu-1}^{tau a}_k = {l+1 nu}_k
     for l in range(6):
