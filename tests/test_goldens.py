@@ -3,7 +3,9 @@
 The digests were captured before the sparse container and the letter map were
 shared between the element classes; they pin that every expansion,
 conversion, coproduct, antipode, shift and duality image is unchanged byte for
-byte.  Each group hashes the concatenation of its outputs, in a fixed order.
+byte.  The `latex` digest was captured before ParamPoly became a LinComb; it
+pins both printers, which read the coefficients' sorted terms.  Each group
+hashes the concatenation of its outputs, in a fixed order.
 """
 
 import hashlib
@@ -27,6 +29,7 @@ GOLDEN = {
     "antipode": "70500aa3100fca6c34816d5779238838985fdf947a0ffb709ed6c8b952799681",
     "phi-shift": "98f099d92bf4542bf9eeaccf17eed1accd67b88d6d4c2c157978e84681b080a7",
     "omega-ribbon": "3bf2238423693c923ffd54cb20552864dfe3ba7bfadb13ceb566bef2ab7a7d2a",
+    "latex": "36f47fa239090d39230c4d1985b9bd8c3d8587c33467a0890c2d5a520ea9de1c",
 }
 
 
@@ -70,6 +73,15 @@ def _outputs(group, tmp_path, capsys):
         for k in range(1, 5):
             for s in (1, -1):
                 yield _dump(phi_shift(NCElement.gen(k), s).to_json())
+    elif group == "latex":
+        for w in _comps(4):
+            yield _cli(["expand", "--ribbon", ",".join(map(str, w)), "--format", "latex"], capsys)
+        src = tmp_path / "word.json"
+        for w in all_words(3):
+            src.write_text(json.dumps(NCElement.word(w).to_json("S")))
+            for target in ("L", "Psi", "R"):
+                argv = ["convert", "--to", target, "--input", str(src), "--format", "latex"]
+                yield _cli(argv, capsys)
     elif group == "omega-ribbon":
         for w in _comps(4):
             yield _dump(omega(ribbon(Composition(w))).to_json())

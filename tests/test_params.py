@@ -39,6 +39,51 @@ def _build_poly(terms):
     return out
 
 
+def _to_sympy(terms, sp):
+    """The sympy expression of (((index, exponent), ...), coefficient) pairs."""
+    return sp.Add(
+        *(
+            sp.Rational(c.numerator, c.denominator)
+            * sp.Mul(*(sp.Symbol(f"a{i}") ** e for i, e in m))
+            for m, c in terms
+        )
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    polys(),
+    polys(),
+    st.integers(-4, 4),
+    st.lists(st.fractions(-3, 3, max_denominator=4), min_size=11, max_size=11),
+)
+def test_ring_matches_sympy(p, q, s, values):
+    """+, -, *, tau, hat, substitute and the JSON form, each against sympy."""
+    sp = pytest.importorskip("sympy")
+    a_ = {i: sp.Symbol(f"a{i}") for i in range(-5, 6)}  # polys() uses these indices
+
+    def same(got: ParamPoly, want) -> bool:
+        return sp.expand(_to_sympy(got.terms.items(), sp) - want) == 0
+
+    P, Q = _to_sympy(p.terms.items(), sp), _to_sympy(q.terms.items(), sp)
+    assert same(p + q, P + Q)
+    assert same(p - q, P - Q)
+    assert same(p * q, P * Q)
+    assert same(3 * p - Fraction(1, 2), 3 * P - sp.Rational(1, 2))
+    shifted = {x: sp.Symbol(f"a{i + s}") for i, x in a_.items()}
+    assert same(p.tau(s), P.subs(shifted, simultaneous=True))
+    dual = {x: -sp.Symbol(f"a{1 - i}") for i, x in a_.items()}
+    assert same(p.hat(), P.subs(dual, simultaneous=True))
+    table = dict(zip(a_, values))
+    got = p.substitute(ParamSubstitution.explicit(table))
+    point = {x: sp.Rational(table[i].numerator, table[i].denominator) for i, x in a_.items()}
+    assert sp.Rational(got.numerator, got.denominator) == P.subs(point)
+    data = p.to_json()
+    read = [({int(i): e for i, e in t["e"].items()}.items(), Fraction(t["c"])) for t in data]
+    assert sp.expand(_to_sympy(read, sp) - P) == 0
+    assert ParamPoly.from_json(data) == p
+
+
 def test_tau_shift_examples():
     assert a(1).tau(1) == a(2)
     p = a(3) * a(-1) + 2 * a(0)
