@@ -1,14 +1,13 @@
 """Free associative algebra over Q[a] in the generators S_1, S_2, ...
 
-Every element class of the package is a LinComb: a finite, zero-pruned map
-from basis keys to nonzero ParamPoly coefficients, with the linear structure,
-equality and sorted serialization written once.  NCElement is keyed by words;
-the word (k_1,...,k_m) stands for the monomial S_{k_1}...S_{k_m} and the empty
-word is the unit.  The generator S_k has degree k, so the degree of a word is
-the sum of its letters.  Words in other generating families (elementary,
-power-sum) reuse the same container; which family the letters denote is
-purely contextual.  Ribbon and tensor combinations subclass LinComb in
-their own modules; accumulate() is the in-place sum they all build on.
+Every linear combination of the package, ParamPoly included, is a LinComb:
+the zero-pruned sparse map defined in params.  NCElement is the LinComb of
+words with ParamPoly coefficients; the word (k_1,...,k_m) stands for the
+monomial S_{k_1}...S_{k_m} and the empty word is the unit.  The generator S_k
+has degree k, so the degree of a word is the sum of its letters.  Words in
+other generating families (elementary, power-sum) reuse the same container;
+which family the letters denote is purely contextual.  Ribbon and tensor
+combinations subclass LinComb in their own modules.
 
 Each change of generating set, the duality map, the shift automorphism and
 the antipode is fixed by the image of each letter: apply_letters() extends
@@ -26,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
-from .params import ParamPoly, ParamSubstitution
+from .params import LinComb, ParamPoly, ParamSubstitution, accumulate
 
 Word = tuple[int, ...]
 
@@ -41,94 +40,6 @@ def serial_key(w: Word):
 
 def elimination_key(w: Word):
     return (len(w), word_degree(w), w)
-
-
-def accumulate(terms: dict, key, c) -> None:
-    """terms[key] += c in place, dropping the key when the sum vanishes."""
-    s = terms.get(key)
-    s = c if s is None else s + c
-    if s:
-        terms[key] = s
-    else:
-        terms.pop(key, None)
-
-
-class LinComb:
-    """A finite map key -> nonzero ParamPoly: a Q[a]-linear combination.
-
-    Immutable by convention.  The term map never stores a zero coefficient.
-    Subclasses fix the key type and set ``_sort_key``, the key function of
-    their serialization order (None for the keys' own order).
-    """
-
-    __slots__ = ("terms",)
-    _sort_key: Callable | None = None
-
-    def __init__(self, terms: Mapping | None = None):
-        self.terms: dict = {k: c for k, c in terms.items() if c} if terms else {}
-
-    @classmethod
-    def _of(cls, terms: dict):
-        """Wrap a zero-pruned dict without copying it."""
-        out = cls.__new__(cls)
-        out.terms = terms
-        return out
-
-    @classmethod
-    def zero(cls):
-        return cls._of({})
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            accumulate(out, k, c)
-        return self._of(out)
-
-    def __neg__(self):
-        return self._of({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            accumulate(out, k, -c)
-        return self._of(out)
-
-    def scale(self, c):
-        c = ParamPoly.coerce(c)
-        return self._of({k: c * v for k, v in self.terms.items()} if c else {})
-
-    def sorted_terms(self) -> list:
-        terms = self.terms
-        return [(k, terms[k]) for k in sorted(terms, key=self._sort_key)]
-
-    @classmethod
-    def _from_json(cls, data: Mapping, key_of: Callable):
-        """Sum the JSON terms; a ValueError names the first malformed one."""
-        items = data["terms"]
-        if not isinstance(items, list):
-            raise ValueError(f"terms must be a list, got {items!r}")
-        out: dict = {}
-        for item in items:
-            try:
-                key, c = key_of(item), ParamPoly.from_json(item["coeff"])
-            except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as e:
-                raise ValueError(f"malformed term {item!r}: {e!r}") from None
-            accumulate(out, key, c)
-        return cls._of(out)
 
 
 class NCElement(LinComb):

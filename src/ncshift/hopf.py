@@ -12,9 +12,9 @@ LinComb combinations keyed by pairs of words.
 
 from __future__ import annotations
 
-from .algebra import LinComb, NCElement, accumulate, apply_letters
+from .algebra import NCElement, apply_letters
 from .families import psi, psi_words_to_s, s_to_psi
-from .params import SEQ_A, ParamPoly, ParamSequence
+from .params import SEQ_A, LinComb, ParamPoly, ParamSequence, accumulate
 
 
 class TensorElement(LinComb):

@@ -1,8 +1,14 @@
-"""The coefficient ring Q[a] of the shift parameters.
+"""The coefficient ring Q[a] of the shift parameters, and LinComb.
 
 Everything downstream is linear over polynomials in commuting indeterminates
-a_i, indexed by arbitrary (signed) integers.  Three structure maps act on the
-index lattice:
+a_i, indexed by arbitrary (signed) integers.  Every linear combination of the
+package is a LinComb: a finite, zero-pruned map from basis keys to nonzero
+coefficients, with the linear structure, equality and sorted serialization
+written once, and accumulate() the in-place sum they all build on.  ParamPoly
+is the LinComb of monomials with Fraction coefficients; the element classes
+downstream are LinCombs with ParamPoly coefficients.
+
+Three structure maps act on the index lattice:
 
 * the shift tau, sending a_i to a_{i+1};
 * the dual map, sending a_i to -a_{-i+1} (an involution);
@@ -16,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 Monomial = tuple[tuple[int, int], ...]  # ((index, exponent), ...) sorted by index
 
@@ -36,34 +42,117 @@ def as_fraction(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
+def accumulate(terms: dict, key, c) -> None:
+    """terms[key] += c in place, dropping the key when the sum vanishes."""
+    s = terms.get(key)
+    s = c if s is None else s + c
+    if s:
+        terms[key] = s
+    else:
+        terms.pop(key, None)
+
+
+class LinComb:
+    """A finite map key -> nonzero coefficient: a linear combination.
+
+    Immutable by convention.  The term map never stores a zero coefficient.
+    Subclasses fix the key type and set ``_sort_key``, the key function of
+    their serialization order (None for the keys' own order).
+    """
+
+    __slots__ = ("terms",)
+    _sort_key: Callable | None = None
+
+    def __init__(self, terms: Mapping | None = None):
+        self.terms: dict = {k: c for k, c in terms.items() if c} if terms else {}
+
+    @classmethod
+    def _of(cls, terms: dict):
+        """Wrap a zero-pruned dict without copying it."""
+        out = cls.__new__(cls)
+        out.terms = terms
+        return out
+
+    @classmethod
+    def zero(cls):
+        return cls._of({})
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            accumulate(out, k, c)
+        return self._of(out)
+
+    def __neg__(self):
+        return self._of({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            accumulate(out, k, -c)
+        return self._of(out)
+
+    def scale(self, c):
+        """Multiply every coefficient by c, which is used as given."""
+        return self._of({k: c * v for k, v in self.terms.items()} if c else {})
+
+    def sorted_terms(self) -> list:
+        terms = self.terms
+        return [(k, terms[k]) for k in sorted(terms, key=self._sort_key)]
+
+    @classmethod
+    def _from_json(cls, data: Mapping, key_of: Callable):
+        """Sum the JSON terms (ParamPoly coefficients); a ValueError names the
+        first malformed one."""
+        items = data["terms"]
+        if not isinstance(items, list):
+            raise ValueError(f"terms must be a list, got {items!r}")
+        out: dict = {}
+        for item in items:
+            try:
+                key, c = key_of(item), ParamPoly.from_json(item["coeff"])
+            except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as e:
+                raise ValueError(f"malformed term {item!r}: {e!r}") from None
+            accumulate(out, key, c)
+        return cls._of(out)
+
+
 def _monomial_sort_key(m: Monomial):
     # Graded order, then lex on the exponent vector with variables in
     # increasing index order.  Smaller key = earlier in the serialized form.
     return (-sum(e for _, e in m), tuple((i, -e) for i, e in m))
 
 
-class ParamPoly:
-    """Sparse polynomial in the a_i with Fraction coefficients.
+class ParamPoly(LinComb):
+    """Sparse polynomial in the a_i: a LinComb of monomials with Fraction
+    coefficients.  No monomial stores a zero exponent.
 
-    Instances are immutable by convention; all operations return new objects.
-    The term map never stores zero coefficients or zero exponents.
+    Ints and Fractions are constants: they compare, add and multiply as such.
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
-        self.terms: dict[Monomial, Fraction] = dict(terms) if terms else {}
+    __slots__ = ()
+    _sort_key = staticmethod(_monomial_sort_key)
 
     # -- constructors -----------------------------------------------------
 
     @staticmethod
-    def zero() -> "ParamPoly":
-        return ParamPoly()
-
-    @staticmethod
     def const(c) -> "ParamPoly":
         c = as_fraction(c)
-        return ParamPoly({(): c} if c else {})
+        return ParamPoly._of({(): c} if c else {})
 
     @staticmethod
     def one() -> "ParamPoly":
@@ -72,7 +161,7 @@ class ParamPoly:
     @staticmethod
     def gen(i: int) -> "ParamPoly":
         """The indeterminate a_i."""
-        return ParamPoly({((i, 1),): Fraction(1)})
+        return ParamPoly._of({((i, 1),): Fraction(1)})
 
     @staticmethod
     def coerce(x) -> "ParamPoly":
@@ -82,56 +171,40 @@ class ParamPoly:
 
     # -- ring structure ----------------------------------------------------
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = ParamPoly.const(other)
-        if not isinstance(other, ParamPoly):
-            return NotImplemented
-        return self.terms == other.terms
+        return super().__eq__(other)
 
-    def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())))
+    # defining __eq__ drops the inherited hash
+    __hash__ = LinComb.__hash__
 
     def __add__(self, other) -> "ParamPoly":
-        other = ParamPoly.coerce(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, Fraction(0)) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return ParamPoly(out)
+        return super().__add__(ParamPoly.coerce(other))
 
     __radd__ = __add__
 
-    def __neg__(self) -> "ParamPoly":
-        return ParamPoly({m: -c for m, c in self.terms.items()})
-
     def __sub__(self, other) -> "ParamPoly":
-        return self + (-ParamPoly.coerce(other))
+        return super().__sub__(ParamPoly.coerce(other))
 
     def __rsub__(self, other) -> "ParamPoly":
-        return ParamPoly.coerce(other) + (-self)
+        return ParamPoly.coerce(other) - self
 
     def __mul__(self, other) -> "ParamPoly":
-        other = ParamPoly.coerce(other)
+        if not isinstance(other, ParamPoly):
+            return self.scale(as_fraction(other))
         out: dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = _merge_monomials(m1, m2)
-                s = out.get(m, Fraction(0)) + c1 * c2
+                c = c1 * c2
+                s = out.get(m)
+                s = c if s is None else s + c
                 if s:
                     out[m] = s
                 else:
-                    del out[m]
-        return ParamPoly(out)
+                    out.pop(m, None)
+        return ParamPoly._of(out)
 
     __rmul__ = __mul__
 
@@ -155,7 +228,7 @@ class ParamPoly:
         """Shift every index by s: a_i -> a_{i+s}.  A ring homomorphism."""
         if s == 0:
             return self
-        return ParamPoly(
+        return ParamPoly._of(
             {tuple(sorted((i + s, e) for i, e in m)): c for m, c in self.terms.items()}
         )
 
@@ -164,13 +237,8 @@ class ParamPoly:
         out: dict[Monomial, Fraction] = {}
         for m, c in self.terms.items():
             sign = (-1) ** sum(e for _, e in m)
-            mm = tuple(sorted((1 - i, e) for i, e in m))
-            s = out.get(mm, Fraction(0)) + sign * c
-            if s:
-                out[mm] = s
-            else:
-                del out[mm]
-        return ParamPoly(out)
+            accumulate(out, tuple(sorted((1 - i, e) for i, e in m)), sign * c)
+        return ParamPoly._of(out)
 
     def substitute(self, sub: "ParamSubstitution") -> Fraction:
         """Numeric evaluation under a non-symbolic substitution."""
@@ -184,9 +252,6 @@ class ParamPoly:
 
     # -- presentation --------------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
-        return sorted(self.terms.items(), key=lambda t: _monomial_sort_key(t[0]))
-
     def to_json(self) -> list:
         return [
             {"c": str(c), "e": {str(i): e for i, e in m}}
@@ -195,14 +260,14 @@ class ParamPoly:
 
     @staticmethod
     def from_json(data: Iterable) -> "ParamPoly":
-        out = ParamPoly.zero()
+        out: dict[Monomial, Fraction] = {}
         for item in data:
             m = tuple(sorted((int(i), int(e)) for i, e in item["e"].items()))
             if any(e < 0 for _, e in m):
                 raise ValueError(f"negative exponent in {item!r}")
             m = tuple((i, e) for i, e in m if e)  # a_i^0 = 1
-            out = out + ParamPoly({m: as_fraction(item["c"])})
-        return out
+            accumulate(out, m, as_fraction(item["c"]))
+        return ParamPoly._of(out)
 
     def __str__(self) -> str:
         if not self.terms:

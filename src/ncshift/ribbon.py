@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .algebra import LinComb, NCElement, apply_letters
-from .params import SEQ_A, ParamPoly, ParamSequence
+from .algebra import NCElement, apply_letters
+from .params import SEQ_A, LinComb, ParamPoly, ParamSequence
 from .quasidet import hessenberg_quasidet
 from .shifts import shift_S
 from .families import compositions_of, lambda_in_S, shift_Lambda

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import NCElement, accumulate, complete_homogeneous
+from .algebra import NCElement, complete_homogeneous
 from .families import lambda_in_S
-from .params import SEQ_A, ParamPoly, ParamSequence
+from .params import SEQ_A, ParamPoly, ParamSequence, accumulate
 
 
 @dataclass

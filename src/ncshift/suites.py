@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .algebra import LinComb, NCElement, accumulate
+from .algebra import NCElement
 from .families import (
     all_words,
     check_lineareq,
@@ -33,7 +33,7 @@ from .families import (
     verify_wronski_newton,
 )
 from .hopf import TensorElement, convolution_defect, coproduct, counit
-from .params import SEQ_A, SEQ_AHAT, ParamPoly, ParamSubstitution
+from .params import SEQ_A, SEQ_AHAT, LinComb, ParamPoly, ParamSubstitution, accumulate
 from .quasidet import (
     ExhaustedRetries,
     MatValue,
