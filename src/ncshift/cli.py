@@ -149,6 +149,7 @@ def _to_s_basis(basis: str, element) -> NCElement:
 
 
 def cmd_convert(args) -> int:
+    sub = _parse_params(args.params)
     basis, element = _load_element(args.input)
     out_basis = args.to
     _, from_s, letter = BASES[out_basis]
@@ -157,11 +158,9 @@ def cmd_convert(args) -> int:
         print(out.latex() if out_basis == "R" else out.latex(letter))
         return 0
     payload = out.to_json() if out_basis == "R" else out.to_json(out_basis)
-    if args.params is not None and out_basis == "R":
-        sub = _parse_params(args.params)
-        if sub.kind != "symbolic" and sub.is_whole_distant():
-            payload["whole_distant"] = True
-            payload["integer_coefficients"] = out.integer_coefficients(sub)
+    if out_basis == "R" and sub.is_whole_distant():
+        payload["whole_distant"] = True
+        payload["integer_coefficients"] = out.integer_coefficients(sub)
     print(json.dumps(payload, indent=2))
     return 0
 
@@ -214,7 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("convert", help="convert between generating sets")
     pc.add_argument("--to", required=True, choices=tuple(BASES))
     pc.add_argument("--input", help="JSON element file (default: stdin)")
-    pc.add_argument("--params", help="symbolic | equidistant:c,base | file:<path>")
+    pc.add_argument(
+        "--params", default="symbolic", help="symbolic | equidistant:c,base | file:<path>"
+    )
     pc.add_argument("--format", choices=("json", "latex"), default="json")
     pc.set_defaults(func=cmd_convert)
 

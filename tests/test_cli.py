@@ -286,15 +286,21 @@ def test_convert_drops_zero_exponents(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "params, named",
+    "target, params, named",
     [
-        ("equidistant:1/0,0", "entry c"),
-        ("file:list", "JSON object"),
-        ("file:null", "entry a_2"),
+        (["--to", "R"], "equidistant:1/0,0", "entry c"),
+        (["--to", "R"], "file:list", "JSON object"),
+        (["--to", "R"], "file:null", "entry a_2"),
+        (["--to", "S"], "bogus", "--params symbolic"),
+        (["--to", "L"], "equidistant:1/0,0", "entry c"),
+        (["--to", "R", "--format", "latex"], "bogus", "--params symbolic"),
     ],
-    ids=["zero-denominator-c", "list-file", "null-entry-file"],
+    ids=[
+        "zero-denominator-c", "list-file", "null-entry-file",
+        "bogus-to-S", "zero-denominator-to-L", "bogus-latex",
+    ],
 )
-def test_convert_rejects_malformed_params(params, named, tmp_path, capsys):
+def test_convert_rejects_malformed_params(target, params, named, tmp_path, capsys):
     from ncshift.families import lambda_in_S
 
     src = tmp_path / "x.json"
@@ -303,7 +309,7 @@ def test_convert_rejects_malformed_params(params, named, tmp_path, capsys):
     (tmp_path / "null").write_text(json.dumps({"1": "1", "2": None}))
     if params.startswith("file:"):
         params = f"file:{tmp_path / params[5:]}"
-    argv = ["convert", "--to", "R", "--params", params, "--input", str(src)]
+    argv = ["convert", *target, "--params", params, "--input", str(src)]
     code, out, err = run_cli(argv, capsys)
     _assert_input_error(code, out, err)
     assert named in err
