@@ -317,8 +317,8 @@ def verify_bazin(
     source theorem moved the quasiminor windows without adjusting the
     quasideterminant conventions.  Under variant="corrected" the window is
     indexed by the column and the quasideterminant boxes the bottom-left
-    corner, |B|_{k1} with b_{ij} = |A_(j..j+n-2, n+i)|_{n+i,n}, which holds
-    for matrix entries of any size.
+    corner, |B|_{k1} with b_{ij} = |A_(j..j+n-2, n+i)|_{n+i,n} (the transpose
+    of the printed B), which holds for matrix entries of any size.
 
     Singular draws are retried with incremented seeds, at most max_reseed
     times.
@@ -340,24 +340,17 @@ def verify_bazin(
             return block_quasidet([A[i - 1] for i in rows], pos, q)
 
         try:
-            if variant == "printed":
-                B = [
-                    [
-                        quasiminor(list(range(i, i + n - 1)) + [n + j], n, n)
-                        for j in range(1, k + 1)
-                    ]
-                    for i in range(1, k + 1)
+            B = [
+                [
+                    quasiminor(list(range(i, i + n - 1)) + [n + j], n, n)
+                    for j in range(1, k + 1)
                 ]
+                for i in range(1, k + 1)
+            ]
+            if variant == "printed":
                 lhs = block_quasidet(B, 1, k)
             else:
-                B = [
-                    [
-                        quasiminor(list(range(j, j + n - 1)) + [n + i], n, n)
-                        for j in range(1, k + 1)
-                    ]
-                    for i in range(1, k + 1)
-                ]
-                lhs = block_quasidet(B, k, 1)
+                lhs = block_quasidet(list(zip(*B)), k, 1)
             rows1 = list(range(k, n)) + list(range(n + 1, n + k + 1))
             f1 = quasiminor(rows1, len(rows1), n)
             rows2 = list(range(k, n + k))
