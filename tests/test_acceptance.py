@@ -68,7 +68,8 @@ _timings: dict[tuple, float] = {}
 
 
 @cache
-def run_suite(name, degree):
+def run_suite(name, *, degree):
+    # degree is keyword-only: the cache keys positional and keyword calls apart
     t0 = time.monotonic()
     rep = _run_suite_uncached(name, degree=degree)
     _timings[(name, degree)] = time.monotonic() - t0
@@ -570,7 +571,6 @@ def test_verify_all_output_is_pinned():
     assert list(DEFAULT_RUNS) == list(SUITES)
     for name, degree in DEFAULT_RUNS.items():
         assert inspect.signature(SUITES[name]).parameters["degree"].default == degree
-    # degree by keyword, as every other test passes it, so the cache serves each report
     reports = [run_suite(name, degree=degree) for name, degree in DEFAULT_RUNS.items()]
     text = json.dumps([r.to_json() for r in reports], indent=2) + "\n"
     digest = hashlib.sha256(text.encode()).hexdigest()
