@@ -4,7 +4,10 @@ The digests were captured before the sparse container and the letter map were
 shared between the element classes; they pin that every expansion,
 conversion, coproduct, antipode, shift and duality image is unchanged byte for
 byte.  The `latex` digest was captured before ParamPoly became a LinComb; it
-pins both printers, which read the coefficients' sorted terms.  Each group
+pins both printers, which read the coefficients' sorted terms.  The
+`hessenberg` digest was captured before the Hessenberg quasideterminant took
+its entries as a function of (i, j); it pins every caller of that engine
+directly, not only through identities.  Each group
 hashes the concatenation of its outputs, in a fixed order.
 """
 
@@ -15,9 +18,11 @@ import pytest
 
 from ncshift.algebra import NCElement
 from ncshift.cli import main
+from ncshift import families
 from ncshift.families import all_words, compositions_of
 from ncshift.hopf import antipode, coproduct
-from ncshift.ribbon import Composition, omega, ribbon
+from ncshift.params import SEQ_AHAT
+from ncshift.ribbon import Composition, nagelsbach_form, omega, ribbon, ribbon_uniform
 from ncshift.shifts import phi_shift
 
 GOLDEN = {
@@ -30,7 +35,17 @@ GOLDEN = {
     "phi-shift": "98f099d92bf4542bf9eeaccf17eed1accd67b88d6d4c2c157978e84681b080a7",
     "omega-ribbon": "3bf2238423693c923ffd54cb20552864dfe3ba7bfadb13ceb566bef2ab7a7d2a",
     "latex": "36f47fa239090d39230c4d1985b9bd8c3d8587c33467a0890c2d5a520ea9de1c",
+    "hessenberg": "f4726815e6cbe9a5b0721bc12d32f700f30192d2766d8b7e39b6ad3b53c3c960",
 }
+
+HESSENBERG_FAMILIES = (
+    "lambda_by_quasidet",
+    "s_in_lambda",
+    "translation_psi_from_s",
+    "translation_psi_from_lambda",
+    "translation_s_from_psi",
+    "translation_lambda_from_psi",
+)
 
 
 def _comps(max_degree):
@@ -85,6 +100,15 @@ def _outputs(group, tmp_path, capsys):
     elif group == "omega-ribbon":
         for w in _comps(4):
             yield _dump(omega(ribbon(Composition(w))).to_json())
+    elif group == "hessenberg":
+        for name in HESSENBERG_FAMILIES:
+            for n in range(1, 7):
+                yield _dump(getattr(families, name)(n).to_json())
+        for w in _comps(5):
+            yield _dump(nagelsbach_form(Composition(w)).to_json())
+        for s in (-1, 2):
+            for w in _comps(4):
+                yield _dump(ribbon_uniform(Composition(w), s, SEQ_AHAT).to_json())
 
 
 @pytest.mark.parametrize("group", sorted(GOLDEN))
