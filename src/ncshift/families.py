@@ -65,41 +65,26 @@ def lambda_letter_shift(k: int, s: int, base: ParamSequence = SEQ_A) -> NCElemen
     return NCElement({(k - nu,): c for nu, c in enumerate(lambda_shift_coeffs(k, s, base))})
 
 
-def jacobi_trudi_matrix(n: int, base: ParamSequence = SEQ_A) -> list[list[NCElement | None]]:
-    """The Hessenberg matrix whose (1,n) quasideterminant gives Lambda_n.
-
-    Entry (i,j) is S_{j-i+1}^[n-i]; unit subdiagonal.
-    """
-    return [
-        [shift_S(j - i + 1, n - i - 1, base) if j >= i else None for j in range(n)]
-        for i in range(n)
-    ]
-
-
 def lambda_by_quasidet(n: int, base: ParamSequence = SEQ_A) -> NCElement:
-    """Lambda_n via the quasideterminant closed form (a checked theorem)."""
+    """Lambda_n via the quasideterminant closed form (a checked theorem).
+
+    Entry (i,j) of the Hessenberg matrix is S_{j-i+1}^[n-i]; unit subdiagonal.
+    """
     if n == 0:
         return NCElement.one()
-    q = hessenberg_quasidet(jacobi_trudi_matrix(n, base))
-    return q if (n - 1) % 2 == 0 else -q
+    return hessenberg_quasidet(n, lambda i, j: shift_S(j - i + 1, n - i, base))
 
 
 def s_in_lambda(n: int, base: ParamSequence = SEQ_A) -> NCElement:
     """S_n as a polynomial in Lambda-letters, via the inverse closed form.
 
     The returned words are monomials in the elementary generators.  Entry
-    (i,j) of the underlying matrix is Lambda_{j-i+1}^[-j] in column j
-    (1-indexed), expanded over Lambda-letters before taking the
-    quasideterminant.
+    (i,j) of the underlying matrix (1-indexed) is Lambda_{j-i+1}^[1-j],
+    expanded over Lambda-letters before taking the quasideterminant.
     """
     if n == 0:
         return NCElement.one()
-    rows = [
-        [lambda_letter_shift(j - i + 1, -j, base) if j >= i else None for j in range(n)]
-        for i in range(n)
-    ]
-    q = hessenberg_quasidet(rows)
-    return q if (n - 1) % 2 == 0 else -q
+    return hessenberg_quasidet(n, lambda i, j: lambda_letter_shift(j - i + 1, 1 - j, base))
 
 
 @cache
@@ -231,55 +216,44 @@ def verify_wronski_newton(n: int, base: ParamSequence = SEQ_A) -> tuple[bool, st
 
 
 def translation_psi_from_s(n: int, base: ParamSequence = SEQ_A) -> NCElement:
-    """Psi_n as the quasideterminant in shifted S's (last column weighted)."""
-    rows = []
-    for i in range(1, n + 1):
-        row: list[NCElement | None] = [None] * n
-        for j in range(i, n + 1):
-            e = shift_S(j - i + 1, n - i, base)
-            if j == n:
-                e = e.scale(Fraction(n - i + 1))
-            row[j - 1] = e
-        rows.append(row)
-    return hessenberg_quasidet(rows)
+    """Psi_n as the quasideterminant in shifted S's, last column weighted (-1)^(n-1) (n-i+1)."""
+    sign = (-1) ** (n - 1)
+
+    def entry(i: int, j: int) -> NCElement:
+        e = shift_S(j - i + 1, n - i, base)
+        return e.scale(Fraction(sign * (n - i + 1))) if j == n else e
+
+    return hessenberg_quasidet(n, entry)
 
 
 def translation_psi_from_lambda(n: int, base: ParamSequence = SEQ_A) -> NCElement:
     """Psi_n as the quasideterminant in shifted Lambdas (first row weighted)."""
-    rows = []
-    for i in range(1, n + 1):
-        row: list[NCElement | None] = [None] * n
-        for j in range(i, n + 1):
-            e = shift_Lambda(j - i + 1, n - j, base)
-            if i == 1:
-                e = e.scale(Fraction(j))
-            row[j - 1] = e
-        rows.append(row)
-    q = hessenberg_quasidet(rows)
-    return q if (n - 1) % 2 == 0 else -q
+
+    def entry(i: int, j: int) -> NCElement:
+        e = shift_Lambda(j - i + 1, n - j, base)
+        return e.scale(Fraction(j)) if i == 1 else e
+
+    return hessenberg_quasidet(n, entry)
 
 
 def translation_s_from_psi(n: int, base: ParamSequence = SEQ_A) -> NCElement:
-    """n S_n^[n-1] as the quasideterminant in shifted Psis (subdiagonal -i)."""
-    rows = []
-    for i in range(1, n + 1):
-        row: list[NCElement | None] = [None] * n
-        for j in range(i, n + 1):
-            row[j - 1] = psi_shifted(j - i + 1, n - j, base)
-        rows.append(row)
-    return hessenberg_quasidet(rows, subdiag=[-i for i in range(1, n)])
+    """n S_n^[n-1] as the quasideterminant in shifted Psis, last column weighted (-1)^(n-1)."""
+    sign = Fraction((-1) ** (n - 1))
+
+    def entry(i: int, j: int) -> NCElement:
+        e = psi_shifted(j - i + 1, n - j, base)
+        return e.scale(sign) if j == n else e
+
+    return hessenberg_quasidet(n, entry, subdiag=[-i for i in range(1, n)])
 
 
 def translation_lambda_from_psi(n: int, base: ParamSequence = SEQ_A) -> NCElement:
     """n Lambda_n as the quasideterminant in shifted Psis (subdiagonal n-i)."""
-    rows = []
-    for i in range(1, n + 1):
-        row: list[NCElement | None] = [None] * n
-        for j in range(i, n + 1):
-            row[j - 1] = psi_shifted(j - i + 1, n - j, base)
-        rows.append(row)
-    q = hessenberg_quasidet(rows, subdiag=[n - i for i in range(1, n)])
-    return q if (n - 1) % 2 == 0 else -q
+    return hessenberg_quasidet(
+        n,
+        lambda i, j: psi_shifted(j - i + 1, n - j, base),
+        subdiag=[n - i for i in range(1, n)],
+    )
 
 
 def verify_translations(n: int, base: ParamSequence = SEQ_A) -> tuple[bool, str]:

@@ -265,6 +265,8 @@ class ParamPoly(LinComb):
             m = tuple(sorted((int(i), int(e)) for i, e in item["e"].items()))
             if any(e < 0 for _, e in m):
                 raise ValueError(f"negative exponent in {item!r}")
+            if len({i for i, _ in m}) != len(m):
+                raise ValueError(f"repeated exponent index in {item!r}")
             m = tuple((i, e) for i, e in m if e)  # a_i^0 = 1
             accumulate(out, m, as_fraction(item["c"]))
         return ParamPoly._of(out)

@@ -2,12 +2,15 @@
 
 Two evaluators cover everything in scope:
 
-* a symbolic expansion for unit-subdiagonal Hessenberg matrices with algebra
-  entries, where the quasideterminant at the top-right corner is the
-  polynomial
+* a symbolic expansion for almost-upper-triangular n x n matrices A with
+  algebra entries on and above the diagonal, given as a function entry(i, j)
+  of 1-indexed i <= j.  It carries the outer sign of every Jacobi-Trudi,
+  Nagelsbach-Kostka, ribbon and translation formula (Gelfand, Krob, Lascoux,
+  Leclerc, Retakh, Thibon, "Noncommutative symmetric functions", 1995); for a
+  unit subdiagonal it is
 
-      |A|_{1n} = sum over 1 <= l_1 < ... < l_k < n of
-                 (-1)^k  e_{1,l_1} e_{l_1+1,l_2} ... e_{l_k+1,n};
+      (-1)^(n-1) |A|_{1n} = sum over 1 <= l_1 < ... < l_k < n of
+                 (-1)^(n-1+k)  a_{1,l_1} a_{l_1+1,l_2} ... a_{l_k+1,n};
 
 * an exact numeric evaluator for matrices whose entries are square rational
   matrices, using the defining formula
@@ -15,9 +18,9 @@ Two evaluators cover everything in scope:
   the row and the column flattened to rational matrices: one inverse and two
   products, each done on integers over common denominators.
 
-Any scalar (rational) subdiagonal is accepted in the symbolic engine:
+Any nonzero rational subdiagonal is accepted in the symbolic engine:
 left-scaling a non-boxed row leaves the quasideterminant unchanged, so rows
-are normalized first.
+are normalized first.  A rational factor on the boxed column scales it.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import math
 import os
 import random
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .algebra import NCElement
 from .params import as_fraction
@@ -59,49 +62,38 @@ class ExhaustedRetries(RuntimeError):
 
 
 def hessenberg_quasidet(
-    rows: Sequence[Sequence[NCElement | None]],
+    n: int,
+    entry: Callable[[int, int], NCElement],
     subdiag: Sequence[Fraction | int] | None = None,
 ) -> NCElement:
-    """|A|_{1n} for an almost-upper-triangular matrix of NCElements.
+    """(-1)^(n-1) |A|_{1n} for an n x n almost-upper-triangular matrix A.
 
-    rows[i][j] holds the entry for j >= i (0-indexed); entries below the
-    diagonal are ignored except for validation.  subdiag gives the scalar
-    entries at positions (i+1, i), default all 1.  The customary outer
-    (-1)^(n-1) normalization is the caller's business.
+    entry(i, j) is the NCElement at the 1-indexed position (i, j) for
+    i <= j; the expansion asks for each of these n(n+1)/2 entries exactly
+    once.  subdiag gives the scalar entries at positions (i+1, i), default
+    all 1; every entry below the subdiagonal is zero.
     """
-    n = len(rows)
-    if n == 0:
-        raise ShapeError("empty matrix")
-    for row in rows:
-        if len(row) != n:
-            raise ShapeError("matrix is not square")
+    if n < 1:
+        raise ShapeError(f"need n >= 1, got {n}")
     if subdiag is None:
         subdiag = [1] * (n - 1)
     if len(subdiag) != n - 1:
         raise ShapeError("need exactly n-1 subdiagonal entries")
-    for i in range(n):
-        for j in range(i - 1):
-            if rows[i][j] is not None and not rows[i][j].is_zero():
-                raise ShapeError(f"nonzero entry below the subdiagonal at {(i + 1, j + 1)}")
-    scale = [Fraction(1)] + [Fraction(1) / as_fraction(c) for c in subdiag]
-    if n == 1:
-        return rows[0][0]
+    # row i is divided by the subdiagonal entry to its left
+    scale = [Fraction(1), Fraction(1)] + [Fraction(1) / as_fraction(c) for c in subdiag]
 
-    def entry(i: int, j: int) -> NCElement:
-        e = rows[i][j]
-        if e is None:
-            raise ShapeError(f"missing entry at {(i + 1, j + 1)}")
+    def scaled(i: int, j: int) -> NCElement:
+        e = entry(i, j)
         return e.scale(scale[i]) if scale[i] != 1 else e
 
-    # tail[j] accumulates the expansion over rows j..n-1
-    tail = [NCElement.zero()] * (n + 1)
-    tail[n] = NCElement.one()
-    for j in range(n - 1, -1, -1):
-        acc = entry(j, n - 1)
-        for m in range(j, n - 1):
-            acc = acc - entry(j, m) * tail[m + 1]
-        tail[j] = acc
-    return tail[0]
+    # tail[i] accumulates the expansion over rows i..n
+    tail = {n + 1: NCElement.one()}
+    for i in range(n, 0, -1):
+        acc = scaled(i, n)
+        for m in range(i, n):
+            acc = acc - scaled(i, m) * tail[m + 1]
+        tail[i] = acc
+    return tail[1] if n % 2 else -tail[1]
 
 
 # -- exact rational matrices --------------------------------------------------

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import accumulate
 
 from .algebra import NCElement, apply_letters
 from .params import SEQ_A, LinComb, ParamPoly, ParamSequence
@@ -46,32 +47,18 @@ class Composition:
 
     def row_shifts(self) -> tuple[int, ...]:
         """Canonical shift vector (s_1, ..., s_{n-1}, 0)."""
-        n = self.length
-        out = []
-        for k in range(n):
-            out.append(sum(self.parts[k : n - 1]))
-        return tuple(out)
+        return tuple(sum(self.parts[k:-1]) for k in range(self.length))
 
     def descents(self) -> frozenset[int]:
-        acc, out = 0, []
-        for p in self.parts[:-1]:
-            acc += p
-            out.append(acc)
-        return frozenset(out)
+        return frozenset(accumulate(self.parts[:-1]))
 
     def conjugate(self) -> "Composition":
         """Reflection of the ribbon in the main diagonal.
 
         Complement the descent set inside {1, ..., d-1}, then reverse.
         """
-        d = self.degree
-        desc = sorted(set(range(1, d)) - self.descents())
-        parts = []
-        prev = 0
-        for x in desc + [d]:
-            parts.append(x - prev)
-            prev = x
-        return Composition(tuple(reversed(parts)))
+        cuts = sorted(set(range(1, self.degree)) - self.descents()) + [self.degree]
+        return Composition([b - a for a, b in zip([0] + cuts, cuts)][::-1])
 
     def concat(self, other: "Composition") -> "Composition":
         return Composition(self.parts + other.parts)
@@ -101,14 +88,9 @@ def ribbon_shifted(
     n = I.length
     if len(K) != n:
         raise ValueError("shift vector length must match the composition")
-    rows: list[list[NCElement | None]] = []
-    for p in range(n):
-        row: list[NCElement | None] = [None] * n
-        for q in range(p, n):
-            row[q] = shift_S(sum(I.parts[p : q + 1]), K[p], base)
-        rows.append(row)
-    q = hessenberg_quasidet(rows)
-    return q if (n - 1) % 2 == 0 else -q
+    return hessenberg_quasidet(
+        n, lambda p, q: shift_S(sum(I.parts[p - 1 : q]), K[p - 1], base)
+    )
 
 
 def ribbon(I: Composition, base: ParamSequence = SEQ_A) -> NCElement:
@@ -246,32 +228,19 @@ def generalized_macmahon_rhs(
     )
 
 
-def nagelsbach_matrix(
-    I: Composition, base: ParamSequence = SEQ_A
-) -> list[list[NCElement | None]]:
-    """The elementary-generator Hessenberg matrix for R_I^[i_n - 1].
+def nagelsbach_form(I: Composition, base: ParamSequence = SEQ_A) -> NCElement:
+    """R_I^[i_n - 1] computed through the conjugate elementary expansion.
 
-    With I~ = (j_1, ..., j_m) and u = reversed(I~), the (p,q) entry is
-    Lambda_{u_p + ... + u_q}^[t_q] where t_q = j_1 + ... + j_{m-q}.
+    With I~ = (j_1, ..., j_m) and u = reversed(I~), the (p,q) entry of the
+    Hessenberg matrix is Lambda_{u_p + ... + u_q}^[t_q] where
+    t_q = j_1 + ... + j_{m-q}.
     """
     conj = I.conjugate().parts
     m = len(conj)
-    u = tuple(reversed(conj))
-    t = [sum(conj[: m - q]) for q in range(1, m + 1)]
-    rows: list[list[NCElement | None]] = []
-    for p in range(m):
-        row: list[NCElement | None] = [None] * m
-        for q in range(p, m):
-            row[q] = shift_Lambda(sum(u[p : q + 1]), t[q], base)
-        rows.append(row)
-    return rows
-
-
-def nagelsbach_form(I: Composition, base: ParamSequence = SEQ_A) -> NCElement:
-    """R_I^[i_n - 1] computed through the conjugate elementary expansion."""
-    m = I.conjugate().length
-    q = hessenberg_quasidet(nagelsbach_matrix(I, base))
-    return q if (m - 1) % 2 == 0 else -q
+    u = conj[::-1]
+    return hessenberg_quasidet(
+        m, lambda p, q: shift_Lambda(sum(u[p - 1 : q]), sum(conj[: m - q]), base)
+    )
 
 
 def omega(x: NCElement, base: ParamSequence = SEQ_A) -> NCElement:

@@ -247,6 +247,9 @@ def _term(word, c):
         json.dumps({"terms": [_term([0], "1")]}),
         json.dumps({"basis": "R", "terms": [{"comp": [0], "shifts": [0], "coeff": []}]}),
         json.dumps({"terms": [{"word": [1], "coeff": [{"c": "1", "e": {"1": -1}}]}]}),
+        json.dumps({"terms": [{"word": [1], "coeff": [
+            {"c": "1", "e": {"1": 1, "01": 1}}, {"c": "-1", "e": {"1": 2}},
+        ]}]}),
     ],
     ids=[
         "zero-denominator",
@@ -256,6 +259,7 @@ def _term(word, c):
         "letter-0",
         "ribbon-part-0",
         "negative-exponent",
+        "repeated-exponent-index",
     ],
 )
 def test_convert_rejects_malformed_element(text, tmp_path, capsys):
@@ -322,6 +326,23 @@ def test_verify_rejects_negative_degree(capsys):
 def test_verify_rejects_bad_max_reseed(monkeypatch, capsys):
     monkeypatch.setenv("NCSHIFT_MAX_RESEED", "-3")
     _assert_input_error(*run_cli(["verify", "extension", "--degree", "1"], capsys))
+
+
+def test_verify_giambelli_exhausted_reseeds(monkeypatch, capsys):
+    # every draw singular: the three giambelli cases fail, nothing raises
+    from ncshift import suites
+    from ncshift.quasidet import SingularMinor
+
+    def singular(k, A):
+        raise SingularMinor("singular matrix")
+
+    monkeypatch.setenv("NCSHIFT_MAX_RESEED", "0")
+    monkeypatch.setattr(suites, "s_spec", singular)
+    code, out, err = run_cli(["verify", "giambelli"], capsys)
+    assert code == 1 and err == ""
+    cases = json.loads(out)["cases"]
+    assert [c["pass"] for c in cases] == [False] * 3
+    assert {c["witness"] for c in cases} == {"no nonsingular sample in 1 draws"}
 
 
 def test_console_entry_point():

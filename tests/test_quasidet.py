@@ -1,6 +1,7 @@
 """Quasideterminant engines: symbolic Hessenberg and exact block-matrix."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
@@ -27,63 +28,61 @@ S = NCElement.gen
 
 def test_hessenberg_1x1():
     e = S(2).scale(a(1))
-    assert hessenberg_quasidet([[e]]) == e
+    assert hessenberg_quasidet(1, lambda i, j: e) == e
 
 
 def test_hessenberg_2x2_ribbon_entries():
-    # |A|_{12} = e12 - e11 e22 for unit subdiagonal
+    # (-1)^(2-1) |A|_{12} = -(e12 - e11 e22) for unit subdiagonal
     i, j = 2, 3
     rows = [
         [shift_S(i, i), shift_S(i + j, i)],
         [None, shift_S(j, 0)],
     ]
-    q = hessenberg_quasidet(rows)
-    assert q == shift_S(i + j, i) - shift_S(i, i) * S(j)
+    q = hessenberg_quasidet(2, lambda p, q: rows[p - 1][q - 1])
+    assert q == shift_S(i, i) * S(j) - shift_S(i + j, i)
 
 
 def test_hessenberg_3x3_expansion():
-    # four-term alternating expansion over break subsets
-    e = [[NCElement.word((10 * (i + 1) + (j + 1),)) for j in range(3)] for i in range(3)]
-    rows = [[e[i][j] if j >= i else None for j in range(3)] for i in range(3)]
-    q = hessenberg_quasidet(rows)
-    expect = (
-        e[0][2]
-        - e[0][0] * e[1][2]
-        - e[0][1] * e[2][2]
-        + e[0][0] * e[1][1] * e[2][2]
-    )
+    # four-term alternating expansion over break subsets; (-1)^(3-1) = 1
+    def e(i, j):
+        return NCElement.word((10 * i + j,))
+
+    q = hessenberg_quasidet(3, e)
+    expect = e(1, 3) - e(1, 1) * e(2, 3) - e(1, 2) * e(3, 3) + e(1, 1) * e(2, 2) * e(3, 3)
     assert q == expect
+
+
+def test_hessenberg_asks_each_entry_once():
+    for n in range(1, 6):
+        asked = Counter()
+
+        def entry(i, j):
+            asked[i, j] += 1
+            return NCElement.word((10 * i + j,))
+
+        hessenberg_quasidet(n, entry, subdiag=[2] * (n - 1))
+        assert asked == Counter((i, j) for i in range(1, n + 1) for j in range(i, n + 1))
 
 
 def test_hessenberg_scalar_subdiagonal():
     # left-scaling non-boxed rows leaves the quasideterminant unchanged;
     # an arbitrary rational subdiagonal is normalized the same way
-    e = [[NCElement.word((i + j + 1,)) for j in range(3)] for i in range(3)]
-    rows = [[e[i][j] if j >= i else None for j in range(3)] for i in range(3)]
-    plain = hessenberg_quasidet(rows)
-    scaled = [
-        [e[i][j].scale([1, -2, Fraction(1, 3)][i]) if j >= i else None for j in range(3)]
-        for i in range(3)
-    ]
-    q = hessenberg_quasidet(scaled, subdiag=[-2, Fraction(1, 3)])
+    def e(i, j):
+        return NCElement.word((i + j - 1,))
+
+    plain = hessenberg_quasidet(3, e)
+    row_scale = [1, -2, Fraction(1, 3)]
+    q = hessenberg_quasidet(
+        3, lambda i, j: e(i, j).scale(row_scale[i - 1]), subdiag=[-2, Fraction(1, 3)]
+    )
     assert q == plain
 
 
 def test_hessenberg_shape_errors():
     with pytest.raises(ShapeError):
-        hessenberg_quasidet([])
+        hessenberg_quasidet(0, lambda i, j: S(1))
     with pytest.raises(ShapeError):
-        hessenberg_quasidet([[S(1), S(2)]])
-    with pytest.raises(ShapeError):
-        hessenberg_quasidet(
-            [
-                [S(1), S(2), S(3)],
-                [None, S(1), S(2)],
-                [S(5), None, S(1)],
-            ]
-        )
-    with pytest.raises(ShapeError):
-        hessenberg_quasidet([[S(1), None], [None, S(1)]])
+        hessenberg_quasidet(3, lambda i, j: S(1), subdiag=[1])
 
 
 def test_matvalue_inverse_and_det():
