@@ -238,11 +238,9 @@ def translation_psi_from_lambda(n: int, base: ParamSequence = SEQ_A) -> NCElemen
 
 def translation_s_from_psi(n: int, base: ParamSequence = SEQ_A) -> NCElement:
     """n S_n^[n-1] as the quasideterminant in shifted Psis, last column weighted (-1)^(n-1)."""
-    sign = Fraction((-1) ** (n - 1))
-
     def entry(i: int, j: int) -> NCElement:
         e = psi_shifted(j - i + 1, n - j, base)
-        return e.scale(sign) if j == n else e
+        return -e if j == n and n % 2 == 0 else e
 
     return hessenberg_quasidet(n, entry, subdiag=[-i for i in range(1, n)])
 

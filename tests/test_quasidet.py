@@ -38,7 +38,7 @@ def test_hessenberg_2x2_ribbon_entries():
         [shift_S(i, i), shift_S(i + j, i)],
         [None, shift_S(j, 0)],
     ]
-    q = hessenberg_quasidet(2, lambda p, q: rows[p - 1][q - 1])
+    q = hessenberg_quasidet(2, lambda r, c: rows[r - 1][c - 1])
     assert q == shift_S(i, i) * S(j) - shift_S(i + j, i)
 
 
