@@ -7,23 +7,35 @@ byte.  The `latex` digest was captured before ParamPoly became a LinComb; it
 pins both printers, which read the coefficients' sorted terms.  The
 `hessenberg` digest was captured before the Hessenberg quasideterminant took
 its entries as a function of (i, j); it pins every caller of that engine
-directly, not only through identities.  Each group
-hashes the concatenation of its outputs, in a fixed order.
+directly, not only through identities.  The `printers` digest was captured
+before the signed-sum text format moved into LinComb; it pins str, repr,
+pretty and latex of every element class, coefficient signs and fractions
+included.  Each group hashes the concatenation of its outputs, in a fixed order.
 """
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
 from ncshift.algebra import NCElement
 from ncshift.cli import main
 from ncshift import families
-from ncshift.families import all_words, compositions_of
 from ncshift.hopf import antipode, coproduct
-from ncshift.params import SEQ_AHAT
-from ncshift.ribbon import Composition, nagelsbach_form, omega, ribbon, ribbon_uniform
-from ncshift.shifts import phi_shift
+from ncshift.families import all_words, compositions_of, lambda_in_S, psi, s_to_psi
+from ncshift.params import SEQ_AHAT, ParamPoly
+from ncshift.ribbon import (
+    Composition,
+    RibbonElement,
+    macmahon_product,
+    nagelsbach_form,
+    omega,
+    ribbon,
+    ribbon_uniform,
+    to_ribbon_basis,
+)
+from ncshift.shifts import a_binomial, phi_shift, shift_S
 
 GOLDEN = {
     "expand-ribbon": "bd4722e7466e90e4e1f8c7c60a75025005a1fdc93ac1a7da1ed5a31e12c44507",
@@ -36,6 +48,7 @@ GOLDEN = {
     "omega-ribbon": "3bf2238423693c923ffd54cb20552864dfe3ba7bfadb13ceb566bef2ab7a7d2a",
     "latex": "36f47fa239090d39230c4d1985b9bd8c3d8587c33467a0890c2d5a520ea9de1c",
     "hessenberg": "f4726815e6cbe9a5b0721bc12d32f700f30192d2766d8b7e39b6ad3b53c3c960",
+    "printers": "c904538d7b19a3f404c830fa601bce56676542f904a54879f024620544ae6b50",
 }
 
 HESSENBERG_FAMILIES = (
@@ -46,6 +59,34 @@ HESSENBERG_FAMILIES = (
     "translation_s_from_psi",
     "translation_lambda_from_psi",
 )
+
+
+def _printer_inputs():
+    """(ParamPoly, NCElement, RibbonElement, tensor) values covering every
+    coefficient rule of the printers: zero, 1, -1, fractions, single- and
+    multi-term, non-constant, squared and signed indices."""
+    a = ParamPoly.gen
+    polys = [
+        ParamPoly.zero(), ParamPoly.one(), -ParamPoly.one(), ParamPoly.const(Fraction(1, 3)),
+        ParamPoly.const(Fraction(-5, 2)), a(1), -a(1), 2 * a(-1), Fraction(-1, 3) * a(2) ** 2,
+        a(1) * a(1) * a(3) - a(0) + Fraction(1, 2), a_binomial(3, 2, 1), a_binomial(2, 1, -1, SEQ_AHAT),
+    ]
+    words = [(1,), (2, 1), (1, 1, 2)]
+    elements = [NCElement.zero(), NCElement.one(), NCElement.scalar(-1)]
+    elements.append(NCElement.scalar(a(1) - 1) - NCElement.gen(1))
+    elements += [NCElement.word(w).scale(c) for w in words for c in polys[1:]]
+    elements += [shift_S(k, s) for k in (1, 2, 3) for s in (-1, 1)]
+    elements += [lambda_in_S(3), s_to_psi(NCElement.gen(3)), s_to_psi(shift_S(2, 1))]
+    ribbons = [RibbonElement(), to_ribbon_basis(lambda_in_S(3) * NCElement.gen(1))]
+    ribbons += [macmahon_product(Composition(I), Composition(J))
+                for I, J in (((1,), (2,)), ((2, 1), (1,)), ((1,), (1, 2)))]
+    ribbons += [RibbonElement.single(Composition(I), K, c)
+                for I, K in (((2,), None), ((1, 2), (0, 0)), ((2, 1, 1), (3, -1, 0)))
+                for c in polys[1:]]
+    tensors = [coproduct(x) for x in (NCElement.zero(), NCElement.one())]
+    tensors += [coproduct(NCElement.gen(k)) for k in range(1, 4)] + [coproduct(-psi(2))]
+    tensors += [coproduct(shift_S(2, 1)), coproduct(NCElement.word((1, 2)).scale(a(1) - 1))]
+    return polys, elements, ribbons, tensors
 
 
 def _comps(max_degree):
@@ -109,6 +150,18 @@ def _outputs(group, tmp_path, capsys):
         for s in (-1, 2):
             for w in _comps(4):
                 yield _dump(ribbon_uniform(Composition(w), s, SEQ_AHAT).to_json())
+    elif group == "printers":
+        polys, elements, ribbons, tensors = _printer_inputs()
+        for p in polys:
+            yield f"{p}\n{p!r}\n{p.latex()}\n"
+        for x in elements:
+            yield f"{x}\n{x!r}\n"
+            for letter, tag in (("S", "a"), ("L", "ahat"), ("\\Psi", "a")):
+                yield f"{x.pretty(letter)}\n{x.latex(letter, tag)}\n"
+        for r in ribbons:
+            yield f"{r}\n{r!r}\n{r.latex()}\n"
+        for t in tensors:
+            yield f"{t}\n{t!r}\n"
 
 
 @pytest.mark.parametrize("group", sorted(GOLDEN))
