@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
-from .params import LinComb, ParamPoly, ParamSubstitution, accumulate
+from .params import LinComb, ParamPoly, ParamSubstitution, accumulate, json_ints, signed
 
 Word = tuple[int, ...]
 
@@ -146,7 +146,7 @@ class NCElement(LinComb):
     @staticmethod
     def from_json(data: Mapping) -> "NCElement":
         def word(item) -> Word:
-            w = tuple(int(k) for k in item["word"])
+            w = json_ints(item["word"])
             if any(k < 1 for k in w):
                 raise ValueError(f"word letters must be positive, got {w}")
             return w
@@ -159,39 +159,24 @@ class NCElement(LinComb):
     __repr__ = __str__
 
     def pretty(self, letter: str = "S") -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for w, c in self.sorted_terms():
+        def term(w, c):
             body = "*".join(f"{letter}{k}" for k in w) or "1"
             cs = str(c)
-            if cs == "1":
-                parts.append(body)
-            elif cs == "-1":
-                parts.append(f"-{body}")
-            elif c.terms and len(c.terms) > 1 or (c.terms and () not in c.terms):
-                parts.append(f"({cs})*{body}")
-            else:
-                parts.append(f"{cs}*{body}")
-        return " + ".join(parts).replace("+ -", "- ")
+            scaled = f"{cs}*{body}" if c.terms.keys() == {()} else f"({cs})*{body}"
+            return signed(cs, body, scaled)
+
+        return self._show(term)
 
     def latex(self, letter: str = "S", family_tag: str = "a") -> str:
         """Emit the S_{k;a}-style notation used in the literature."""
-        if not self.terms:
-            return "0"
-        parts = []
-        for w, c in self.sorted_terms():
+
+        def term(w, c):
             body = "".join(f"{letter}_{{{k};{family_tag}}}" for k in w) or "1"
             cl = c.latex()
-            if cl == "1":
-                parts.append(body)
-            elif cl == "-1":
-                parts.append(f"-{body}")
-            elif len(c.terms) > 1:
-                parts.append(f"\\left({cl}\\right) {body}")
-            else:
-                parts.append(f"{cl}\\, {body}")
-        return " + ".join(parts).replace("+ -", "- ")
+            scaled = f"\\left({cl}\\right) {body}" if len(c.terms) > 1 else f"{cl}\\, {body}"
+            return signed(cl, body, scaled)
+
+        return self._show(term)
 
 
 def apply_letters(

@@ -108,6 +108,8 @@ def cmd_expand(args) -> int:
     ]
     if len(picked) != 1:
         raise _usage("expand needs exactly one of --s, --lambda, --psi, --ribbon")
+    if args.shifts is not None and (args.ribbon is None or args.shift):
+        raise _usage("--shifts goes with --ribbon only, in place of --shift")
     if args.s is not None:
         out = shift_S(args.s, args.shift)
     elif args.lam is not None:
@@ -118,13 +120,11 @@ def cmd_expand(args) -> int:
         out = psi_shifted(args.psi, args.shift)
     else:
         comp = _parse_comp(args.ribbon)
-        if args.shifts:
+        if args.shifts is not None:
             shifts = tuple(int(s) for s in args.shifts.split(","))
-            out = ribbon_shifted(comp, shifts)
         else:
-            out = ribbon_shifted(
-                comp, tuple(x + args.shift for x in comp.row_shifts())
-            )
+            shifts = tuple(x + args.shift for x in comp.row_shifts())
+        out = ribbon_shifted(comp, shifts)
     _emit(out, fmt)
     return 0
 

@@ -50,16 +50,11 @@ class TensorElement(LinComb):
         }
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for (w1, w2), c in self.sorted_terms():
-            b1 = "*".join(f"S{k}" for k in w1) or "1"
-            b2 = "*".join(f"S{k}" for k in w2) or "1"
-            cs = str(c)
-            head = "" if cs == "1" else f"({cs})*"
-            parts.append(f"{head}{b1}(x){b2}")
-        return " + ".join(parts)
+        def term(key, c):
+            b1, b2 = ("*".join(f"S{k}" for k in w) or "1" for w in key)
+            return ("" if c == 1 else f"({c})*") + f"{b1}(x){b2}"
+
+        return self._show(term)
 
     __repr__ = __str__
 

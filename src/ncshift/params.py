@@ -3,9 +3,11 @@
 Everything downstream is linear over polynomials in commuting indeterminates
 a_i, indexed by arbitrary (signed) integers.  Every linear combination of the
 package is a LinComb: a finite, zero-pruned map from basis keys to nonzero
-coefficients, with the linear structure, equality and sorted serialization
-written once, and accumulate() the in-place sum they all build on.  ParamPoly
-is the LinComb of monomials with Fraction coefficients; the element classes
+coefficients, with the linear structure, equality, sorted serialization and
+the printed signed sum written once, and accumulate() the in-place sum they
+all build on.  Each class prints only its own term, most through signed(),
+which writes coefficient 1 or -1 as the bare or negated term.  ParamPoly is
+the LinComb of monomials with Fraction coefficients; the element classes
 downstream are LinCombs with ParamPoly coefficients.
 
 Three structure maps act on the index lattice:
@@ -32,14 +34,19 @@ class MissingIndex(KeyError):
 
 
 def as_fraction(x) -> Fraction:
-    """Coerce ints, Fractions and 'p/q' strings to Fraction."""
+    """Coerce ints, Fractions and 'p/q' strings to Fraction; a bool is no number."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
+
+
+def json_ints(x) -> tuple[int, ...]:
+    """A JSON array of integers as a tuple; anything else is a ValueError."""
+    if not isinstance(x, list) or any(type(k) is not int for k in x):
+        raise ValueError(f"expected an array of integers, got {x!r}")
+    return tuple(x)
 
 
 def accumulate(terms: dict, key, c) -> None:
@@ -50,6 +57,12 @@ def accumulate(terms: dict, key, c) -> None:
         terms[key] = s
     else:
         terms.pop(key, None)
+
+
+def signed(coeff: str, body: str, scaled: str) -> str:
+    """A printed term: body under the coefficient text "1", -body under "-1",
+    else the caller's scaled form."""
+    return body if coeff == "1" else f"-{body}" if coeff == "-1" else scaled
 
 
 class LinComb:
@@ -113,6 +126,13 @@ class LinComb:
     def sorted_terms(self) -> list:
         terms = self.terms
         return [(k, terms[k]) for k in sorted(terms, key=self._sort_key)]
+
+    def _show(self, term: Callable) -> str:
+        """The printed sum of term(key, coeff) over the sorted terms, "+ -"
+        folded into "- "; "0" for the zero combination."""
+        if not self.terms:
+            return "0"
+        return " + ".join(term(k, c) for k, c in self.sorted_terms()).replace("+ -", "- ")
 
     @classmethod
     def _from_json(cls, data: Mapping, key_of: Callable):
@@ -262,9 +282,9 @@ class ParamPoly(LinComb):
     def from_json(data: Iterable) -> "ParamPoly":
         out: dict[Monomial, Fraction] = {}
         for item in data:
-            m = tuple(sorted((int(i), int(e)) for i, e in item["e"].items()))
-            if any(e < 0 for _, e in m):
-                raise ValueError(f"negative exponent in {item!r}")
+            m = tuple(sorted((int(i), e) for i, e in item["e"].items()))
+            if any(type(e) is not int or e < 0 for _, e in m):
+                raise ValueError(f"exponent not a nonnegative integer in {item!r}")
             if len({i for i, _ in m}) != len(m):
                 raise ValueError(f"repeated exponent index in {item!r}")
             m = tuple((i, e) for i, e in m if e)  # a_i^0 = 1
@@ -272,43 +292,21 @@ class ParamPoly(LinComb):
         return ParamPoly._of(out)
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for m, c in self.sorted_terms():
+        def term(m, c):
             body = "*".join(f"a[{i}]" + (f"^{e}" if e > 1 else "") for i, e in m)
-            if not body:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(body)
-            elif c == -1:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{c}*{body}")
-        s = " + ".join(parts)
-        return s.replace("+ -", "- ")
+            return signed(str(c), body, f"{c}*{body}") if body else str(c)
+
+        return self._show(term)
 
     __repr__ = __str__
 
     def latex(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for m, c in self.sorted_terms():
-            body = " ".join(
-                f"a_{{{i}}}" + (f"^{{{e}}}" if e > 1 else "") for i, e in m
-            )
-            coeff = _latex_fraction(c)
-            if not body:
-                parts.append(coeff)
-            elif c == 1:
-                parts.append(body)
-            elif c == -1:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{coeff} {body}")
-        s = " + ".join(parts)
-        return s.replace("+ -", "- ")
+        def term(m, c):
+            body = " ".join(f"a_{{{i}}}" + (f"^{{{e}}}" if e > 1 else "") for i, e in m)
+            cl = _latex_fraction(c)
+            return signed(cl, body, f"{cl} {body}") if body else cl
+
+        return self._show(term)
 
 
 def _merge_monomials(m1: Monomial, m2: Monomial) -> Monomial:

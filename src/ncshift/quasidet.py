@@ -294,7 +294,6 @@ def verify_bazin(
     k: int,
     d: int,
     seed: int,
-    max_reseed: int | None = None,
     variant: str = "corrected",
 ) -> bool:
     """Check the Bazin-type identity on a random 2n x n block matrix.
@@ -312,16 +311,15 @@ def verify_bazin(
     corner, |B|_{k1} with b_{ij} = |A_(j..j+n-2, n+i)|_{n+i,n} (the transpose
     of the printed B), which holds for matrix entries of any size.
 
-    Singular draws are retried with incremented seeds, at most max_reseed
-    times.
+    Singular draws are retried with incremented seeds, at most
+    max_reseed_default() times.
     """
     if not (1 <= k <= n):
         raise ValueError("need 1 <= k <= n")
     if variant not in ("printed", "corrected"):
         raise ValueError("variant must be 'printed' or 'corrected'")
-    if max_reseed is None:
-        max_reseed = max_reseed_default()
-    for attempt in range(max_reseed + 1):
+    draws = max_reseed_default() + 1
+    for attempt in range(draws):
         rng = random.Random(seed + attempt)
         A = [[random_mat(rng, d) for _ in range(n)] for _ in range(2 * n)]
 
@@ -352,4 +350,4 @@ def verify_bazin(
         except SingularMinor:
             continue
         return lhs == rhs
-    raise ExhaustedRetries(f"no nonsingular sample in {max_reseed + 1} draws")
+    raise ExhaustedRetries(f"no nonsingular sample in {draws} draws")

@@ -21,7 +21,7 @@ from functools import cache
 from itertools import accumulate
 
 from .algebra import NCElement, apply_letters
-from .params import SEQ_A, LinComb, ParamPoly, ParamSequence
+from .params import SEQ_A, LinComb, ParamPoly, ParamSequence, json_ints
 from .quasidet import hessenberg_quasidet
 from .shifts import shift_S
 from .families import compositions_of, lambda_in_S, shift_Lambda
@@ -130,8 +130,7 @@ class RibbonElement(LinComb):
     @staticmethod
     def from_json(data) -> "RibbonElement":
         def key(item):
-            comp = Composition(item["comp"]).parts
-            K = tuple(int(k) for k in item["shifts"])
+            comp, K = Composition(json_ints(item["comp"])).parts, json_ints(item["shifts"])
             if len(K) != len(comp):
                 raise ValueError("shift vector length must match the composition")
             return comp, K
@@ -142,34 +141,27 @@ class RibbonElement(LinComb):
         """Whether every coefficient evaluates to an integer under sub."""
         return all(c.substitute(sub).denominator == 1 for c in self.terms.values())
 
+    def _show_ribbons(self, coeff, name: str, tag: str, wrap: str) -> str:
+        """Each term as wrap % its coefficient text (left out when that is
+        "1"), name % its parts, and tag % its shifts unless they are canonical."""
+
+        def term(key, c):
+            comp, K = key
+            text = name % ",".join(map(str, comp))
+            if Composition(comp).row_shifts() != K:
+                text += tag % ",".join(map(str, K))
+            cs = coeff(c)
+            return text if cs == "1" else wrap % cs + text
+
+        return self._show(term)
+
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for (comp, K), c in self.sorted_terms():
-            canonical = Composition(comp).row_shifts() == K
-            tag = "" if canonical else "^[" + ",".join(str(k) for k in K) + "]"
-            body = "R(" + ",".join(str(p) for p in comp) + ")" + tag
-            cs = str(c)
-            parts.append(body if cs == "1" else f"({cs})*{body}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return self._show_ribbons(str, "R(%s)", "^[%s]", "(%s)*")
 
     __repr__ = __str__
 
     def latex(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for (comp, K), c in self.sorted_terms():
-            canonical = Composition(comp).row_shifts() == K
-            tag = "" if canonical else "^{[" + ",".join(str(k) for k in K) + "]}"
-            body = "R_{(" + ",".join(str(p) for p in comp) + ");a}" + tag
-            cl = c.latex()
-            if cl == "1":
-                parts.append(body)
-            else:
-                parts.append(f"\\left({cl}\\right) {body}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return self._show_ribbons(ParamPoly.latex, "R_{(%s);a}", "^{[%s]}", "\\left(%s\\right) ")
 
 
 def from_ribbon_basis(x: RibbonElement, base: ParamSequence = SEQ_A) -> NCElement:

@@ -142,7 +142,8 @@ class Report:
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.cases)
+        """A report with no case has checked nothing and does not pass."""
+        return bool(self.cases) and all(c.passed for c in self.cases)
 
     def to_json(self) -> dict:
         return {
@@ -588,21 +589,22 @@ def suite_specialization(degree: int = 4, seed: int = 0) -> Report:
     return rep
 
 
+def _held(group: str, held: bool | None) -> list[str]:
+    """The failure point of a strict group: no witness when it held."""
+    if held is None:
+        return [f"{group}: no nonsingular sample"]
+    return [] if held else [group]
+
+
 def suite_symmetry(degree: int = 4, seed: int = 0) -> Report:
     rep = Report("symmetry", seed=seed)
-
-    def failures():
-        for n in range(2, degree + 1):
-            for k in range(1, min(degree, 4) + 1):
-                for i in range(1, n):
-                    seeds = [seed + 1009 * n + 31 * k + i + t for t in range(16)]
-                    held = _first_sample(seeds, n, 2, lambda A: check_shifted_symmetry(k, A, i))
-                    if held is None:
-                        yield f"n={n} k={k} i={i}: no nonsingular sample"
-                    elif not held:
-                        yield f"n={n} k={k} i={i}"
-
-    rep.first("shifted-symmetry", failures())
+    rep.sampled("shifted-symmetry", (
+        _held(f"n={n} k={k} i={i}", _first_sample(
+            [seed + 1009 * n + 31 * k + i + t for t in range(16)], n, 2,
+            lambda A: check_shifted_symmetry(k, A, i),
+        ))
+        for n in range(2, degree + 1) for k in range(1, min(degree, 4) + 1) for i in range(1, n)
+    ), "no (n, k, i) with n >= 2 to check")
     # ribbon specializations inherit the symmetry
     rep.sampled("ribbon-symmetry", (
         _first_sample([seed + 7 * d_I + n + sum(I.parts)], n, 2, lambda A: [
@@ -615,18 +617,12 @@ def suite_symmetry(degree: int = 4, seed: int = 0) -> Report:
 
 def suite_extension(degree: int = 3, seed: int = 0) -> Report:
     rep = Report("extension", seed=seed)
-
-    def failures():
-        for n in range(1, degree + 1):
-            for k in range(1, degree + 1):
-                seeds = [seed + 77 * n + 13 * k + t for t in range(16)]
-                held = _first_sample(seeds, n, 2, lambda A: check_extension(k, A))
-                if held is None:
-                    yield f"n={n} k={k}: no nonsingular sample"
-                elif not held:
-                    yield f"n={n} k={k}"
-
-    rep.first("extension-stability", failures())
+    rep.sampled("extension-stability", (
+        _held(f"n={n} k={k}", _first_sample(
+            [seed + 77 * n + 13 * k + t for t in range(16)], n, 2, lambda A: check_extension(k, A)
+        ))
+        for n in range(1, degree + 1) for k in range(1, degree + 1)
+    ), "no (n, k) to check at degree 0")
     return rep
 
 
@@ -634,25 +630,18 @@ def suite_recovery(degree: int = 4, seed: int = 0) -> Report:
     rep = Report("recovery", seed=seed)
     rng = random.Random(seed or 4321)
 
-    def failures():
-        for n in range(1, degree + 1):
-            for k in range(1, degree + 1):
-                for attempt in range(64):
-                    scalars = [
-                        Fraction(rng.randint(-9, 12), rng.choice([1, 2, 3]))
-                        for _ in range(n)
-                    ]
-                    try:
-                        held = commutative_recovery(k, n, scalars)
-                    except (ZeroDenominator, SingularMinor):
-                        continue
-                    if not held:
-                        yield f"n={n} k={k} at {scalars}"
-                    break
-                else:
-                    yield f"n={n} k={k}: no usable sample"
+    def group(n: int, k: int) -> list[str]:
+        for _ in range(64):
+            scalars = [Fraction(rng.randint(-9, 12), rng.choice([1, 2, 3])) for _ in range(n)]
+            try:
+                return [] if commutative_recovery(k, n, scalars) else [f"n={n} k={k} at {scalars}"]
+            except (ZeroDenominator, SingularMinor):
+                continue
+        return [f"n={n} k={k}: no usable sample"]
 
-    rep.first("determinant-quotient-oracle", failures())
+    rep.sampled("determinant-quotient-oracle", (
+        group(n, k) for n in range(1, degree + 1) for k in range(1, degree + 1)
+    ), "no (n, k) to check at degree 0")
     return rep
 
 

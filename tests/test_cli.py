@@ -48,6 +48,19 @@ def test_expand_requires_exactly_one_target(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--ribbon", "1,2", "--shifts", ""],
+        ["--ribbon", "1,2", "--shift", "1", "--shifts", "0,0"],
+        ["--s", "2", "--shifts", "5"],
+    ],
+    ids=["empty-shifts", "shift-and-shifts", "shifts-without-ribbon"],
+)
+def test_expand_rejects_dropped_shift_options(argv, capsys):
+    _assert_input_error(*run_cli(["expand", *argv], capsys))
+
+
 def test_convert_round_trip_via_files(tmp_path, capsys):
     from ncshift.algebra import NCElement
     from ncshift.families import lambda_in_S
@@ -250,6 +263,13 @@ def _term(word, c):
         json.dumps({"terms": [{"word": [1], "coeff": [
             {"c": "1", "e": {"1": 1, "01": 1}}, {"c": "-1", "e": {"1": 2}},
         ]}]}),
+        json.dumps({"terms": [_term("12", "1")]}),
+        json.dumps({"terms": [_term([True], "1")]}),
+        json.dumps({"terms": [_term([1], True)]}),
+        json.dumps({"terms": [{"word": [1], "coeff": [{"c": "1", "e": {"1": True}}]}]}),
+        json.dumps({"terms": [{"word": [1], "coeff": [{"c": "1", "e": {"1": "2"}}]}]}),
+        json.dumps({"basis": "R", "terms": [{"comp": "21", "shifts": [1, 0], "coeff": []}]}),
+        json.dumps({"basis": "R", "terms": [{"comp": [2, 1], "shifts": "10", "coeff": []}]}),
     ],
     ids=[
         "zero-denominator",
@@ -260,6 +280,13 @@ def _term(word, c):
         "ribbon-part-0",
         "negative-exponent",
         "repeated-exponent-index",
+        "string-word",
+        "bool-letter",
+        "bool-coefficient",
+        "bool-exponent",
+        "string-exponent",
+        "string-comp",
+        "string-shifts",
     ],
 )
 def test_convert_rejects_malformed_element(text, tmp_path, capsys):
@@ -295,12 +322,13 @@ def test_convert_drops_zero_exponents(tmp_path, capsys):
         (["--to", "R"], "equidistant:1/0,0", "entry c"),
         (["--to", "R"], "file:list", "JSON object"),
         (["--to", "R"], "file:null", "entry a_2"),
+        (["--to", "R"], "file:bool", "entry a_1"),
         (["--to", "S"], "bogus", "--params symbolic"),
         (["--to", "L"], "equidistant:1/0,0", "entry c"),
         (["--to", "R", "--format", "latex"], "bogus", "--params symbolic"),
     ],
     ids=[
-        "zero-denominator-c", "list-file", "null-entry-file",
+        "zero-denominator-c", "list-file", "null-entry-file", "bool-entry-file",
         "bogus-to-S", "zero-denominator-to-L", "bogus-latex",
     ],
 )
@@ -311,6 +339,7 @@ def test_convert_rejects_malformed_params(target, params, named, tmp_path, capsy
     src.write_text(json.dumps(lambda_in_S(2).to_json("S")))
     (tmp_path / "list").write_text(json.dumps(["1", "2"]))
     (tmp_path / "null").write_text(json.dumps({"1": "1", "2": None}))
+    (tmp_path / "bool").write_text(json.dumps({"1": True, "2": "1"}))
     if params.startswith("file:"):
         params = f"file:{tmp_path / params[5:]}"
     argv = ["convert", *target, "--params", params, "--input", str(src)]
@@ -326,6 +355,26 @@ def test_verify_rejects_negative_degree(capsys):
 def test_verify_rejects_bad_max_reseed(monkeypatch, capsys):
     monkeypatch.setenv("NCSHIFT_MAX_RESEED", "-3")
     _assert_input_error(*run_cli(["verify", "extension", "--degree", "1"], capsys))
+
+
+@pytest.mark.parametrize(
+    "suite, degree, case",
+    [
+        ("symmetry", 1, "shifted-symmetry"),
+        ("extension", 0, "extension-stability"),
+        ("recovery", 0, "determinant-quotient-oracle"),
+        ("bazin", 0, None),
+    ],
+)
+def test_verify_fails_when_nothing_is_checked(suite, degree, case, capsys):
+    # no group to sample at this degree: the case fails; bazin has no case at all
+    code, out, err = run_cli(["verify", suite, "--degree", str(degree)], capsys)
+    assert code == 1 and err == ""
+    cases = {c["id"]: c for c in json.loads(out)["cases"]}
+    if case is None:
+        assert cases == {}
+    else:
+        assert not cases[case]["pass"] and "to check" in cases[case]["witness"]
 
 
 def test_verify_giambelli_exhausted_reseeds(monkeypatch, capsys):

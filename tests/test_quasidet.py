@@ -261,9 +261,10 @@ def test_bazin_exhausted_retries(monkeypatch):
     import ncshift.quasidet as qd
 
     # every sampled matrix singular -> bounded reseeding must give up
+    monkeypatch.setenv("NCSHIFT_MAX_RESEED", "3")
     monkeypatch.setattr(qd, "random_mat", lambda rng, d: MatValue.zeros(d))
     with pytest.raises(ExhaustedRetries):
-        verify_bazin(2, 2, 2, seed=1, max_reseed=3)
+        verify_bazin(2, 2, 2, seed=1)
 
 
 def test_bazin_respects_reseed_env(monkeypatch):
@@ -280,7 +281,7 @@ def test_bazin_respects_reseed_env(monkeypatch):
     monkeypatch.setattr(qd, "random_mat", counting)
     with pytest.raises(ExhaustedRetries):
         verify_bazin(2, 1, 1, seed=1)
-    # 3 attempts (max_reseed + 1), each drawing a 2n x n = 4 x 2 block matrix
+    # 3 attempts (NCSHIFT_MAX_RESEED + 1), each drawing a 2n x n = 4 x 2 block matrix
     assert len(calls) == 3 * 8
 
 
