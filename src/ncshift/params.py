@@ -37,7 +37,7 @@ def as_fraction(x) -> Fraction:
     """Coerce ints, Fractions and 'p/q' strings to Fraction; a bool is no number."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)) and not isinstance(x, bool):
+    if type(x) is int or isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
