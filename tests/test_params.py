@@ -17,7 +17,8 @@ from ncshift.params import (
 a = ParamPoly.gen
 
 
-def polys(max_terms=4):
+def poly_terms(max_terms=4):
+    """Lists of ([(index, exponent), ...], coefficient) pairs; an index may repeat."""
     monom = st.lists(
         st.tuples(st.integers(-5, 5), st.integers(1, 3)), min_size=0, max_size=2
     )
@@ -25,18 +26,27 @@ def polys(max_terms=4):
         Fraction, st.integers(-9, 9), st.integers(1, 4)
     )
     term = st.tuples(monom, coeff)
-    return st.lists(term, min_size=0, max_size=max_terms).map(_build_poly)
+    return st.lists(term, min_size=0, max_size=max_terms)
+
+
+def polys(max_terms=4):
+    return poly_terms(max_terms).map(_build_poly)
 
 
 def _build_poly(terms):
+    """The sum of the terms, built from const, gen, * and ** alone."""
     out = ParamPoly.zero()
     for monom, coeff in terms:
-        merged = {}
+        term = ParamPoly.const(coeff)
         for i, e in monom:
-            merged[i] = merged.get(i, 0) + e
-        key = tuple(sorted(merged.items()))
-        out = out + ParamPoly({key: Fraction(coeff)}) if coeff else out
+            term = term * a(i) ** e
+        out = out + term
     return out
+
+
+def _json_terms(p: ParamPoly):
+    """The ((index, exponent) pairs, coefficient) terms of p, read from to_json()."""
+    return [({int(i): e for i, e in t["e"].items()}.items(), Fraction(t["c"])) for t in p.to_json()]
 
 
 def _to_sympy(terms, sp):
@@ -52,20 +62,21 @@ def _to_sympy(terms, sp):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    polys(),
-    polys(),
+    poly_terms(),
+    poly_terms(),
     st.integers(-4, 4),
     st.lists(st.fractions(-3, 3, max_denominator=4), min_size=11, max_size=11),
 )
-def test_ring_matches_sympy(p, q, s, values):
+def test_ring_matches_sympy(p_terms, q_terms, s, values):
     """+, -, *, tau, hat, substitute and the JSON form, each against sympy."""
     sp = pytest.importorskip("sympy")
-    a_ = {i: sp.Symbol(f"a{i}") for i in range(-5, 6)}  # polys() uses these indices
+    a_ = {i: sp.Symbol(f"a{i}") for i in range(-5, 6)}  # poly_terms() uses these indices
 
     def same(got: ParamPoly, want) -> bool:
-        return sp.expand(_to_sympy(got.terms.items(), sp) - want) == 0
+        return sp.expand(_to_sympy(_json_terms(got), sp) - want) == 0
 
-    P, Q = _to_sympy(p.terms.items(), sp), _to_sympy(q.terms.items(), sp)
+    p, q = _build_poly(p_terms), _build_poly(q_terms)
+    P, Q = _to_sympy(p_terms, sp), _to_sympy(q_terms, sp)
     assert same(p + q, P + Q)
     assert same(p - q, P - Q)
     assert same(p * q, P * Q)
@@ -79,9 +90,24 @@ def test_ring_matches_sympy(p, q, s, values):
     point = {x: sp.Rational(table[i].numerator, table[i].denominator) for i, x in a_.items()}
     assert sp.Rational(got.numerator, got.denominator) == P.subs(point)
     data = p.to_json()
-    read = [({int(i): e for i, e in t["e"].items()}.items(), Fraction(t["c"])) for t in data]
-    assert sp.expand(_to_sympy(read, sp) - P) == 0
+    assert sp.expand(_to_sympy(_json_terms(p), sp) - P) == 0
     assert ParamPoly.from_json(data) == p
+
+
+def _graded_lex_key(term):
+    """The serialization order of JSON terms: total degree descending, then lex
+    on the (index, -exponent) pairs in increasing index order."""
+    e = sorted((int(i), x) for i, x in term["e"].items())
+    return (-sum(x for _, x in e), tuple((i, -x) for i, x in e))
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(), polys(), st.integers(-4, 4))
+def test_json_term_order(p, q, s):
+    for r in (p, q, p * q, p.tau(s), p.hat(), (p * q).tau(s).hat()):
+        data = r.to_json()
+        assert data == sorted(data, key=_graded_lex_key)
+        assert all(list(t["e"]) == sorted(t["e"], key=int) for t in data)
 
 
 def test_tau_shift_examples():

@@ -36,10 +36,10 @@ def test_a_binomial_examples():
 
 
 def test_a_binomial_matches_enumeration():
-    for l in range(5):
-        for nu in range(4):
+    for l in range(7):
+        for nu in range(l + 2):
             for k in (-2, 0, 3):
-                for seq in (SEQ_A, SEQ_AHAT.tau(1)):
+                for seq in (SEQ_A, SEQ_A.tau(-2), SEQ_AHAT, SEQ_AHAT.tau(1)):
                     assert a_binomial(l, nu, k, seq) == brute_binomial(l, nu, k, seq)
 
 
