@@ -23,6 +23,7 @@ Two word orders matter:
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Callable, Iterable, Mapping
 
 from .params import LinComb, ParamPoly, ParamSubstitution, accumulate, json_ints, signed
@@ -85,19 +86,7 @@ class NCElement(LinComb):
     def __mul__(self, other) -> "NCElement":
         if not isinstance(other, NCElement):
             return self.scale(other)
-        out: dict[Word, ParamPoly] = {}
-        # accumulate() written out: this is the innermost loop of every product
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                c = c1 * c2
-                s = out.get(w)
-                s = c if s is None else s + c
-                if s:
-                    out[w] = s
-                else:
-                    out.pop(w, None)
-        return NCElement._of(out)
+        return self._product(other, add)
 
     def __rmul__(self, other) -> "NCElement":
         # scalars commute with everything
@@ -105,9 +94,7 @@ class NCElement(LinComb):
 
     def degree(self) -> int:
         """Top word degree; -1 for the zero element."""
-        if not self.terms:
-            return -1
-        return max(word_degree(w) for w in self.terms)
+        return max(map(word_degree, self.terms), default=-1)
 
     def constant_term(self) -> ParamPoly:
         return self.terms.get((), ParamPoly.zero())
@@ -162,7 +149,7 @@ class NCElement(LinComb):
         def term(w, c):
             body = "*".join(f"{letter}{k}" for k in w) or "1"
             cs = str(c)
-            scaled = f"{cs}*{body}" if c.terms.keys() == {()} else f"({cs})*{body}"
+            scaled = f"{cs}*{body}" if c.degree() == 0 else f"({cs})*{body}"
             return signed(cs, body, scaled)
 
         return self._show(term)

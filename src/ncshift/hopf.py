@@ -35,11 +35,7 @@ class TensorElement(LinComb):
         )
 
     def __mul__(self, other: "TensorElement") -> "TensorElement":
-        out: dict = {}
-        for (l1, r1), c1 in self.terms.items():
-            for (l2, r2), c2 in other.terms.items():
-                accumulate(out, (l1 + l2, r1 + r2), c1 * c2)
-        return TensorElement._of(out)
+        return self._product(other, lambda k1, k2: (k1[0] + k2[0], k1[1] + k2[1]))
 
     def to_json(self) -> dict:
         return {

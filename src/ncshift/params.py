@@ -3,12 +3,15 @@
 Everything downstream is linear over polynomials in commuting indeterminates
 a_i, indexed by arbitrary (signed) integers.  Every linear combination of the
 package is a LinComb: a finite, zero-pruned map from basis keys to nonzero
-coefficients, with the linear structure, equality, sorted serialization and
-the printed signed sum written once, and accumulate() the in-place sum they
-all build on.  Each class prints only its own term, most through signed(),
-which writes coefficient 1 or -1 as the bare or negated term.  ParamPoly is
-the LinComb of monomials with Fraction coefficients; the element classes
-downstream are LinCombs with ParamPoly coefficients.
+coefficients, with the linear structure, equality, sorted serialization, the
+printed signed sum and the bilinear product loop written once, and
+accumulate() the in-place sum they all build on.  Each class prints only its
+own term, most through signed(), which writes coefficient 1 or -1 as the bare
+or negated term.  ParamPoly is the LinComb of monomials with Fraction
+coefficients; the element classes downstream are LinCombs with ParamPoly
+coefficients.  A monomial is the sorted tuple of its factor indices: a_1^2 a_3
+is (1, 1, 3), the product of two monomials is their sorted concatenation, and
+the (index, exponent) form exists only in the printers and the JSON form.
 
 Three structure maps act on the index lattice:
 
@@ -22,11 +25,13 @@ the package is a zero-tolerance equality test.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
-Monomial = tuple[tuple[int, int], ...]  # ((index, exponent), ...) sorted by index
+Monomial = tuple[int, ...]  # factor indices in increasing order: a_1^2 a_3 is (1, 1, 3)
+MAX_JSON_EXPONENT = 10_000  # a monomial stores one entry per factor
 
 
 class MissingIndex(KeyError):
@@ -47,6 +52,14 @@ def json_ints(x) -> tuple[int, ...]:
     if not isinstance(x, list) or any(type(k) is not int for k in x):
         raise ValueError(f"expected an array of integers, got {x!r}")
     return tuple(x)
+
+
+def json_index(key: str) -> int:
+    """An index written as a JSON key, in canonical spelling only: not "1_0" or "01"."""
+    i = int(key)
+    if str(i) != key:
+        raise ValueError(f"index {key!r} is not a canonical integer")
+    return i
 
 
 def accumulate(terms: dict, key, c) -> None:
@@ -123,6 +136,22 @@ class LinComb:
         """Multiply every coefficient by c, which is used as given."""
         return self._of({k: c * v for k, v in self.terms.items()} if c else {})
 
+    def _product(self, other, join: Callable):
+        """The bilinear product: c1*c2 summed at join(k1, k2) over all term pairs."""
+        out: dict = {}
+        # accumulate() written out: this is the innermost loop of every product
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                k = join(k1, k2)
+                c = c1 * c2
+                s = out.get(k)
+                s = c if s is None else s + c
+                if s:
+                    out[k] = s
+                else:
+                    out.pop(k, None)
+        return self._of(out)
+
     def sorted_terms(self) -> list:
         terms = self.terms
         return [(k, terms[k]) for k in sorted(terms, key=self._sort_key)]
@@ -152,14 +181,14 @@ class LinComb:
 
 
 def _monomial_sort_key(m: Monomial):
-    # Graded order, then lex on the exponent vector with variables in
-    # increasing index order.  Smaller key = earlier in the serialized form.
-    return (-sum(e for _, e in m), tuple((i, -e) for i, e in m))
+    # Graded order, then lex on the factor indices, which is lex on the
+    # (index, -exponent) pairs.  Smaller key = earlier in the serialized form.
+    return (-len(m), m)
 
 
 class ParamPoly(LinComb):
     """Sparse polynomial in the a_i: a LinComb of monomials with Fraction
-    coefficients.  No monomial stores a zero exponent.
+    coefficients.
 
     Ints and Fractions are constants: they compare, add and multiply as such.
     """
@@ -181,7 +210,7 @@ class ParamPoly(LinComb):
     @staticmethod
     def gen(i: int) -> "ParamPoly":
         """The indeterminate a_i."""
-        return ParamPoly._of({((i, 1),): Fraction(1)})
+        return ParamPoly._of({(i,): Fraction(1)})
 
     @staticmethod
     def coerce(x) -> "ParamPoly":
@@ -213,18 +242,7 @@ class ParamPoly(LinComb):
     def __mul__(self, other) -> "ParamPoly":
         if not isinstance(other, ParamPoly):
             return self.scale(as_fraction(other))
-        out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _merge_monomials(m1, m2)
-                c = c1 * c2
-                s = out.get(m)
-                s = c if s is None else s + c
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-        return ParamPoly._of(out)
+        return self._product(other, lambda m1, m2: tuple(sorted(m1 + m2)))
 
     __rmul__ = __mul__
 
@@ -238,9 +256,7 @@ class ParamPoly(LinComb):
 
     def degree(self) -> int:
         """Total degree; the zero polynomial has degree -1 by convention."""
-        if not self.terms:
-            return -1
-        return max(sum(e for _, e in m) for m in self.terms)
+        return max(map(len, self.terms), default=-1)
 
     # -- structure maps ----------------------------------------------------
 
@@ -248,25 +264,21 @@ class ParamPoly(LinComb):
         """Shift every index by s: a_i -> a_{i+s}.  A ring homomorphism."""
         if s == 0:
             return self
-        return ParamPoly._of(
-            {tuple(sorted((i + s, e) for i, e in m)): c for m, c in self.terms.items()}
-        )
+        return ParamPoly._of({tuple(i + s for i in m): c for m, c in self.terms.items()})
 
     def hat(self) -> "ParamPoly":
         """The dual-parameter map a_i -> -a_{-i+1}; an involution."""
-        out: dict[Monomial, Fraction] = {}
-        for m, c in self.terms.items():
-            sign = (-1) ** sum(e for _, e in m)
-            accumulate(out, tuple(sorted((1 - i, e) for i, e in m)), sign * c)
-        return ParamPoly._of(out)
+        return ParamPoly._of(
+            {tuple(1 - i for i in reversed(m)): (-1) ** len(m) * c for m, c in self.terms.items()}
+        )
 
     def substitute(self, sub: "ParamSubstitution") -> Fraction:
         """Numeric evaluation under a non-symbolic substitution."""
         total = Fraction(0)
         for m, c in self.terms.items():
             v = c
-            for i, e in m:
-                v *= sub.index_value(i) ** e
+            for i in m:
+                v *= sub.index_value(i)
             total += v
         return total
 
@@ -274,7 +286,7 @@ class ParamPoly(LinComb):
 
     def to_json(self) -> list:
         return [
-            {"c": str(c), "e": {str(i): e for i, e in m}}
+            {"c": str(c), "e": {str(i): e for i, e in Counter(m).items()}}
             for m, c in self.sorted_terms()
         ]
 
@@ -282,18 +294,19 @@ class ParamPoly(LinComb):
     def from_json(data: Iterable) -> "ParamPoly":
         out: dict[Monomial, Fraction] = {}
         for item in data:
-            m = tuple(sorted((int(i), e) for i, e in item["e"].items()))
-            if any(type(e) is not int or e < 0 for _, e in m):
-                raise ValueError(f"exponent not a nonnegative integer in {item!r}")
-            if len({i for i, _ in m}) != len(m):
-                raise ValueError(f"repeated exponent index in {item!r}")
-            m = tuple((i, e) for i, e in m if e)  # a_i^0 = 1
-            accumulate(out, m, as_fraction(item["c"]))
+            m: list[int] = []
+            for key, e in item["e"].items():
+                if type(e) is not int or not 0 <= e <= MAX_JSON_EXPONENT:
+                    raise ValueError(f"exponent not in 0..{MAX_JSON_EXPONENT} in {item!r}")
+                m += [json_index(key)] * e
+            accumulate(out, tuple(sorted(m)), as_fraction(item["c"]))
         return ParamPoly._of(out)
 
     def __str__(self) -> str:
         def term(m, c):
-            body = "*".join(f"a[{i}]" + (f"^{e}" if e > 1 else "") for i, e in m)
+            body = "*".join(
+                f"a[{i}]" + (f"^{e}" if e > 1 else "") for i, e in Counter(m).items()
+            )
             return signed(str(c), body, f"{c}*{body}") if body else str(c)
 
         return self._show(term)
@@ -302,22 +315,13 @@ class ParamPoly(LinComb):
 
     def latex(self) -> str:
         def term(m, c):
-            body = " ".join(f"a_{{{i}}}" + (f"^{{{e}}}" if e > 1 else "") for i, e in m)
+            body = " ".join(
+                f"a_{{{i}}}" + (f"^{{{e}}}" if e > 1 else "") for i, e in Counter(m).items()
+            )
             cl = _latex_fraction(c)
             return signed(cl, body, f"{cl} {body}") if body else cl
 
         return self._show(term)
-
-
-def _merge_monomials(m1: Monomial, m2: Monomial) -> Monomial:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    acc = dict(m1)
-    for i, e in m2:
-        acc[i] = acc.get(i, 0) + e
-    return tuple(sorted(acc.items()))
 
 
 def _latex_fraction(c: Fraction) -> str:

@@ -26,7 +26,6 @@ phi^[1](phi^[-1](S_2)) = S_2 + (2a_1 - a_0 - a_2) S_1 fails to return S_2.
 from __future__ import annotations
 
 from functools import cache
-from itertools import combinations
 
 from .algebra import NCElement, apply_letters
 from .params import SEQ_A, ParamPoly, ParamSequence
@@ -36,20 +35,18 @@ from .params import SEQ_A, ParamPoly, ParamSequence
 def a_binomial(l: int, nu: int, k: int, seq: ParamSequence = SEQ_A) -> ParamPoly:
     """The coefficient {l nu}_k over the given parameter sequence.
 
-    Equals 1 for nu = 0 and vanishes when nu exceeds l.
+    Equals 1 for nu = 0 and vanishes when nu exceeds l.  Splitting the sum
+    on whether s_nu = l gives {l nu}_k = {l-1 nu}_k + (b_{k+l} - b_l)
+    {l-1 nu-1}_{k+1}; it is summed here from {nu-1 nu}_k = 0 up to l, so the
+    recursion depth is nu, whatever the shift.
     """
     if nu < 0:
         raise ValueError("nu must be nonnegative")
     if nu == 0:
         return ParamPoly.one()
-    if l < nu:
-        return ParamPoly.zero()
     total = ParamPoly.zero()
-    for s in combinations(range(1, l + 1), nu):
-        term = ParamPoly.one()
-        for i, s_i in enumerate(s, start=1):
-            term = term * (seq.term(k + (nu - i) + s_i) - seq.term(s_i))
-        total = total + term
+    for j in range(nu, l + 1):
+        total = total + (seq.term(k + j) - seq.term(j)) * a_binomial(j - 1, nu - 1, k + 1, seq)
     return total
 
 
