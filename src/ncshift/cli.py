@@ -22,7 +22,7 @@ from .families import (
     s_to_psi,
     shift_Lambda,
 )
-from .params import ParamSubstitution, as_fraction
+from .params import ParamSubstitution, as_fraction, json_index
 from .quasidet import SingularMinor
 from .ribbon import (
     Composition,
@@ -59,11 +59,11 @@ def _load_exact(fh):
     return json.load(fh, parse_float=reject)
 
 
-def _parse_comp(text: str) -> Composition:
+def _ints(option: str, text: str) -> tuple[int, ...]:
     try:
-        return Composition(tuple(int(p) for p in text.split(",")))
-    except ValueError as e:
-        raise _usage(str(e))
+        return tuple(int(p) for p in text.split(","))
+    except ValueError:
+        raise _usage(f"{option} takes comma-separated integers, got {text!r}") from None
 
 
 def _param_value(name: str, value) -> Fraction:
@@ -87,7 +87,7 @@ def _parse_params(text: str) -> ParamSubstitution:
         if not isinstance(table, dict):
             raise ValueError("a --params file holds one JSON object mapping each i to a_i")
         return ParamSubstitution.explicit(
-            {int(k): _param_value(f"a_{k}", v) for k, v in table.items()}
+            {json_index(k): _param_value(f"a_{k}", v) for k, v in table.items()}
         )
     raise _usage("--params symbolic | equidistant:c,base | file:<path>")
 
@@ -119,9 +119,9 @@ def cmd_expand(args) -> int:
 
         out = psi_shifted(args.psi, args.shift)
     else:
-        comp = _parse_comp(args.ribbon)
+        comp = Composition(_ints("--ribbon", args.ribbon))
         if args.shifts is not None:
-            shifts = tuple(int(s) for s in args.shifts.split(","))
+            shifts = _ints("--shifts", args.shifts)
         else:
             shifts = tuple(x + args.shift for x in comp.row_shifts())
         out = ribbon_shifted(comp, shifts)

@@ -205,7 +205,7 @@ def lambda_spec(k: int, assignment: VariableAssignment) -> MatValue:
 def spec_value(family: str, k: int, assignment: VariableAssignment) -> MatValue:
     if family == "S":
         return s_spec(k, assignment)
-    if family in ("L", "Lambda"):
+    if family == "L":
         return lambda_spec(k, assignment)
     raise ValueError(f"unknown family {family!r}")
 
@@ -299,7 +299,7 @@ def commutative_oracle(family: str, k: int, scalars: list[Fraction]) -> Fraction
     ys = [as_fraction(x) + n - j for j, x in enumerate(scalars, start=1)]
     if family == "S":
         exps = list(range(n - 1)) + [n + k - 1]
-    elif family in ("L", "Lambda"):
+    elif family == "L":
         if k > n:
             # elementary functions of n commuting variables vanish beyond n
             return Fraction(0)

@@ -631,7 +631,7 @@ def suite_recovery(degree: int = 4, seed: int = 0) -> Report:
     rng = random.Random(seed or 4321)
 
     def group(n: int, k: int) -> list[str]:
-        for _ in range(64):
+        for _ in range(max_reseed_default() + 1):
             scalars = [Fraction(rng.randint(-9, 12), rng.choice([1, 2, 3])) for _ in range(n)]
             try:
                 return [] if commutative_recovery(k, n, scalars) else [f"n={n} k={k} at {scalars}"]

@@ -61,6 +61,22 @@ def test_expand_rejects_dropped_shift_options(argv, capsys):
     _assert_input_error(*run_cli(["expand", *argv], capsys))
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["--ribbon", "1,,2"], "--ribbon"),
+        (["--ribbon", "2,x,1"], "--ribbon"),
+        (["--ribbon", "1,2", "--shifts", ""], "--shifts"),
+        (["--ribbon", "1,2", "--shifts", "1,x"], "--shifts"),
+    ],
+    ids=["empty-part", "letter-part", "empty-shifts", "letter-shift"],
+)
+def test_expand_names_the_malformed_option(argv, option, capsys):
+    code, out, err = run_cli(["expand", *argv], capsys)
+    _assert_input_error(code, out, err)
+    assert option in err and "comma-separated integers" in err
+
+
 def test_convert_round_trip_via_files(tmp_path, capsys):
     from ncshift.algebra import NCElement
     from ncshift.families import lambda_in_S
@@ -270,6 +286,10 @@ def _term(word, c):
         json.dumps({"terms": [{"word": [1], "coeff": [{"c": "1", "e": {"1": "2"}}]}]}),
         json.dumps({"basis": "R", "terms": [{"comp": "21", "shifts": [1, 0], "coeff": []}]}),
         json.dumps({"basis": "R", "terms": [{"comp": [2, 1], "shifts": "10", "coeff": []}]}),
+        json.dumps({"terms": [{"word": [1], "coeff": [{"c": "1", "e": {"1_0": 1}}]}]}),
+        json.dumps({"terms": [{"word": [1], "coeff": [{"c": "1", "e": {" +1": 1}}]}]}),
+        json.dumps({"terms": [{"word": [1], "coeff": [{"c": "1", "e": {"01": 1}}]}]}),
+        json.dumps({"terms": [{"word": [1], "coeff": [{"c": "1", "e": {"1": 10**9}}]}]}),
     ],
     ids=[
         "zero-denominator",
@@ -287,6 +307,10 @@ def _term(word, c):
         "string-exponent",
         "string-comp",
         "string-shifts",
+        "underscore-index",
+        "signed-space-index",
+        "zero-padded-index",
+        "huge-exponent",
     ],
 )
 def test_convert_rejects_malformed_element(text, tmp_path, capsys):
@@ -326,10 +350,14 @@ def test_convert_drops_zero_exponents(tmp_path, capsys):
         (["--to", "S"], "bogus", "--params symbolic"),
         (["--to", "L"], "equidistant:1/0,0", "entry c"),
         (["--to", "R", "--format", "latex"], "bogus", "--params symbolic"),
+        (["--to", "R"], "file:underscore", "'1_0'"),
+        (["--to", "R"], "file:signed-space", "' +1'"),
+        (["--to", "R"], "file:zero-padded", "'01'"),
     ],
     ids=[
         "zero-denominator-c", "list-file", "null-entry-file", "bool-entry-file",
         "bogus-to-S", "zero-denominator-to-L", "bogus-latex",
+        "underscore-key-file", "signed-space-key-file", "zero-padded-key-file",
     ],
 )
 def test_convert_rejects_malformed_params(target, params, named, tmp_path, capsys):
@@ -340,6 +368,9 @@ def test_convert_rejects_malformed_params(target, params, named, tmp_path, capsy
     (tmp_path / "list").write_text(json.dumps(["1", "2"]))
     (tmp_path / "null").write_text(json.dumps({"1": "1", "2": None}))
     (tmp_path / "bool").write_text(json.dumps({"1": True, "2": "1"}))
+    (tmp_path / "underscore").write_text(json.dumps({"1_0": "3", "2": "1"}))
+    (tmp_path / "signed-space").write_text(json.dumps({" +1": "3", "2": "1"}))
+    (tmp_path / "zero-padded").write_text(json.dumps({"01": "3", "2": "1"}))
     if params.startswith("file:"):
         params = f"file:{tmp_path / params[5:]}"
     argv = ["convert", *target, "--params", params, "--input", str(src)]
@@ -392,6 +423,29 @@ def test_verify_giambelli_exhausted_reseeds(monkeypatch, capsys):
     cases = json.loads(out)["cases"]
     assert [c["pass"] for c in cases] == [False] * 3
     assert {c["witness"] for c in cases} == {"no nonsingular sample in 1 draws"}
+
+
+def test_verify_recovery_draws_within_the_reseed_budget(monkeypatch, capsys):
+    # every draw has a vanishing oracle denominator: a group makes 1 + budget draws
+    from ncshift import suites
+    from ncshift.special import ZeroDenominator
+
+    calls = []
+
+    def vanishing(k, n, scalars):
+        calls.append((n, k))
+        raise ZeroDenominator("vanishing Vandermonde-type determinant")
+
+    monkeypatch.setenv("NCSHIFT_MAX_RESEED", "2")
+    monkeypatch.setattr(suites, "commutative_recovery", vanishing)
+    code, out, err = run_cli(["verify", "recovery", "--degree", "2"], capsys)
+    assert code == 1 and err == ""
+    # the case stops at its first failing group, n = k = 1
+    assert calls == [(1, 1)] * 3
+    (case,) = json.loads(out)["cases"]
+    assert not case["pass"] and case["witness"] == "n=1 k=1: no usable sample"
+    monkeypatch.setenv("NCSHIFT_MAX_RESEED", "x")
+    _assert_input_error(*run_cli(["verify", "recovery", "--degree", "2"], capsys))
 
 
 def test_console_entry_point():

@@ -43,6 +43,11 @@ def test_a_binomial_matches_enumeration():
                     assert a_binomial(l, nu, k, seq) == brute_binomial(l, nu, k, seq)
 
 
+def test_a_binomial_long_sum():
+    # {l 1}_2 telescopes; l far past the recursion limit, which the sum in l never nears
+    assert a_binomial(3000, 1, 2) == a(3001) + a(3002) - a(1) - a(2)
+
+
 def falling(x, nu):
     out = Fraction(1)
     for t in range(nu):
