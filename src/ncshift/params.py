@@ -294,7 +294,7 @@ class ParamPoly(LinComb):
     def from_json(data: Iterable) -> "ParamPoly":
         out: dict[Monomial, Fraction] = {}
         for item in data:
-            m: list[int] = []
+            m = []
             for key, e in item["e"].items():
                 if type(e) is not int or not 0 <= e <= MAX_JSON_EXPONENT:
                     raise ValueError(f"exponent not in 0..{MAX_JSON_EXPONENT} in {item!r}")
