@@ -289,7 +289,7 @@ def _term(word, c):
         json.dumps({"terms": [{"word": [1], "coeff": [{"c": "1", "e": {"1_0": 1}}]}]}),
         json.dumps({"terms": [{"word": [1], "coeff": [{"c": "1", "e": {" +1": 1}}]}]}),
         json.dumps({"terms": [{"word": [1], "coeff": [{"c": "1", "e": {"01": 1}}]}]}),
-        json.dumps({"terms": [{"word": [1], "coeff": [{"c": "1", "e": {"1": 10**9}}]}]}),
+        json.dumps({"terms": [{"word": [1], "coeff": [{"c": "1", "e": {"1": 10_001}}]}]}),
     ],
     ids=[
         "zero-denominator",
@@ -310,7 +310,7 @@ def _term(word, c):
         "underscore-index",
         "signed-space-index",
         "zero-padded-index",
-        "huge-exponent",
+        "exponent-over-bound",
     ],
 )
 def test_convert_rejects_malformed_element(text, tmp_path, capsys):
