@@ -24,8 +24,8 @@ from ncshift.families import (
     verify_translations,
     verify_wronski_newton,
 )
-from ncshift.params import ParamPoly, SEQ_A
-from ncshift.shifts import phi_shift, shift_S
+from ncshift.params import ParamPoly, SEQ_A, SEQ_AHAT
+from ncshift.shifts import a_binomial, phi_shift, shift_S
 
 a = ParamPoly.gen
 S = NCElement.gen
@@ -90,6 +90,61 @@ def test_s_to_lambda_round_trip():
         assert lambda_words_to_s(s_to_lambda(x)) == x
     for n in range(1, 8):
         assert lambda_words_to_s(s_to_lambda(S(n))) == S(n)
+
+
+# Independent references for the elementary side: its own shift coefficients
+# (the closed forms with the dual sequence in the superscript) and its own
+# triangular solve for S_n over Lambda-letters.  The package derives both from
+# the complete side through omega.
+REFERENCE_BASES = (SEQ_A, SEQ_AHAT, SEQ_A.tau(2), SEQ_AHAT.tau(-3))
+
+
+def reference_lambda_letter_shift(k, s, base):
+    """Lambda_k^[s] over Lambda-letters, from the mirrored closed forms:
+    d_nu = {nu+s-1 nu}_{1-k}^{tau^{k-nu} b} for s >= 0 and
+    {-s nu}_{k-nu}^{tau^{s} b} for s < 0, with b the dual sequence."""
+    dual = base.dual()
+    if s >= 0:
+        coeffs = [a_binomial(nu + s - 1, nu, 1 - k, dual.tau(k - nu)) for nu in range(k)]
+    else:
+        coeffs = [a_binomial(-s, nu, k - nu, dual.tau(s)) for nu in range(k)]
+    if k == 0:
+        return NCElement.one()
+    return NCElement({(k - nu,): c for nu, c in enumerate(coeffs)})
+
+
+def reference_s_over_lambda(n, base, table):
+    """S_n over Lambda-letters from the triangular relation
+    S_n^[n-1] = sum_{j=1}^{n} (-1)^{j+1} S_{n-j}^[n-1] Lambda_j, then the
+    lower single-letter terms of S_n^[n-1] stripped; table holds S_k, k < n."""
+    if n == 0:
+        return NCElement.one()
+    image = lambda k: table[k]
+    acc = NCElement.zero()
+    for j in range(1, n + 1):
+        term = apply_letters(shift_S(n - j, n - 1, base), image) * NCElement.gen(j)
+        acc = acc + (term if (j + 1) % 2 == 0 else -term)
+    return acc - apply_letters(shift_S(n, n - 1, base) - NCElement.gen(n), image)
+
+
+def test_lambda_side_matches_references():
+    for base in REFERENCE_BASES:
+        table = []
+        for n in range(8):
+            table.append(reference_s_over_lambda(n, base, table))
+            assert s_to_lambda(S(n), base) == table[n]
+            for s in range(-6, 7):
+                letters = reference_lambda_letter_shift(n, s, base)
+                # over Lambda-letters, Lambda_n^[s] is S_n^[-s] of the dual sequence
+                assert shift_S(n, -s, base.dual()) == letters
+                if n <= 4:  # the S-basis images grow fast; n <= 4 covers every branch
+                    assert shift_Lambda(n, s, base) == lambda_words_to_s(letters, base)
+
+
+def test_s_in_lambda_closed_form_over_every_base():
+    for base in REFERENCE_BASES:
+        for n in range(6):
+            assert s_in_lambda(n, base) == s_to_lambda(S(n), base)
 
 
 def test_shiftauto_on_lambda():

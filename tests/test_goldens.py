@@ -10,7 +10,11 @@ its entries as a function of (i, j); it pins every caller of that engine
 directly, not only through identities.  The `printers` digest was captured
 before the signed-sum text format moved into LinComb; it pins str, repr,
 pretty and latex of every element class, coefficient signs and fractions
-included.  Each group hashes the concatenation of its outputs, in a fixed order.
+included.  The `lambda-side` digest was captured while the elementary side
+had its own shift coefficients and triangular solve, before it was derived
+from the complete side through omega; it pins the shifted elementary
+generators over both sequences and the rewrite of S-words over Lambda-letters.
+Each group hashes the concatenation of its outputs, in a fixed order.
 """
 
 import hashlib
@@ -23,8 +27,16 @@ from ncshift.algebra import NCElement
 from ncshift.cli import main
 from ncshift import families
 from ncshift.hopf import antipode, coproduct
-from ncshift.families import all_words, compositions_of, lambda_in_S, psi, s_to_psi
-from ncshift.params import SEQ_AHAT, ParamPoly
+from ncshift.families import (
+    all_words,
+    compositions_of,
+    lambda_in_S,
+    psi,
+    s_to_lambda,
+    s_to_psi,
+    shift_Lambda,
+)
+from ncshift.params import SEQ_A, SEQ_AHAT, ParamPoly
 from ncshift.ribbon import (
     Composition,
     RibbonElement,
@@ -49,6 +61,7 @@ GOLDEN = {
     "latex": "36f47fa239090d39230c4d1985b9bd8c3d8587c33467a0890c2d5a520ea9de1c",
     "hessenberg": "f4726815e6cbe9a5b0721bc12d32f700f30192d2766d8b7e39b6ad3b53c3c960",
     "printers": "c904538d7b19a3f404c830fa601bce56676542f904a54879f024620544ae6b50",
+    "lambda-side": "a99ce8d662316dcdd762f10955384d67892fe1016304f5d3e56f34d0bdae3fa1",
 }
 
 HESSENBERG_FAMILIES = (
@@ -162,6 +175,14 @@ def _outputs(group, tmp_path, capsys):
             yield f"{r}\n{r!r}\n{r.latex()}\n"
         for t in tensors:
             yield f"{t}\n{t!r}\n"
+    elif group == "lambda-side":
+        for k in range(6):
+            for s in range(-3, 4):
+                yield _cli(["expand", "--lambda", str(k), "--shift", str(s)], capsys)
+                yield _dump(shift_Lambda(k, s, SEQ_AHAT).to_json())
+        for base in (SEQ_A, SEQ_AHAT):
+            for w in all_words(5):
+                yield _dump(s_to_lambda(NCElement.word(w), base).to_json("L"))
 
 
 @pytest.mark.parametrize("group", sorted(GOLDEN))
