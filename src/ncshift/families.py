@@ -9,14 +9,20 @@ which pins Lambda_n once the shifted complete homogeneous expansions are
 known.  The Hessenberg quasideterminant closed forms (Jacobi-Trudi and its
 inverse) are theorems about this solution and are checked, not assumed.
 
+Everything else on the elementary side comes from the complete side through
+the duality anti-isomorphism omega (words reversed, S_k over a sequence sent
+to Lambda_k over its dual, coefficients unchanged), which maps S_k^[s] to
+Lambda_k^[-s].  So Lambda_k^[s] over Lambda-letters is S_k^[-s] over the
+dual sequence, and S_n over Lambda-letters is Lambda_n over the dual
+sequence with every word reversed.
+
 Power sums are the alternating hook combination
 
     Psi_n = sum_{k=0}^{n-1} (-1)^k (n-k) Lambda_k^[n-k] S_{n-k}^[n-k-1],
 
 free generators over Q[a] (the rewrite into them needs denominators 1/n, so
-the Z[a]-lattice is left).  Conversions between the S, Lambda and Psi
-generating sets proceed degree by degree through the same triangular
-relations; round trips are exact.
+the Z[a]-lattice is left).  S_n over Psi-letters comes degree by degree from
+the Wronski recursion; round trips are exact.
 
 Everything is parameterized by the base sequence, so the same functions
 compute in the dual algebra by passing the dualized sequence.
@@ -34,7 +40,7 @@ from functools import cache
 from .algebra import NCElement, Word, apply_letters, complete_homogeneous, elementary
 from .params import SEQ_A, ParamSequence
 from .quasidet import hessenberg_quasidet
-from .shifts import lambda_shift_coeffs, shift_S
+from .shifts import shift_S
 
 
 @cache
@@ -54,15 +60,8 @@ def lambda_in_S(n: int, base: ParamSequence = SEQ_A) -> NCElement:
 
 @cache
 def shift_Lambda(k: int, s: int, base: ParamSequence = SEQ_A) -> NCElement:
-    """Lambda_k^[s] in the S-basis."""
-    return lambda_words_to_s(lambda_letter_shift(k, s, base), base)
-
-
-def lambda_letter_shift(k: int, s: int, base: ParamSequence = SEQ_A) -> NCElement:
-    """Lambda_k^[s] as a combination of words in Lambda-letters."""
-    if k == 0:
-        return NCElement.one()
-    return NCElement({(k - nu,): c for nu, c in enumerate(lambda_shift_coeffs(k, s, base))})
+    """Lambda_k^[s] in the S-basis: S_k^[-s] over the dual sequence, read in Lambda-letters."""
+    return lambda_words_to_s(shift_S(k, -s, base.dual()), base)
 
 
 def lambda_by_quasidet(n: int, base: ParamSequence = SEQ_A) -> NCElement:
@@ -79,39 +78,13 @@ def s_in_lambda(n: int, base: ParamSequence = SEQ_A) -> NCElement:
     """S_n as a polynomial in Lambda-letters, via the inverse closed form.
 
     The returned words are monomials in the elementary generators.  Entry
-    (i,j) of the underlying matrix (1-indexed) is Lambda_{j-i+1}^[1-j],
-    expanded over Lambda-letters before taking the quasideterminant.
+    (i,j) of the underlying matrix (1-indexed) is Lambda_{j-i+1}^[1-j] over
+    Lambda-letters, that is S_{j-i+1}^[j-1] over the dual sequence.
     """
     if n == 0:
         return NCElement.one()
-    return hessenberg_quasidet(n, lambda i, j: lambda_letter_shift(j - i + 1, 1 - j, base))
-
-
-@cache
-def s_in_lambda_table(n: int, base: ParamSequence = SEQ_A) -> NCElement:
-    """S_n over Lambda-letters, from the triangular relation itself.
-
-    Used by the generating-set conversions; independent of the closed form
-    above, which is verified against it.
-    """
-    if n == 0:
-        return NCElement.one()
-    # S_n^[n-1] = sum_{j=1}^{n} (-1)^{j+1} S_{n-j}^[n-1] Lambda_j, then strip
-    # the shift triangularly.
-    table = lambda k: s_in_lambda_table(k, base)
-    acc = NCElement.zero()
-    for j in range(1, n + 1):
-        term = apply_letters(shift_S(n - j, n - 1, base), table) * NCElement.gen(j)
-        acc = acc + (term if (j + 1) % 2 == 0 else -term)
-    return _strip_shift(acc, n, table, base)
-
-
-def _strip_shift(top: NCElement, n: int, table, base: ParamSequence) -> NCElement:
-    """S_n over other letters, given S_n^[n-1] over them (top) and S_k (k < n) by table.
-
-    S_n^[n-1] is S_n plus lower single-letter terms; their images are subtracted.
-    """
-    return top - apply_letters(shift_S(n, n - 1, base) - NCElement.gen(n), table)
+    dual = base.dual()
+    return hessenberg_quasidet(n, lambda i, j: shift_S(j - i + 1, j - 1, dual))
 
 
 def lambda_words_to_s(x: NCElement, base: ParamSequence = SEQ_A) -> NCElement:
@@ -120,8 +93,18 @@ def lambda_words_to_s(x: NCElement, base: ParamSequence = SEQ_A) -> NCElement:
 
 
 def s_to_lambda(x: NCElement, base: ParamSequence = SEQ_A) -> NCElement:
-    """Rewrite an S-basis element over Lambda-letters."""
-    return apply_letters(x, lambda k: s_in_lambda_table(k, base))
+    """Rewrite an S-basis element over Lambda-letters: omega, then every word reversed."""
+    return NCElement({w[::-1]: c for w, c in omega(x, base).terms.items()})
+
+
+def omega(x: NCElement, base: ParamSequence = SEQ_A) -> NCElement:
+    """The duality anti-isomorphism into the algebra over the dual sequence.
+
+    Words are reversed, each letter S_k becomes Lambda_k over the dual
+    sequence, and coefficient polynomials pass through unchanged.
+    """
+    dual = base.dual()
+    return apply_letters(x, lambda k: lambda_in_S(k, dual), reverse=True)
 
 
 # -- power sums ---------------------------------------------------------------
@@ -159,8 +142,10 @@ def s_in_psi_table(n: int, base: ParamSequence = SEQ_A) -> NCElement:
     acc = NCElement.gen(n)  # the Psi_n letter
     for k in range(1, n):
         acc = acc + apply_letters(shift_S(k, n - 1, base), table) * NCElement.gen(n - k)
-    # acc / n = S_n^[n-1] over Psi-letters
-    return _strip_shift(acc.scale(Fraction(1, n)), n, table, base)
+    # acc / n = S_n^[n-1] over Psi-letters: S_n plus lower single-letter
+    # terms, whose images are subtracted
+    lower = shift_S(n, n - 1, base) - NCElement.gen(n)
+    return acc.scale(Fraction(1, n)) - apply_letters(lower, table)
 
 
 def psi_words_to_s(x: NCElement, base: ParamSequence = SEQ_A) -> NCElement:

@@ -1,4 +1,4 @@
-"""Compositions, shifted ribbon Schur functions, and the duality map.
+"""Compositions, shifted ribbon Schur functions, and the duality shift.
 
 A composition I = (i_1, ..., i_n) encodes a ribbon; its canonical row shifts
 are s_k = i_k + ... + i_{n-1} (and s_n = 0).  The ribbon function R_I is the
@@ -20,11 +20,11 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
 
-from .algebra import NCElement, apply_letters
+from .algebra import NCElement
 from .params import SEQ_A, LinComb, ParamPoly, ParamSequence, json_ints
 from .quasidet import hessenberg_quasidet
 from .shifts import shift_S
-from .families import compositions_of, lambda_in_S, shift_Lambda
+from .families import compositions_of, omega, shift_Lambda  # omega: re-exported
 
 
 @dataclass(frozen=True)
@@ -233,16 +233,6 @@ def nagelsbach_form(I: Composition, base: ParamSequence = SEQ_A) -> NCElement:
     return hessenberg_quasidet(
         m, lambda p, q: shift_Lambda(sum(u[p - 1 : q]), sum(conj[: m - q]), base)
     )
-
-
-def omega(x: NCElement, base: ParamSequence = SEQ_A) -> NCElement:
-    """The duality anti-isomorphism into the algebra over the dual sequence.
-
-    Words are reversed, each letter S_k becomes Lambda_k over the dual
-    sequence, and coefficient polynomials pass through unchanged.
-    """
-    dual = base.dual()
-    return apply_letters(x, lambda k: lambda_in_S(k, dual), reverse=True)
 
 
 def duality_shift(I: Composition) -> int:

@@ -11,8 +11,10 @@ shifted complete homogeneous generators have the closed forms (s >= 0)
     S_k^[s]  = sum_nu {s nu}_{k-nu}^{tau^{-s} b}        S_{k-nu}
     S_k^[-s] = sum_nu {nu+s-1 nu}_{1-k}^{tau^{k-nu} b}  S_{k-nu}
 
-and the elementary generators the same forms with the dual sequence in the
-superscript; both are triangular with unit leading coefficient.
+both triangular with unit leading coefficient.  The elementary generators
+need no forms of their own: the duality omega sends S_k^[s] over a sequence
+to Lambda_k^[-s] over its dual, so Lambda_k^[s] over Lambda-letters is
+S_k^[-s] over the dual sequence, and families reads it from shift_S.
 
 The shift automorphism phi^[s] sends S_k to S_k^[s] multiplicatively.  On
 coefficients it acts by re-indexing the parameters (a_i -> a_{i-s} over the
@@ -64,24 +66,6 @@ def s_shift_coeffs(k: int, s: int, base: ParamSequence = SEQ_A) -> tuple[ParamPo
     t = -s
     return tuple(
         a_binomial(nu + t - 1, nu, 1 - k, base.tau(k - nu)) for nu in range(k)
-    )
-
-
-@cache
-def lambda_shift_coeffs(k: int, s: int, base: ParamSequence = SEQ_A) -> tuple[ParamPoly, ...]:
-    """Coefficients (d_0, ..., d_{k-1}) with Lambda_k^[s] = sum_nu d_nu Lambda_{k-nu}."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if k == 0:
-        return ()
-    dual = base.dual()
-    if s >= 0:
-        return tuple(
-            a_binomial(nu + s - 1, nu, 1 - k, dual.tau(k - nu)) for nu in range(k)
-        )
-    t = -s
-    return tuple(
-        a_binomial(t, nu, k - nu, dual.tau(-t)) for nu in range(k)
     )
 
 
