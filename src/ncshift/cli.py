@@ -22,7 +22,7 @@ from .families import (
     s_to_psi,
     shift_Lambda,
 )
-from .params import ParamSubstitution, as_fraction, json_index
+from .params import ParamSubstitution, as_fraction, canonical_int
 from .quasidet import SingularMinor
 from .ribbon import (
     Composition,
@@ -61,7 +61,7 @@ def _load_exact(fh):
 
 def _ints(option: str, text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(p) for p in text.split(","))
+        return tuple(canonical_int(p) for p in text.split(","))
     except ValueError:
         raise _usage(f"{option} takes comma-separated integers, got {text!r}") from None
 
@@ -87,7 +87,7 @@ def _parse_params(text: str) -> ParamSubstitution:
         if not isinstance(table, dict):
             raise ValueError("a --params file holds one JSON object mapping each i to a_i")
         return ParamSubstitution.explicit(
-            {json_index(k): _param_value(f"a_{k}", v) for k, v in table.items()}
+            {canonical_int(k): _param_value(f"a_{k}", v) for k, v in table.items()}
         )
     raise _usage("--params symbolic | equidistant:c,base | file:<path>")
 
@@ -201,11 +201,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     pe = sub.add_parser("expand", help="expand a generator or ribbon in the S-basis")
-    pe.add_argument("--s", type=int, help="complete homogeneous generator degree")
-    pe.add_argument("--lambda", dest="lam", type=int, help="elementary generator degree")
-    pe.add_argument("--psi", type=int, help="power sum degree")
+    pe.add_argument("--s", type=canonical_int, help="complete homogeneous generator degree")
+    pe.add_argument("--lambda", dest="lam", type=canonical_int, help="elementary generator degree")
+    pe.add_argument("--psi", type=canonical_int, help="power sum degree")
     pe.add_argument("--ribbon", help="comma-separated composition")
-    pe.add_argument("--shift", type=int, default=0, help="uniform shift tag")
+    pe.add_argument("--shift", type=canonical_int, default=0, help="uniform shift tag")
     pe.add_argument("--shifts", help="comma-separated per-row ribbon shifts")
     pe.add_argument("--format", choices=("json", "latex"), default="json")
     pe.set_defaults(func=cmd_expand)
@@ -221,15 +221,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run a named identity suite")
     pv.add_argument("suite", help=f"one of {', '.join(SUITES)} or 'all'")
-    pv.add_argument("--degree", type=int, default=None, help="degree bound")
-    pv.add_argument("--seed", type=int, default=0)
+    pv.add_argument("--degree", type=canonical_int, default=None, help="degree bound")
+    pv.add_argument("--seed", type=canonical_int, default=0)
     pv.set_defaults(func=cmd_verify)
 
     ps = sub.add_parser("specialize", help="evaluate at a variable-assignment file")
     ps.add_argument("--family", choices=("S", "L"), required=True)
-    ps.add_argument("--k", type=int, required=True)
+    ps.add_argument("--k", type=canonical_int, required=True)
     ps.add_argument("--assignment", required=True, help="assignment JSON file")
-    ps.add_argument("--shift", type=int, default=0, help="variable shift psi^[s]")
+    ps.add_argument("--shift", type=canonical_int, default=0, help="variable shift psi^[s]")
     ps.set_defaults(func=cmd_specialize)
     return p
 

@@ -54,11 +54,15 @@ def json_ints(x) -> tuple[int, ...]:
     return tuple(x)
 
 
-def json_index(key: str) -> int:
-    """An index written as a JSON key, in canonical spelling only: not "1_0" or "01"."""
-    i = int(key)
-    if str(i) != key:
-        raise ValueError(f"index {key!r} is not a canonical integer")
+def canonical_int(text: str) -> int:
+    """An integer in canonical spelling only: not "1_0", " 1", "+1" or "01".
+
+    Reads every integer that comes from outside: JSON index keys and the
+    integer options of the command line.
+    """
+    i = int(text)
+    if str(i) != text:
+        raise ValueError(f"{text!r} is not a canonical integer")
     return i
 
 
@@ -298,7 +302,7 @@ class ParamPoly(LinComb):
             for key, e in item["e"].items():
                 if type(e) is not int or not 0 <= e <= MAX_JSON_EXPONENT:
                     raise ValueError(f"exponent not in 0..{MAX_JSON_EXPONENT} in {item!r}")
-                m += [json_index(key)] * e
+                m += [canonical_int(key)] * e
             accumulate(out, tuple(sorted(m)), as_fraction(item["c"]))
         return ParamPoly._of(out)
 
@@ -357,12 +361,6 @@ class ParamSequence:
     def values(self, n: int) -> list[ParamPoly]:
         """The first n entries (indices 1..n)."""
         return [self.term(i) for i in range(1, n + 1)]
-
-    def label(self) -> str:
-        core = "ahat" if self.hat else "a"
-        if self.offset == 0:
-            return core
-        return f"tau^{self.offset}({core})"
 
 
 #: the undressed sequence a

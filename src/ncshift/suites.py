@@ -501,33 +501,31 @@ def _tensor3(d: TensorElement, left: bool) -> dict:
     return out
 
 
-def _sample_assignment(rng: random.Random, n: int, d: int):
-    """A point where S_k, Lambda_k (k <= min(n, 2)) evaluate, in 1 + max_reseed_default() draws."""
+def _sample_assignment(rng: random.Random, n: int, d: int, check=lambda A: A):
+    """check(A) at the first point A where S_k, Lambda_k (k <= min(n, 2)) and
+    check itself evaluate, in 1 + max_reseed_default() draws.
+
+    A draw counts only when every evaluation succeeds: one that raises
+    SingularMinor part-way is dropped whole, for the next draw.
+    """
     draws = max_reseed_default() + 1
     for _ in range(draws):
         A = random_assignment(rng, n, d)
         try:
             s_spec(min(n, 2), A)
             lambda_spec(min(n, 2), A)
-            return A
+            return check(A)
         except SingularMinor:
             continue
     raise ExhaustedRetries(f"no nonsingular sample in {draws} draws")
 
 
-def _first_sample(seeds, n: int, d: int, check):
-    """check(A) at the first nonsingular point drawn from the seeds, in order.
-
-    Each seed starts its own draw sequence; None when every draw is singular.
-    A draw counts only when every evaluation in check succeeds: one that
-    raises SingularMinor part-way is dropped whole, for the next seed.
-    """
-    for s in seeds:
-        try:
-            return check(_sample_assignment(random.Random(s), n, d))
-        except (SingularMinor, ExhaustedRetries):
-            continue
-    return None
+def _first_sample(seed: int, n: int, d: int, check):
+    """check(A) at the first usable point drawn from seed; None when every draw is singular."""
+    try:
+        return _sample_assignment(random.Random(seed), n, d, check)
+    except ExhaustedRetries:
+        return None
 
 
 def _swaps_broken(expansion: NCElement, A) -> list[int]:
@@ -544,7 +542,7 @@ def suite_specialization(degree: int = 4, seed: int = 0) -> Report:
     def n2_failures(d: int) -> list[str] | None:
         x1, x2 = random_mat(rng, d), random_mat(rng, d)
         I = MatValue.identity(d)
-        failed = []  # a pair that hits a singular minor is skipped whole, as in _first_sample
+        failed = []  # a pair that hits a singular minor is skipped whole, as in _sample_assignment
         try:
             A1 = VariableAssignment((x1,), sub)
             if s_spec(1, A1) != x1 or lambda_spec(1, A1) != x1:
@@ -575,13 +573,13 @@ def suite_specialization(degree: int = 4, seed: int = 0) -> Report:
         ("vanishing-s-printed", s_spec, s_claim),
     ):
         rep.sampled(id, (
-            _first_sample([seed + 31 * n + d], n, d, lambda A: [
+            _first_sample(seed + 31 * n + d, n, d, lambda A: [
                 witness.format(k=k, n=n) for k in (n + 1, n + 2) if not spec(k, A).is_zero()
             ])
             for n in range(1, degree + 1) for d in (1, 2, 3)
         ))
     rep.sampled("variable-shift-law", (
-        _first_sample([seed + 101 * n + k], n, 2, lambda A: (
+        _first_sample(seed + 101 * n + k, n, 2, lambda A: (
             [] if variable_shift_defect(k, A).is_zero() else [f"n={n} k={k}"]
         ))
         for n in (2, 3) for k in range(1, n + 1)
@@ -600,14 +598,13 @@ def suite_symmetry(degree: int = 4, seed: int = 0) -> Report:
     rep = Report("symmetry", seed=seed)
     rep.sampled("shifted-symmetry", (
         _held(f"n={n} k={k} i={i}", _first_sample(
-            [seed + 1009 * n + 31 * k + i + t for t in range(16)], n, 2,
-            lambda A: check_shifted_symmetry(k, A, i),
+            seed + 1009 * n + 31 * k + i, n, 2, lambda A: check_shifted_symmetry(k, A, i)
         ))
         for n in range(2, degree + 1) for k in range(1, min(degree, 4) + 1) for i in range(1, n)
     ), "no (n, k, i) with n >= 2 to check")
     # ribbon specializations inherit the symmetry
     rep.sampled("ribbon-symmetry", (
-        _first_sample([seed + 7 * d_I + n + sum(I.parts)], n, 2, lambda A: [
+        _first_sample(seed + 7 * d_I + n + sum(I.parts), n, 2, lambda A: [
             f"I={I} n={n} i={i}" for i in _swaps_broken(ribbon(I), A)
         ])
         for d_I in range(1, 5) for I in all_compositions(d_I) for n in (2, 3)
@@ -619,7 +616,7 @@ def suite_extension(degree: int = 3, seed: int = 0) -> Report:
     rep = Report("extension", seed=seed)
     rep.sampled("extension-stability", (
         _held(f"n={n} k={k}", _first_sample(
-            [seed + 77 * n + 13 * k + t for t in range(16)], n, 2, lambda A: check_extension(k, A)
+            seed + 77 * n + 13 * k, n, 2, lambda A: check_extension(k, A)
         ))
         for n in range(1, degree + 1) for k in range(1, degree + 1)
     ), "no (n, k) to check at degree 0")

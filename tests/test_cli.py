@@ -68,13 +68,41 @@ def test_expand_rejects_dropped_shift_options(argv, capsys):
         (["--ribbon", "2,x,1"], "--ribbon"),
         (["--ribbon", "1,2", "--shifts", ""], "--shifts"),
         (["--ribbon", "1,2", "--shifts", "1,x"], "--shifts"),
+        (["--ribbon", "1_0"], "--ribbon"),
+        (["--ribbon", "1,2", "--shifts", "0, 0"], "--shifts"),
+        (["--ribbon", "01,2"], "--ribbon"),
     ],
-    ids=["empty-part", "letter-part", "empty-shifts", "letter-shift"],
+    ids=[
+        "empty-part", "letter-part", "empty-shifts", "letter-shift",
+        "underscore-part", "spaced-shift", "zero-padded-part",
+    ],
 )
 def test_expand_names_the_malformed_option(argv, option, capsys):
     code, out, err = run_cli(["expand", *argv], capsys)
     _assert_input_error(code, out, err)
     assert option in err and "comma-separated integers" in err
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["expand", "--s", "1_0"], "--s"),
+        (["expand", "--lambda", "01"], "--lambda"),
+        (["expand", "--psi", "+1"], "--psi"),
+        (["expand", "--s", "2", "--shift", " 1"], "--shift"),
+        (["verify", "duality", "--degree", " 1"], "--degree"),
+        (["verify", "duality", "--degree", "1", "--seed", "1_0"], "--seed"),
+        (["specialize", "--family", "S", "--k", "1_0", "--assignment", "a.json"], "--k"),
+        (["specialize", "--family", "S", "--k", "1", "--shift", "+1", "--assignment", "a.json"],
+         "--shift"),
+    ],
+    ids=["s", "lambda", "psi", "expand-shift", "degree", "seed", "k", "specialize-shift"],
+)
+def test_integer_options_take_canonical_spelling(argv, option, capsys):
+    # the rule of JSON index keys: "1_0", " 1", "+1" and "01" are no integers
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert f"argument {option}: invalid canonical_int value" in err
 
 
 def test_convert_round_trip_via_files(tmp_path, capsys):
@@ -446,6 +474,31 @@ def test_verify_recovery_draws_within_the_reseed_budget(monkeypatch, capsys):
     assert not case["pass"] and case["witness"] == "n=1 k=1: no usable sample"
     monkeypatch.setenv("NCSHIFT_MAX_RESEED", "x")
     _assert_input_error(*run_cli(["verify", "recovery", "--degree", "2"], capsys))
+
+
+def test_verify_extension_draws_within_the_reseed_budget(monkeypatch, capsys):
+    # the check is singular at every point: a group makes 1 + budget draws in all
+    from ncshift import suites
+    from ncshift.quasidet import SingularMinor
+
+    draws = []
+
+    def counted(rng, n, d):
+        draws.append((n, d))
+        return random_assignment(rng, n, d)
+
+    def singular(k, A):
+        raise SingularMinor("singular matrix")
+
+    random_assignment = suites.random_assignment
+    monkeypatch.setenv("NCSHIFT_MAX_RESEED", "0")
+    monkeypatch.setattr(suites, "random_assignment", counted)
+    monkeypatch.setattr(suites, "check_extension", singular)
+    code, out, err = run_cli(["verify", "extension", "--degree", "1"], capsys)
+    assert code == 1 and err == ""
+    assert draws == [(1, 2)]
+    (case,) = json.loads(out)["cases"]
+    assert not case["pass"] and case["witness"] == "n=1 k=1: no nonsingular sample"
 
 
 def test_console_entry_point():
