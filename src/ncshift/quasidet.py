@@ -63,15 +63,17 @@ class ExhaustedRetries(RuntimeError):
 
 def hessenberg_quasidet(
     n: int,
-    entry: Callable[[int, int], NCElement],
+    entry: Callable[[int, int], NCElement | MatValue],
     subdiag: Sequence[Fraction | int] | None = None,
-) -> NCElement:
+) -> NCElement | MatValue:
     """(-1)^(n-1) |A|_{1n} for an n x n almost-upper-triangular matrix A.
 
     entry(i, j) is the NCElement at the 1-indexed position (i, j) for
     i <= j; the expansion asks for each of these n(n+1)/2 entries exactly
     once.  subdiag gives the scalar entries at positions (i+1, i), default
-    all 1; every entry below the subdiagonal is zero.
+    all 1; every entry below the subdiagonal is zero.  The expansion only
+    multiplies, subtracts, negates and scales entries, so they may also be
+    MatValue blocks, the subdiagonal then holding multiples of the identity.
     """
     if n < 1:
         raise ShapeError(f"need n >= 1, got {n}")
@@ -82,12 +84,12 @@ def hessenberg_quasidet(
     # row i is divided by the subdiagonal entry to its left
     scale = [Fraction(1), Fraction(1)] + [Fraction(1) / as_fraction(c) for c in subdiag]
 
-    def scaled(i: int, j: int) -> NCElement:
+    def scaled(i: int, j: int) -> NCElement | MatValue:
         e = entry(i, j)
         return e.scale(scale[i]) if scale[i] != 1 else e
 
     # tail[i] accumulates the expansion over rows i..n
-    tail = {n + 1: NCElement.one()}
+    tail = {}
     for i in range(n, 0, -1):
         acc = scaled(i, n)
         for m in range(i, n):

@@ -26,7 +26,7 @@ from fractions import Fraction
 from .algebra import NCElement
 from .families import shift_Lambda
 from .params import ParamSubstitution, SEQ_A, as_fraction
-from .quasidet import MatValue, block_quasidet, random_mat
+from .quasidet import MatValue, block_quasidet, hessenberg_quasidet, random_mat
 from .shifts import shift_S
 
 
@@ -364,26 +364,14 @@ def quasi_schur_lambda_form(shape: tuple[int, ...], assignment: VariableAssignme
 
     For lambda = (l_1 <= ... <= l_n) this evaluates the matrix whose (p,q)
     entry is Lambda over the reversed partial sums with column shifts [1-q];
-    it equals the quasi-Schur value of the conjugate shape.
+    it equals the quasi-Schur value of the conjugate shape.  The matrix is
+    Hessenberg with identity blocks on its subdiagonal.
     """
     lam = tuple(shape)
     n = len(lam)
-    d = assignment.d
-    blocks = []
-    for p in range(1, n + 1):
-        row = []
-        for q in range(1, n + 1):
-            if q < p - 1:
-                row.append(MatValue.zeros(d))
-                continue
-            if q == p - 1:
-                row.append(MatValue.identity(d))
-                continue
-            m = sum(lam[n - q : n - p + 1])
-            row.append(evaluate_nc(shift_Lambda(m, 1 - q), assignment))
-        blocks.append(row)
-    val = block_quasidet(blocks, 1, n)
-    return val if (n - 1) % 2 == 0 else -val
+    return hessenberg_quasidet(
+        n, lambda p, q: evaluate_nc(shift_Lambda(sum(lam[n - q : n - p + 1]), 1 - q), assignment)
+    )
 
 
 def frobenius_form(shape: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
