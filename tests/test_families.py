@@ -103,13 +103,13 @@ def reference_lambda_letter_shift(k, s, base):
     """Lambda_k^[s] over Lambda-letters, from the mirrored closed forms:
     d_nu = {nu+s-1 nu}_{1-k}^{tau^{k-nu} b} for s >= 0 and
     {-s nu}_{k-nu}^{tau^{s} b} for s < 0, with b the dual sequence."""
+    if k == 0:
+        return NCElement.one()
     dual = base.dual()
     if s >= 0:
         coeffs = [a_binomial(nu + s - 1, nu, 1 - k, dual.tau(k - nu)) for nu in range(k)]
     else:
         coeffs = [a_binomial(-s, nu, k - nu, dual.tau(s)) for nu in range(k)]
-    if k == 0:
-        return NCElement.one()
     return NCElement({(k - nu,): c for nu, c in enumerate(coeffs)})
 
 
