@@ -4,7 +4,9 @@ Subcommands: expand (shifted generators, power sums, ribbons into the
 S-basis), convert (between the S, L, Psi and R generating sets), verify
 (named identity suites), specialize (matrix evaluation of a variable
 assignment file).  Exit status 0 when every requested check passes, 1 on a
-verification failure, 2 on usage errors.
+verification failure, 2 on usage and input errors.  Every usage error, the
+ones argparse finds included, is a ValueError that `main` prints as one
+`error: ...` line on stderr.
 """
 
 from __future__ import annotations
@@ -45,9 +47,11 @@ BASES = {
 }
 
 
-def _usage(msg: str) -> SystemExit:
-    print(f"error: {msg}", file=sys.stderr)
-    return SystemExit(2)
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser that raises its usage errors instead of exiting."""
+
+    def error(self, message):
+        raise ValueError(message)
 
 
 def _load_exact(fh):
@@ -59,11 +63,11 @@ def _load_exact(fh):
     return json.load(fh, parse_float=reject)
 
 
-def _ints(option: str, text: str) -> tuple[int, ...]:
+def _ints(text: str) -> tuple[int, ...]:
     try:
         return tuple(canonical_int(p) for p in text.split(","))
     except ValueError:
-        raise _usage(f"{option} takes comma-separated integers, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
 def _param_value(name: str, value) -> Fraction:
@@ -79,7 +83,7 @@ def _parse_params(text: str) -> ParamSubstitution:
     if text.startswith("equidistant:"):
         parts = text.split(":", 1)[1].split(",")
         if len(parts) != 2:
-            raise _usage("--params equidistant:c,base")
+            raise ValueError("--params equidistant:c,base")
         return ParamSubstitution.equidistant(*map(_param_value, ("c", "base"), parts))
     if text.startswith("file:"):
         with open(text.split(":", 1)[1]) as fh:
@@ -89,7 +93,7 @@ def _parse_params(text: str) -> ParamSubstitution:
         return ParamSubstitution.explicit(
             {canonical_int(k): _param_value(f"a_{k}", v) for k, v in table.items()}
         )
-    raise _usage("--params symbolic | equidistant:c,base | file:<path>")
+    raise ValueError("--params symbolic | equidistant:c,base | file:<path>")
 
 
 def _emit(element: NCElement, fmt: str):
@@ -100,16 +104,8 @@ def _emit(element: NCElement, fmt: str):
 
 
 def cmd_expand(args) -> int:
-    fmt = args.format
-    picked = [
-        x
-        for x in (args.s, args.lam, args.psi, args.ribbon)
-        if x is not None
-    ]
-    if len(picked) != 1:
-        raise _usage("expand needs exactly one of --s, --lambda, --psi, --ribbon")
     if args.shifts is not None and (args.ribbon is None or args.shift):
-        raise _usage("--shifts goes with --ribbon only, in place of --shift")
+        raise ValueError("--shifts goes with --ribbon only, in place of --shift")
     if args.s is not None:
         out = shift_S(args.s, args.shift)
     elif args.lam is not None:
@@ -119,17 +115,17 @@ def cmd_expand(args) -> int:
 
         out = psi_shifted(args.psi, args.shift)
     else:
-        comp = Composition(_ints("--ribbon", args.ribbon))
-        if args.shifts is not None:
-            shifts = _ints("--shifts", args.shifts)
-        else:
+        comp = Composition(args.ribbon)
+        shifts = args.shifts
+        if shifts is None:
             shifts = tuple(x + args.shift for x in comp.row_shifts())
         out = ribbon_shifted(comp, shifts)
-    _emit(out, fmt)
+    _emit(out, args.format)
     return 0
 
 
-def _load_element(path: str | None):
+def _load_element(path: str | None) -> NCElement:
+    """An element file, read in its own basis and expanded in the S-basis."""
     fh = sys.stdin if path in (None, "-") else open(path)
     data = _load_exact(fh)
     if fh is not sys.stdin:
@@ -137,23 +133,18 @@ def _load_element(path: str | None):
     if not isinstance(data, dict):
         raise ValueError("an element file holds one JSON object with a list of terms")
     basis = data.get("basis", "S")
-    if basis == "R":
-        return basis, RibbonElement.from_json(data)
-    return basis, NCElement.from_json(data)
-
-
-def _to_s_basis(basis: str, element) -> NCElement:
-    if basis not in BASES:
-        raise _usage(f"unknown source basis {basis!r}")
+    if basis not in tuple(BASES):  # compared, not hashed: a list basis is no TypeError
+        raise ValueError(f"unknown source basis {basis!r}")
+    element = (RibbonElement if basis == "R" else NCElement).from_json(data)
     return BASES[basis][0](element)
 
 
 def cmd_convert(args) -> int:
     sub = _parse_params(args.params)
-    basis, element = _load_element(args.input)
+    element = _load_element(args.input)
     out_basis = args.to
     _, from_s, letter = BASES[out_basis]
-    out = from_s(_to_s_basis(basis, element))
+    out = from_s(element)
     if args.format == "latex":
         print(out.latex() if out_basis == "R" else out.latex(letter))
         return 0
@@ -167,13 +158,8 @@ def cmd_convert(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.degree is not None and args.degree < 0:
-        raise _usage(f"--degree must be nonnegative, got {args.degree}")
+        raise ValueError(f"--degree must be nonnegative, got {args.degree}")
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    for name in names:
-        if name not in SUITES:
-            raise _usage(
-                f"unknown suite {name!r}; available: {', '.join(SUITES)} or 'all'"
-            )
     reports = [run_suite(name, degree=args.degree, seed=args.seed) for name in names]
     payload = [r.to_json() for r in reports]
     print(json.dumps(payload[0] if len(payload) == 1 else payload, indent=2))
@@ -188,25 +174,28 @@ def cmd_specialize(args) -> int:
     try:
         value = spec_value(args.family, args.k, assignment)
     except SingularMinor:
-        raise _usage("singular assignment: a quasiminor of its shifted powers is not invertible")
+        raise ValueError("singular assignment: a quasiminor of its shifted powers is not invertible")
     print(json.dumps({"family": args.family, "k": args.k, "value": value.to_json()}, indent=2))
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="ncshift",
         description="exact calculus of noncommutative shifted symmetric functions",
     )
     sub = p.add_subparsers(dest="command", required=True)
 
     pe = sub.add_parser("expand", help="expand a generator or ribbon in the S-basis")
-    pe.add_argument("--s", type=canonical_int, help="complete homogeneous generator degree")
-    pe.add_argument("--lambda", dest="lam", type=canonical_int, help="elementary generator degree")
-    pe.add_argument("--psi", type=canonical_int, help="power sum degree")
-    pe.add_argument("--ribbon", help="comma-separated composition")
+    target = pe.add_mutually_exclusive_group(required=True)
+    target.add_argument("--s", type=canonical_int, help="complete homogeneous generator degree")
+    target.add_argument(
+        "--lambda", dest="lam", type=canonical_int, help="elementary generator degree"
+    )
+    target.add_argument("--psi", type=canonical_int, help="power sum degree")
+    target.add_argument("--ribbon", type=_ints, help="comma-separated composition")
     pe.add_argument("--shift", type=canonical_int, default=0, help="uniform shift tag")
-    pe.add_argument("--shifts", help="comma-separated per-row ribbon shifts")
+    pe.add_argument("--shifts", type=_ints, help="comma-separated per-row ribbon shifts")
     pe.add_argument("--format", choices=("json", "latex"), default="json")
     pe.set_defaults(func=cmd_expand)
 
@@ -220,7 +209,10 @@ def build_parser() -> argparse.ArgumentParser:
     pc.set_defaults(func=cmd_convert)
 
     pv = sub.add_parser("verify", help="run a named identity suite")
-    pv.add_argument("suite", help=f"one of {', '.join(SUITES)} or 'all'")
+    pv.add_argument(
+        "suite", choices=(*SUITES, "all"), metavar="suite",
+        help=f"one of {', '.join(SUITES)} or 'all'",
+    )
     pv.add_argument("--degree", type=canonical_int, default=None, help="degree bound")
     pv.add_argument("--seed", type=canonical_int, default=0)
     pv.set_defaults(func=cmd_verify)
@@ -235,11 +227,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except SystemExit:
-        raise
     except (OSError, json.JSONDecodeError, ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from itertools import combinations, pairwise
 
 from .algebra import NCElement, Word, apply_letters, complete_homogeneous, elementary
 from .params import SEQ_A, ParamSequence
@@ -306,17 +307,11 @@ def all_words(max_degree: int) -> list[Word]:
 
 
 def compositions_of(d: int) -> list[Word]:
-    """All compositions of d, lexicographically."""
+    """All compositions of d, lexicographically: one per set of cut points in 1..d-1."""
     if d == 0:
         return [()]
-    res: list[Word] = []
-
-    def rec(rest: int, acc: tuple[int, ...]):
-        if rest == 0:
-            res.append(acc)
-            return
-        for k in range(1, rest + 1):
-            rec(rest - k, acc + (k,))
-
-    rec(d, ())
-    return sorted(res)
+    return sorted(
+        tuple(b - a for a, b in pairwise((0, *cuts, d)))
+        for r in range(d)
+        for cuts in combinations(range(1, d), r)
+    )

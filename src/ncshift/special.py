@@ -82,7 +82,9 @@ class VariableAssignment:
     @staticmethod
     def from_json(data) -> "VariableAssignment":
         try:
-            d = int(data["d"])
+            d = data["d"]
+            if type(d) is not int:  # True and "1" are no JSON integers
+                raise TypeError(f"d must be a JSON integer, got {d!r}")
             sub = ParamSubstitution.equidistant(
                 as_fraction(data["c"]), as_fraction(data.get("base", 0))
             )

@@ -1,8 +1,10 @@
 """Command-line interface: flags, formats, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -44,8 +46,24 @@ def test_expand_shifted_generator(capsys):
 
 
 def test_expand_requires_exactly_one_target(capsys):
-    code, _, err = run_cli(["expand", "--s", "2", "--psi", "1"], capsys)
-    assert code == 2
+    code, out, err = run_cli(["expand", "--s", "1", "--psi", "1"], capsys)
+    _assert_input_error(code, out, err)
+    assert "argument --psi: not allowed with argument --s" in err
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["expand", "--s", "1", "--bogus"], "unrecognized arguments: --bogus"),
+        (["expand"], "one of the arguments --s --lambda --psi --ribbon is required"),
+        ([], "the following arguments are required: command"),
+    ],
+    ids=["unknown-option", "no-target", "no-subcommand"],
+)
+def test_argparse_rejections_are_one_line_errors(argv, named, capsys):
+    code, out, err = run_cli(argv, capsys)
+    _assert_input_error(code, out, err)
+    assert named in err
 
 
 @pytest.mark.parametrize(
@@ -86,6 +104,7 @@ def test_expand_names_the_malformed_option(argv, option, capsys):
 @pytest.mark.parametrize(
     "argv, option",
     [
+        (["expand", "--s", "x"], "--s"),
         (["expand", "--s", "1_0"], "--s"),
         (["expand", "--lambda", "01"], "--lambda"),
         (["expand", "--psi", "+1"], "--psi"),
@@ -96,12 +115,15 @@ def test_expand_names_the_malformed_option(argv, option, capsys):
         (["specialize", "--family", "S", "--k", "1", "--shift", "+1", "--assignment", "a.json"],
          "--shift"),
     ],
-    ids=["s", "lambda", "psi", "expand-shift", "degree", "seed", "k", "specialize-shift"],
+    ids=[
+        "s-letter", "s", "lambda", "psi", "expand-shift", "degree", "seed", "k",
+        "specialize-shift",
+    ],
 )
 def test_integer_options_take_canonical_spelling(argv, option, capsys):
     # the rule of JSON index keys: "1_0", " 1", "+1" and "01" are no integers
     code, out, err = run_cli(argv, capsys)
-    assert code == 2 and out == ""
+    _assert_input_error(code, out, err)
     assert f"argument {option}: invalid canonical_int value" in err
 
 
@@ -191,8 +213,9 @@ def test_verify_failure_exit_one(capsys):
 
 
 def test_verify_unknown_suite_exit_two(capsys):
-    code, _, _ = run_cli(["verify", "no-such-suite"], capsys)
-    assert code == 2
+    code, out, err = run_cli(["verify", "nosuch"], capsys)
+    _assert_input_error(code, out, err)
+    assert "argument suite: invalid choice: 'nosuch'" in err and "'all'" in err
 
 
 def test_verify_reports_deterministic(capsys):
@@ -277,8 +300,10 @@ def test_specialize_singular_assignment(tmp_path, capsys):
         ({"vars": [["3"], [["1"]]]}, "variable 2"),
         ({"vars": [["1/0"], ["5"]]}, "variable 1"),
         ({"d": None}, "d, c"),
+        ({"d": True}, "d, c"),
+        ({"d": " 1"}, "d, c"),
     ],
-    ids=["null-entry", "list-entry", "zero-denominator-entry", "null-d"],
+    ids=["null-entry", "list-entry", "zero-denominator-entry", "null-d", "bool-d", "string-d"],
 )
 def test_specialize_rejects_malformed_assignment(change, named, tmp_path, capsys):
     assignment = {"c": "1", "base": "-1", "d": 1, "vars": [["3"], ["5"]]} | change
@@ -318,6 +343,7 @@ def _term(word, c):
         json.dumps({"terms": [{"word": [1], "coeff": [{"c": "1", "e": {" +1": 1}}]}]}),
         json.dumps({"terms": [{"word": [1], "coeff": [{"c": "1", "e": {"01": 1}}]}]}),
         json.dumps({"terms": [{"word": [1], "coeff": [{"c": "1", "e": {"1": 10_001}}]}]}),
+        json.dumps({"basis": ["S"], "terms": []}),
     ],
     ids=[
         "zero-denominator",
@@ -339,6 +365,7 @@ def _term(word, c):
         "signed-space-index",
         "zero-padded-index",
         "exponent-over-bound",
+        "list-basis",
     ],
 )
 def test_convert_rejects_malformed_element(text, tmp_path, capsys):
@@ -502,8 +529,10 @@ def test_verify_extension_draws_within_the_reseed_budget(monkeypatch, capsys):
 
 
 def test_console_entry_point():
+    src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
         [sys.executable, "-m", "ncshift.cli", "expand", "--psi", "2"],
+        env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
     )
