@@ -5,12 +5,15 @@ Delta(Psi_n) = Psi_n x 1 + 1 x Psi_n, the counit kills every Psi_n, and the
 antipode is the anti-algebra extension of Psi_n -> -Psi_n.  All three are
 computed by rewriting into the power-sum generating set, acting there, and
 rewriting back into the S-basis: the coproduct splits each Psi-word over its
-subsets, merges the tensor terms in the Psi basis and expands each leg; the
-antipode is apply_letters with the image -Psi_n, reversed.  Tensors are
-LinComb combinations keyed by pairs of words.
+subsets, merges the tensor terms in the Psi basis and expands each leg (once
+per Psi-word and base, in _psi_word_in_s); the antipode is apply_letters with
+the image -Psi_n, reversed.  Tensors are LinComb combinations keyed by pairs
+of words.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 from .algebra import NCElement, apply_letters
 from .families import psi, psi_words_to_s, s_to_psi
@@ -66,10 +69,16 @@ def coproduct(x: NCElement, base: ParamSequence = SEQ_A) -> TensorElement:
             accumulate(in_psi, (left, right), c)
     out: dict = {}
     for (left, right), c in in_psi.items():
-        x1, x2 = (psi_words_to_s(NCElement.word(w), base) for w in (left, right))
+        x1, x2 = _psi_word_in_s(left, base), _psi_word_in_s(right, base)
         for key, d in TensorElement.of(x1, x2).terms.items():
             accumulate(out, key, c * d)
     return TensorElement._of(out)
+
+
+@cache
+def _psi_word_in_s(w: tuple[int, ...], base: ParamSequence) -> NCElement:
+    """The Psi-word w expanded in the S-basis: one leg of a coproduct term."""
+    return psi_words_to_s(NCElement.word(w), base)
 
 
 def counit(x: NCElement, base: ParamSequence = SEQ_A) -> ParamPoly:

@@ -7,11 +7,12 @@ coefficients, with the linear structure, equality, sorted serialization, the
 printed signed sum and the bilinear product loop written once, and
 accumulate() the in-place sum they all build on.  Each class prints only its
 own term, most through signed(), which writes coefficient 1 or -1 as the bare
-or negated term.  ParamPoly is the LinComb of monomials with Fraction
-coefficients; the element classes downstream are LinCombs with ParamPoly
-coefficients.  A monomial is the sorted tuple of its factor indices: a_1^2 a_3
-is (1, 1, 3), the product of two monomials is their sorted concatenation, and
-the (index, exponent) form exists only in the printers and the JSON form.
+or negated term.  ParamPoly is the LinComb of monomials with rational
+coefficients, each an int where it is integral and a Fraction otherwise; the
+element classes downstream are LinCombs with ParamPoly coefficients.  A
+monomial is the sorted tuple of its factor indices: a_1^2 a_3 is (1, 1, 3),
+the product of two monomials is their sorted concatenation, and the
+(index, exponent) form exists only in the printers and the JSON form.
 
 Three structure maps act on the index lattice:
 
@@ -66,12 +67,17 @@ def canonical_int(text: str) -> int:
     return i
 
 
+def _integral(c):
+    """An integral Fraction as its int numerator; anything else unchanged."""
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+
+
 def accumulate(terms: dict, key, c) -> None:
     """terms[key] += c in place, dropping the key when the sum vanishes."""
     s = terms.get(key)
     s = c if s is None else s + c
     if s:
-        terms[key] = s
+        terms[key] = _integral(s)
     else:
         terms.pop(key, None)
 
@@ -138,7 +144,7 @@ class LinComb:
 
     def scale(self, c):
         """Multiply every coefficient by c, which is used as given."""
-        return self._of({k: c * v for k, v in self.terms.items()} if c else {})
+        return self._of({k: _integral(c * v) for k, v in self.terms.items()} if c else {})
 
     def _product(self, other, join: Callable):
         """The bilinear product: c1*c2 summed at join(k1, k2) over all term pairs."""
@@ -151,7 +157,7 @@ class LinComb:
                 s = out.get(k)
                 s = c if s is None else s + c
                 if s:
-                    out[k] = s
+                    out[k] = _integral(s)
                 else:
                     out.pop(k, None)
         return self._of(out)
@@ -171,6 +177,8 @@ class LinComb:
     def _from_json(cls, data: Mapping, key_of: Callable):
         """Sum the JSON terms (ParamPoly coefficients); a ValueError names the
         first malformed one."""
+        if "terms" not in data:
+            raise ValueError("missing key 'terms'")
         items = data["terms"]
         if not isinstance(items, list):
             raise ValueError(f"terms must be a list, got {items!r}")
@@ -191,8 +199,11 @@ def _monomial_sort_key(m: Monomial):
 
 
 class ParamPoly(LinComb):
-    """Sparse polynomial in the a_i: a LinComb of monomials with Fraction
-    coefficients.
+    """Sparse polynomial in the a_i: a LinComb of monomials with rational
+    coefficients, stored as an int where integral (int arithmetic is cheap,
+    and an int agrees with the equal Fraction on ==, hash and str) and as a
+    Fraction with denominator > 1 otherwise.  No coefficient is ever
+    divided: scalings multiply by Fraction(1, n), so no float can arise.
 
     Ints and Fractions are constants: they compare, add and multiply as such.
     """
@@ -204,7 +215,7 @@ class ParamPoly(LinComb):
 
     @staticmethod
     def const(c) -> "ParamPoly":
-        c = as_fraction(c)
+        c = _integral(as_fraction(c))
         return ParamPoly._of({(): c} if c else {})
 
     @staticmethod
@@ -214,7 +225,7 @@ class ParamPoly(LinComb):
     @staticmethod
     def gen(i: int) -> "ParamPoly":
         """The indeterminate a_i."""
-        return ParamPoly._of({(i,): Fraction(1)})
+        return ParamPoly._of({(i,): 1})
 
     @staticmethod
     def coerce(x) -> "ParamPoly":
@@ -245,7 +256,7 @@ class ParamPoly(LinComb):
 
     def __mul__(self, other) -> "ParamPoly":
         if not isinstance(other, ParamPoly):
-            return self.scale(as_fraction(other))
+            return self.scale(_integral(as_fraction(other)))
         return self._product(other, lambda m1, m2: tuple(sorted(m1 + m2)))
 
     __rmul__ = __mul__
@@ -296,7 +307,7 @@ class ParamPoly(LinComb):
 
     @staticmethod
     def from_json(data: Iterable) -> "ParamPoly":
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, int | Fraction] = {}
         for item in data:
             m = []
             for key, e in item["e"].items():
@@ -328,7 +339,7 @@ class ParamPoly(LinComb):
         return self._show(term)
 
 
-def _latex_fraction(c: Fraction) -> str:
+def _latex_fraction(c: int | Fraction) -> str:
     if c.denominator == 1:
         return str(c.numerator)
     sign = "-" if c < 0 else ""

@@ -89,6 +89,8 @@ class VariableAssignment:
                 as_fraction(data["c"]), as_fraction(data.get("base", 0))
             )
             flats = list(data["vars"])
+        except KeyError as e:
+            raise ValueError(f"missing key {e}") from None
         except (AttributeError, TypeError, ZeroDivisionError) as e:
             raise ValueError(f"bad d, c, base or vars: {e!r}") from None
         if d < 1:

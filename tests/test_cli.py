@@ -315,6 +315,29 @@ def test_specialize_rejects_malformed_assignment(change, named, tmp_path, capsys
     assert named in err
 
 
+@pytest.mark.parametrize(
+    "command, data, key",
+    [
+        ("specialize", {"c": "1", "base": "-1", "vars": [["3"], ["5"]]}, "d"),
+        ("specialize", {"base": "-1", "d": 1, "vars": [["3"], ["5"]]}, "c"),
+        ("specialize", {"c": "1", "base": "-1", "d": 1}, "vars"),
+        ("convert", {"basis": "S"}, "terms"),
+        ("convert", {"basis": "R"}, "terms"),
+    ],
+    ids=["assignment-d", "assignment-c", "assignment-vars", "element-terms", "ribbon-terms"],
+)
+def test_missing_json_key_is_named(command, data, key, tmp_path, capsys):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(data))
+    if command == "specialize":
+        argv = ["specialize", "--family", "S", "--k", "1", "--assignment", str(path)]
+    else:
+        argv = ["convert", "--to", "S", "--input", str(path)]
+    code, out, err = run_cli(argv, capsys)
+    _assert_input_error(code, out, err)
+    assert f"missing key '{key}'" in err
+
+
 def _term(word, c):
     return {"word": word, "coeff": [{"c": c, "e": {}}]}
 

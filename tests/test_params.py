@@ -110,6 +110,40 @@ def test_json_term_order(p, q, s):
         assert all(list(t["e"]) == sorted(t["e"], key=int) for t in data)
 
 
+def _assert_int_or_proper_fraction(p: ParamPoly):
+    for c in p.terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), repr(c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    polys(),
+    polys(),
+    st.integers(-4, 4),
+    st.fractions(-3, 3, max_denominator=4),
+    st.integers(0, 3),
+)
+def test_coefficients_are_ints_where_integral(p, q, n, f, e):
+    """Every coefficient is an int, or a Fraction with denominator > 1: never a
+    bool, a float or an integral Fraction."""
+    results = [
+        p + q, p - q, p * q, p + n, n - p, p - f,
+        p.scale(n), p.scale(f), n * p, p * f, f * p, p ** e,
+        p.tau(n), p.hat(), -p,
+        ParamPoly.const(n), ParamPoly.const(f), ParamPoly.gen(n),
+        ParamPoly.from_json(p.to_json()),
+        ParamPoly.from_json([{"c": "6/3", "e": {"1": 1}}, {"c": "1/2", "e": {}}]),
+    ]
+    for r in results:
+        _assert_int_or_proper_fraction(r)
+
+
+def test_integral_fraction_prints_as_its_int():
+    p = ParamPoly.const(Fraction(6, 3)) * ParamPoly.gen(1)
+    q = 2 * ParamPoly.gen(1)
+    assert (str(p), p.to_json(), p.latex()) == (str(q), q.to_json(), q.latex())
+
+
 def test_tau_shift_examples():
     assert a(1).tau(1) == a(2)
     p = a(3) * a(-1) + 2 * a(0)
