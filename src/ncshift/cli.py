@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .algebra import NCElement
 from .families import (
@@ -179,7 +180,9 @@ def cmd_specialize(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parse_args keeps no state between calls."""
     p = _Parser(
         prog="ncshift",
         description="exact calculus of noncommutative shifted symmetric functions",
@@ -195,7 +198,10 @@ def build_parser() -> argparse.ArgumentParser:
     target.add_argument("--psi", type=canonical_int, help="power sum degree")
     target.add_argument("--ribbon", type=_ints, help="comma-separated composition")
     pe.add_argument("--shift", type=canonical_int, default=0, help="uniform shift tag")
-    pe.add_argument("--shifts", type=_ints, help="comma-separated per-row ribbon shifts")
+    pe.add_argument(
+        "--shifts", type=_ints,
+        help="comma-separated per-row ribbon shifts (--shifts=-1,0 when the first is negative)",
+    )
     pe.add_argument("--format", choices=("json", "latex"), default="json")
     pe.set_defaults(func=cmd_expand)
 

@@ -577,7 +577,7 @@ def suite_specialization(degree: int = 4, seed: int = 0) -> Report:
                 witness.format(k=k, n=n) for k in (n + 1, n + 2) if not spec(k, A).is_zero()
             ])
             for n in range(1, degree + 1) for d in (1, 2, 3)
-        ))
+        ), NO_SAMPLE if degree else "no n in 1..degree to check at degree 0")
     rep.sampled("variable-shift-law", (
         _first_sample(seed + 101 * n + k, n, 2, lambda A: (
             [] if variable_shift_defect(k, A).is_zero() else [f"n={n} k={k}"]

@@ -478,18 +478,21 @@ def test_criterion_09_s_vanishing_printed():
 
 
 def test_criterion_09_shifted_symmetry():
-    rep = run_suite("symmetry", degree=4)
-    _assert_cases(rep, label="criterion 9: shifted symmetry n <= 4, all swaps")
+    rep = run_suite("symmetry", degree=6)
+    _assert_cases(rep, label="criterion 9: shifted symmetry n <= 6, k <= 4, all swaps")
 
 
 def test_criterion_09_extension_stability():
-    rep = run_suite("extension", degree=3)
-    _assert_cases(rep, label="criterion 9: extension stability n <= 3, k <= 3")
+    rep = run_suite("extension", degree=5)
+    _assert_cases(rep, label="criterion 9: extension stability n <= 5, k <= 5")
 
 
 def test_criterion_09_commutative_recovery():
-    rep = run_suite("recovery", degree=4)
-    _assert_cases(rep, label="criterion 9: determinant-quotient recovery n,k <= 4")
+    # recovery draws its scalars from one stream across groups, so degree 7
+    # samples the groups n, k <= 4 at other points than degree 4 does: run both
+    for degree in (4, 7):
+        rep = run_suite("recovery", degree=degree)
+        _assert_cases(rep, label=f"criterion 9: determinant-quotient recovery n,k <= {degree}")
 
 
 def test_criterion_10_quasi_schur():

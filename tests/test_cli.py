@@ -36,6 +36,18 @@ def test_expand_ribbon_json_matches_library(capsys):
     assert got == ribbon_shifted(Composition((2, 1)), (3, 1))
 
 
+def test_expand_negative_first_shift_takes_equals_form(capsys):
+    # argparse reads a separate "-1,0" as an option string, so it needs --shifts=
+    code, out, err = run_cli(["expand", "--ribbon", "1,2", "--shifts", "-1,0"], capsys)
+    _assert_input_error(code, out, err)
+    assert "argument --shifts: expected one argument" in err
+    code, out, _ = run_cli(["expand", "--ribbon", "1,2", "--shifts=-1,0"], capsys)
+    assert code == 0
+    from ncshift.ribbon import Composition, ribbon_shifted
+
+    assert json.loads(out) == ribbon_shifted(Composition((1, 2)), (-1, 0)).to_json("S")
+
+
 def test_expand_shifted_generator(capsys):
     code, out, _ = run_cli(["expand", "--s", "3", "--shift", "1"], capsys)
     assert code == 0
@@ -472,6 +484,7 @@ def test_verify_rejects_bad_max_reseed(monkeypatch, capsys):
         ("symmetry", 1, "shifted-symmetry"),
         ("extension", 0, "extension-stability"),
         ("recovery", 0, "determinant-quotient-oracle"),
+        ("specialization", 0, "vanishing-lambda"),
         ("bazin", 0, None),
     ],
 )
@@ -549,6 +562,43 @@ def test_verify_extension_draws_within_the_reseed_budget(monkeypatch, capsys):
     assert draws == [(1, 2)]
     (case,) = json.loads(out)["cases"]
     assert not case["pass"] and case["witness"] == "n=1 k=1: no nonsingular sample"
+
+
+#: in-process requests whose options would leak into the next one if parsing kept state
+_REQUEST_SEQUENCE = [
+    ["expand", "--s", "1_0"],
+    ["expand", "--s", "2", "--shift", "1"],
+    ["expand", "--s", "2"],
+    ["expand", "--ribbon", "2,1", "--shifts", "3,1"],
+    ["expand", "--ribbon", "2,1"],
+    ["verify", "nosuch"],
+    ["expand", "--psi", "2"],
+]
+
+
+def test_shared_parser_keeps_no_state_between_calls(capsys):
+    from ncshift import cli
+    from ncshift.ribbon import Composition, ribbon_shifted
+    from ncshift.shifts import shift_S
+
+    assert cli.build_parser() is cli.build_parser()
+    first_calls = []
+    for argv in _REQUEST_SEQUENCE:
+        cli.build_parser.cache_clear()
+        first_calls.append(run_cli(argv, capsys))
+    cli.build_parser.cache_clear()
+    shared = [run_cli(argv, capsys) for argv in _REQUEST_SEQUENCE]
+    assert shared == first_calls
+    assert [code for code, _, _ in shared] == [2, 0, 0, 0, 0, 2, 0]
+    _assert_input_error(*shared[0])
+    _assert_input_error(*shared[5])
+
+    def as_output(element):
+        return json.dumps(element.to_json("S"), indent=2) + "\n"
+
+    assert shared[2][1] == as_output(shift_S(2, 0))  # --shift is back to 0
+    comp = Composition((2, 1))
+    assert shared[4][1] == as_output(ribbon_shifted(comp, comp.row_shifts()))  # --shifts is None
 
 
 def test_console_entry_point():
