@@ -14,9 +14,11 @@ Two evaluators cover everything in scope:
 
 * an exact numeric evaluator for matrices whose entries are square rational
   matrices, using the defining formula
-  |A|_{pq} = a_{pq} - row_p(A^{pq}) (A^{pq})^{-1} col_q(A^{pq}) with the minor,
-  the row and the column flattened to rational matrices: one inverse and two
-  products, each done on integers over common denominators.
+  |A|_{pq} = a_{pq} - row_p(A^{pq}) ((A^{pq})^{-1} col_q(A^{pq})) with the
+  minor, the row and the column flattened to rational matrices: one inverse
+  and two products, each done on integers over common denominators.  The
+  bracketed solve does not read row p, so it is its own step (solve_minor)
+  for callers that box several rows against one minor.
 
 Any nonzero rational subdiagonal is accepted in the symbolic engine:
 left-scaling a non-boxed row leaves the quasideterminant unchanged, so rows
@@ -145,7 +147,16 @@ class MatValue:
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.data for x in row)
 
-    def __add__(self, other: "MatValue") -> "MatValue":
+    def _plus_scalar(self, c: Fraction) -> "MatValue":
+        """self + c Id: only the diagonal entries change."""
+        return MatValue._of(
+            tuple(row[:i] + (row[i] + c,) + row[i + 1 :] for i, row in enumerate(self.data))
+        )
+
+    def __add__(self, other) -> "MatValue":
+        """Entrywise sum; a rational c is read as c Id."""
+        if not isinstance(other, MatValue):
+            return self._plus_scalar(as_fraction(other))
         return MatValue._of(
             tuple(
                 tuple(a + b for a, b in zip(r1, r2))
@@ -153,7 +164,10 @@ class MatValue:
             )
         )
 
-    def __sub__(self, other: "MatValue") -> "MatValue":
+    def __sub__(self, other) -> "MatValue":
+        """Entrywise difference; a rational c is read as c Id."""
+        if not isinstance(other, MatValue):
+            return self._plus_scalar(-as_fraction(other))
         return MatValue._of(
             tuple(
                 tuple(a - b for a, b in zip(r1, r2))
@@ -261,6 +275,29 @@ def _flatten(blocks: Sequence[Sequence[MatValue]], d: int) -> MatValue:
     return MatValue(rows)
 
 
+def solve_minor(minor: Sequence[Sequence[MatValue]], col: Sequence[MatValue]) -> tuple:
+    """M^{-1} c, flattened, for the block minor M and the block column c beside it.
+
+    This is the half of the Schur-complement form of |A|_{pq} (Gelfand,
+    Gelfand, Retakh, Wilson, "Quasideterminants", 2005) that does not read the
+    boxed row, so quasideterminants that differ only in that row can share it.
+    Raises SingularMinor if M is singular; an empty minor gives the empty solve.
+    """
+    if not col:
+        return ()
+    inv = _flatten(minor, col[0].n).inverse()
+    return _product(inv.data, [r for blk in col for r in blk.data])
+
+
+def schur_complement(corner: MatValue, row: Sequence[MatValue], solved: tuple) -> MatValue:
+    """a_pq - row (M^{-1} c): the quasideterminant from its corner, the rest of
+    the boxed row and the solve_minor of the other rows."""
+    if not solved:
+        return corner
+    flat = [[x for blk in row for x in blk.data[r]] for r in range(corner.n)]
+    return corner - MatValue._of(_product(flat, solved))
+
+
 def block_quasidet(
     blocks: Sequence[Sequence[MatValue]], p: int, q: int
 ) -> MatValue:
@@ -269,16 +306,12 @@ def block_quasidet(
     for brow in blocks:
         if len(brow) != n:
             raise ValueError("block matrix must be square")
-    d = blocks[0][0].n
-    if n == 1:
-        return blocks[0][0]
     rows = [i for i in range(n) if i != p - 1]
     cols = [j for j in range(n) if j != q - 1]
-    inv = _flatten([[blocks[i][j] for j in cols] for i in rows], d).inverse()
-    # the boxed row (d x (n-1)d) and column ((n-1)d x d), flattened
-    row = [[x for j in cols for x in blocks[p - 1][j].data[r]] for r in range(d)]
-    col = [blk_row for i in rows for blk_row in blocks[i][q - 1].data]
-    return blocks[p - 1][q - 1] - MatValue._of(_product(_product(row, inv.data), col))
+    solved = solve_minor(
+        [[blocks[i][j] for j in cols] for i in rows], [blocks[i][q - 1] for i in rows]
+    )
+    return schur_complement(blocks[p - 1][q - 1], [blocks[p - 1][j] for j in cols], solved)
 
 
 # -- randomized property checks ----------------------------------------------

@@ -12,9 +12,14 @@ identities of rational functions are checked at seeded random matrix points,
 with bounded resampling when a quasiminor happens to be singular.
 
 Values are memoized per assignment: a VariableAssignment keeps its shifted-power
-chains, inverted denominators and S/Lambda values for as long as it lives, so
-each point is evaluated once.  Shifted or swapped assignments start empty, and
-a singular minor is never stored: it is raised again on every call.
+chains, minor solves, inverted denominators and S/Lambda values for as long as
+it lives, so each point is evaluated once.  Every grid is boxed at its last
+column, so a quasideterminant is a solve of its minor rows against that column
+plus one Schur complement for the boxed row; the solve is keyed by the minor's
+exponents and shared by every row boxed against it (the S_k numerators,
+Lambda_1 and the S denominator share one, each Lambda_k shares its own with its
+denominator).  Shifted or swapped assignments start empty, and a singular minor
+or denominator is never stored: it is raised again on every call.
 """
 
 from __future__ import annotations
@@ -26,7 +31,14 @@ from fractions import Fraction
 from .algebra import NCElement
 from .families import shift_Lambda
 from .params import ParamSubstitution, SEQ_A, as_fraction
-from .quasidet import MatValue, block_quasidet, hessenberg_quasidet, random_mat
+from .quasidet import (
+    MatValue,
+    block_quasidet,
+    hessenberg_quasidet,
+    random_mat,
+    schur_complement,
+    solve_minor,
+)
 from .shifts import shift_S
 
 
@@ -76,8 +88,7 @@ class VariableAssignment:
 
     def shift_all(self, s: int) -> "VariableAssignment":
         """Every variable moved by s*c (the variable shift psi^[s])."""
-        off = MatValue.scalar(self.d, s * self.c)
-        return self.replace_vars(v + off for v in self.vars)
+        return self.replace_vars(v + s * self.c for v in self.vars)
 
     @staticmethod
     def from_json(data) -> "VariableAssignment":
@@ -130,7 +141,7 @@ def shifted_power(x: MatValue, sub: ParamSubstitution, k: int, seq=SEQ_A) -> Mat
     out = MatValue.identity(x.n)
     for i in range(1, k + 1):
         b = seq.term(i).substitute(sub)
-        out = out * (x - MatValue.scalar(x.n, b))
+        out = out * (x - b)
     return out
 
 
@@ -140,27 +151,41 @@ def _power(assignment: VariableAssignment, j: int, t: int, m: int) -> MatValue:
     chain = assignment._memo.get(("power", j, t)) or [MatValue.identity(x.n)]
     assignment._memo["power", j, t] = chain
     while len(chain) <= m:
-        chain.append(chain[-1] * (x - MatValue.scalar(x.n, assignment.a(len(chain) + t))))
+        chain.append(chain[-1] * (x - assignment.a(len(chain) + t)))
     return chain[m]
 
 
-def _dpower(assignment: VariableAssignment, s: int, exps: list[int], box_row: int) -> MatValue:
-    """Quasideterminant of the grid of shifted powers.
-
-    Row m of the grid holds <x_j | tau^{j-s} a>^{exps[m]}; the box sits at
-    (box_row, n), 1-indexed.
-    """
+def _grid_row(assignment: VariableAssignment, m: int) -> list[MatValue]:
+    """Row m of the grid of shifted powers: <x_j | tau^{j-n} a>^m for j = 1..n."""
     n = assignment.n
-    blocks = [[_power(assignment, j, j + 1 - s, m) for j in range(n)] for m in exps]
-    return block_quasidet(blocks, box_row, n)
+    return [_power(assignment, j, j + 1 - n, m) for j in range(n)]
 
 
-def _inverse_denominator(assignment: VariableAssignment, box_row: int) -> MatValue:
-    """The inverted denominator grid (exponents 0..n-1) boxed at (box_row, n)."""
-    memo, n = assignment._memo, assignment.n
-    if ("den", box_row) not in memo:
-        memo["den", box_row] = _dpower(assignment, n, list(range(n)), box_row).inverse()
-    return memo["den", box_row]
+def _boxed(assignment: VariableAssignment, minor: tuple[int, ...], box: int) -> MatValue:
+    """Quasideterminant of the grid with rows minor + (box,), boxed at (n, n).
+
+    A quasideterminant does not depend on the order of the other rows, so the
+    solve of the minor against the last column is memoized by its exponents.
+    """
+    memo = assignment._memo
+    if ("solve", minor) not in memo:
+        rows = [_grid_row(assignment, m) for m in minor]
+        memo["solve", minor] = solve_minor([r[:-1] for r in rows], [r[-1] for r in rows])
+    row = _grid_row(assignment, box)
+    return schur_complement(row[-1], row[:-1], memo["solve", minor])
+
+
+def _quotient(assignment: VariableAssignment, e: int, box: int) -> MatValue:
+    """|grid(minor + (box,))| |grid(minor + (e,))|^{-1} for minor = (0..n-1) without e.
+
+    The denominator is the grid of exponents 0..n-1 boxed at row e; its inverse
+    is memoized by e.
+    """
+    memo = assignment._memo
+    minor = tuple(m for m in range(assignment.n) if m != e)
+    if ("den", e) not in memo:
+        memo["den", e] = _boxed(assignment, minor, e).inverse()
+    return _boxed(assignment, minor, box) * memo["den", e]
 
 
 def s_spec(k: int, assignment: VariableAssignment) -> MatValue:
@@ -179,8 +204,7 @@ def s_spec(k: int, assignment: VariableAssignment) -> MatValue:
         return MatValue.identity(d)
     memo = assignment._memo
     if ("S", k) not in memo:
-        num = _dpower(assignment, n, list(range(n - 1)) + [n + k - 1], n)
-        memo["S", k] = num * _inverse_denominator(assignment, n)
+        memo["S", k] = _quotient(assignment, n - 1, n + k - 1)
     return memo["S", k]
 
 
@@ -200,8 +224,7 @@ def lambda_spec(k: int, assignment: VariableAssignment) -> MatValue:
         return MatValue.zeros(d)
     memo = assignment._memo
     if ("L", k) not in memo:
-        exps = [m for m in range(n + 1) if m != n - k]
-        val = _dpower(assignment, n, exps, n) * _inverse_denominator(assignment, n - k + 1)
+        val = _quotient(assignment, n - k, n)
         memo["L", k] = val if (k - 1) % 2 == 0 else -val
     return memo["L", k]
 
@@ -254,9 +277,8 @@ def swap_variables(assignment: VariableAssignment, i: int) -> VariableAssignment
     if not (1 <= i < assignment.n):
         raise ValueError("swap position out of range")
     c = assignment.c
-    off = MatValue.scalar(assignment.d, c)
     vars = list(assignment.vars)
-    vars[i - 1], vars[i] = vars[i] - off, vars[i - 1] + off
+    vars[i - 1], vars[i] = vars[i] - c, vars[i - 1] + c
     return assignment.replace_vars(vars)
 
 

@@ -625,9 +625,10 @@ def suite_extension(degree: int = 3, seed: int = 0) -> Report:
 
 def suite_recovery(degree: int = 4, seed: int = 0) -> Report:
     rep = Report("recovery", seed=seed)
-    rng = random.Random(seed or 4321)
 
     def group(n: int, k: int) -> list[str]:
+        # seeded per group, so a higher degree re-checks the lower groups' points
+        rng = random.Random((seed or 4321) + 1013 * n + 37 * k)
         for _ in range(max_reseed_default() + 1):
             scalars = [Fraction(rng.randint(-9, 12), rng.choice([1, 2, 3])) for _ in range(n)]
             try:

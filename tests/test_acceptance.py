@@ -44,6 +44,7 @@ from ncshift.shifts import a_binomial, shift_S
 from ncshift.special import (
     VariableAssignment,
     commutative_oracle,
+    commutative_recovery,
     lambda_spec,
     random_assignment,
     s_spec,
@@ -488,34 +489,48 @@ def test_criterion_09_extension_stability():
 
 
 def test_criterion_09_commutative_recovery():
-    # recovery draws its scalars from one stream across groups, so degree 7
-    # samples the groups n, k <= 4 at other points than degree 4 does: run both
-    for degree in (4, 7):
-        rep = run_suite("recovery", degree=degree)
-        _assert_cases(rep, label=f"criterion 9: determinant-quotient recovery n,k <= {degree}")
+    # degree 7 re-checks the points of degree 4 (see the test below)
+    rep = run_suite("recovery", degree=7)
+    _assert_cases(rep, label="criterion 9: determinant-quotient recovery n,k <= 7")
+
+
+def test_recovery_points_do_not_move_with_degree(monkeypatch):
+    import ncshift.suites as suites
+
+    calls = {4: [], 7: []}
+    for degree in calls:
+
+        def recording(k, n, scalars, degree=degree):
+            calls[degree].append((n, k, tuple(scalars)))
+            return commutative_recovery(k, n, scalars)
+
+        monkeypatch.setattr(suites, "commutative_recovery", recording)
+        suites.suite_recovery(degree=degree)
+    assert len(calls[4]) >= 16
+    assert [c for c in calls[7] if c[0] <= 4 and c[1] <= 4] == calls[4]
 
 
 def test_criterion_10_quasi_schur():
-    rep = run_suite("giambelli", degree=6)
+    rep = run_suite("giambelli", degree=9)
     _assert_cases(rep, label="criterion 10: quasi-Schur values and Giambelli")
 
 
 def test_criterion_11_bazin_printed():
-    """verify_bazin with the displayed reading, n <= 3, k <= n, d in {1,2}.
+    """verify_bazin with the displayed reading, n <= 4, k <= n, d in {1,2}.
 
     The display transposes the source theorem without adjusting the
     quasideterminant conventions.  For commuting entries (d = 1) and for
     k = 1 the two readings agree and the display holds; for matrix entries
-    it fails whenever k >= 2, as verify_bazin's docstring says.  Of the 12
-    printed cases exactly n2-k2-d2, n3-k2-d2 and n3-k3-d2 must be refuted,
+    it fails whenever k >= 2, as verify_bazin's docstring says.  Of the 20
+    printed cases exactly the six n{2,3,4}-k>=2-d2 ones must be refuted,
     each with the "noncommuting entries" witness, and the corrected reading
     must hold at each of them.  The suite's first draw (base seed 97531)
     is rechecked directly.
     """
-    rep = run_suite("bazin", degree=3)
-    params = [(n, k, d) for n in (1, 2, 3) for k in range(1, n + 1) for d in (1, 2)]
+    rep = run_suite("bazin", degree=4)
+    params = [(n, k, d) for n in (1, 2, 3, 4) for k in range(1, n + 1) for d in (1, 2)]
     refuted = {(n, k, d) for n, k, d in params if k >= 2 and d == 2}
-    assert len(params) == 12 and len(refuted) == 3
+    assert len(params) == 20 and len(refuted) == 6
     cases = _assert_refuted(
         rep,
         {f"bazin-printed-n{n}-k{k}-d{d}" for n, k, d in refuted},
@@ -532,19 +547,19 @@ def test_criterion_11_bazin_printed():
     printed = {c.id for c in rep.cases if c.id.startswith("bazin-printed")}
     assert printed == {f"bazin-printed-n{n}-k{k}-d{d}" for n, k, d in params}
 
-    for n, k in ((2, 2), (3, 2), (3, 3)):
+    for n, k, _ in refuted:
         assert verify_bazin(n, k, 1, 97531, variant="printed")
         assert not verify_bazin(n, k, 2, 97531, variant="printed")
         assert verify_bazin(n, k, 2, 97531, variant="corrected")
 
 
 def test_criterion_11_bazin_corrected():
-    rep = run_suite("bazin", degree=3)
+    rep = run_suite("bazin", degree=4)
     ids = {c.id for c in rep.cases if c.id.startswith("bazin-corrected")}
     _assert_cases(rep, ids, label="criterion 11: Bazin (corrected reading)")
 
 
-#: each suite at the degree its acceptance test requests, which is its default
+#: each suite at the default degree of its signature
 DEFAULT_RUNS = {
     "defining-relation": 8,
     "base-change": 8,

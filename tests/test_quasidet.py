@@ -111,6 +111,15 @@ def test_matvalue_inverse_and_det():
         assert m.det() == brute
 
 
+def test_matvalue_plus_rational_is_plus_multiple_of_identity():
+    rng = random.Random(7)
+    for d in (1, 2, 3):
+        m = random_mat(rng, d)
+        for c in (0, 2, Fraction(-1, 2)):
+            assert m + c == m + MatValue.scalar(d, c)
+            assert m - c == m - MatValue.scalar(d, c)
+
+
 def _gauss_jordan_inverse(m):
     """Reference inverse: Gauss-Jordan over Fraction, or None if singular."""
     n = m.n

@@ -147,12 +147,10 @@ def test_ribbon_specialization_symmetry():
 
 
 def test_denominator_stability_under_reindexing():
-    # the dpower denominator grid for n+1 rows reduces to the n-row one
-    from ncshift.special import _dpower
-
+    # the denominator grid with the offsets of n+1 rows reduces to the n-row one
     A = assignment(3, 2, 240)
-    lhs = _dpower(A, A.n + 1, list(range(A.n)), A.n)
-    rhs = _dpower(A, A.n, list(range(A.n)), A.n)
+    lhs = _grid(A, A.n + 1, list(range(A.n)), A.n)
+    rhs = _grid(A, A.n, list(range(A.n)), A.n)
     assert lhs == rhs
 
 
@@ -310,25 +308,27 @@ def test_randomized_cases_fail_when_no_sample_is_evaluated(monkeypatch, suite, p
 # -- the per-assignment memo against the formula restated without it ------------
 
 
+def _grid(A, s, exps, box_row):
+    """Quasideterminant of rows <x_j | tau^{j-s} a>^m, m in exps, boxed at (box_row, n)."""
+    blocks = [
+        [shifted_power(A.vars[j], A.sub, m, SEQ_A.tau(j + 1 - s)) for j in range(A.n)]
+        for m in exps
+    ]
+    return block_quasidet(blocks, box_row, A.n)
+
+
 def _reference(family, k, A):
     """S_k / Lambda_k from public shifted_power, block_quasidet and inverse alone."""
     n, d = A.n, A.d
-
-    def grid(exps, box_row):
-        blocks = [
-            [shifted_power(A.vars[j], A.sub, m, SEQ_A.tau(j + 1 - n)) for j in range(n)]
-            for m in exps
-        ]
-        return block_quasidet(blocks, box_row, n)
-
     if k == 0:
         return MatValue.identity(d)
     if family == "S":
-        return grid(list(range(n - 1)) + [n + k - 1], n) * grid(list(range(n)), n).inverse()
+        num = _grid(A, n, list(range(n - 1)) + [n + k - 1], n)
+        return num * _grid(A, n, list(range(n)), n).inverse()
     if k > n:
         return MatValue.zeros(d)
-    num = grid([m for m in range(n + 1) if m != n - k], n)
-    val = num * grid(list(range(n)), n - k + 1).inverse()
+    num = _grid(A, n, [m for m in range(n + 1) if m != n - k], n)
+    val = num * _grid(A, n, list(range(n)), n - k + 1).inverse()
     return val if (k - 1) % 2 == 0 else -val
 
 
@@ -342,8 +342,10 @@ ORDERS = {
 
 
 def _memo_points():
-    for n in (1, 2, 3):
-        for d in (1, 2):
+    # up to n = 4 and 3 x 3 blocks: Lambda_2 and Lambda_3 then box against
+    # minors that drop an interior row
+    for n in (1, 2, 3, 4):
+        for d in (1, 2, 3):
             for seed in range(3):
                 yield n, d, 500 + 100 * n + 10 * d + seed
 
@@ -409,3 +411,18 @@ def test_singular_assignment_raises_on_every_call():
         for _ in range(2):
             with pytest.raises(SingularMinor):
                 spec(2, A)
+
+
+def test_singular_shared_minor_raises_on_every_call():
+    # x_2 = x_1 + c Id gives the first two columns of every grid the same
+    # shifted powers, so the minor each S_k and Lambda_k shares is singular
+    rng = random.Random(620)
+    x, y = random_mat(rng, 2), random_mat(rng, 2)
+    A = VariableAssignment((x, x + STAR.c, y), STAR)
+    for f in SPEC:
+        for k in (1, 2, 3):
+            assert _reference_or_singular(f, k, A) is SingularMinor
+            for _ in range(2):
+                with pytest.raises(SingularMinor):
+                    SPEC[f](k, A)
+    assert {key[0] for key in A._memo} == {"power"}
