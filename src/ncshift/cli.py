@@ -20,6 +20,7 @@ from functools import cache
 from .algebra import NCElement
 from .families import (
     lambda_words_to_s,
+    psi_shifted,
     psi_words_to_s,
     s_to_lambda,
     s_to_psi,
@@ -112,8 +113,6 @@ def cmd_expand(args) -> int:
     elif args.lam is not None:
         out = shift_Lambda(args.lam, args.shift)
     elif args.psi is not None:
-        from .families import psi_shifted
-
         out = psi_shifted(args.psi, args.shift)
     else:
         comp = Composition(args.ribbon)
@@ -127,10 +126,11 @@ def cmd_expand(args) -> int:
 
 def _load_element(path: str | None) -> NCElement:
     """An element file, read in its own basis and expanded in the S-basis."""
-    fh = sys.stdin if path in (None, "-") else open(path)
-    data = _load_exact(fh)
-    if fh is not sys.stdin:
-        fh.close()
+    if path in (None, "-"):
+        data = _load_exact(sys.stdin)
+    else:
+        with open(path) as fh:
+            data = _load_exact(fh)
     if not isinstance(data, dict):
         raise ValueError("an element file holds one JSON object with a list of terms")
     basis = data.get("basis", "S")

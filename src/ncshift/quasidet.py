@@ -20,6 +20,11 @@ Two evaluators cover everything in scope:
   bracketed solve does not read row p, so it is its own step (solve_minor)
   for callers that box several rows against one minor.
 
+Randomized checks evaluate at seeded random points and redraw a point whose
+quasiminor is singular.  first_nonsingular is the one draw loop: it reads the
+reseed budget (max_reseed_default), spends it on the points a caller supplies
+and raises ExhaustedRetries when every one of them is singular.
+
 Any nonzero rational subdiagonal is accepted in the symbolic engine:
 left-scaling a non-boxed row leaves the quasideterminant unchanged, so rows
 are normalized first.  A rational factor on the boxed column scales it.
@@ -31,7 +36,8 @@ import math
 import os
 import random
 from fractions import Fraction
-from typing import Callable, Sequence
+from itertools import count, islice
+from typing import Callable, Iterable, Sequence
 
 from .algebra import NCElement
 from .params import as_fraction
@@ -58,6 +64,18 @@ class SingularMinor(ArithmeticError):
 
 class ExhaustedRetries(RuntimeError):
     """Every sampled matrix hit a singular minor."""
+
+
+def first_nonsingular(points: Iterable, check: Callable):
+    """check(point) at the first of at most 1 + max_reseed_default() points, taken
+    lazily, where it raises no SingularMinor; ExhaustedRetries if every one does."""
+    draws = max_reseed_default() + 1
+    for point in islice(points, draws):
+        try:
+            return check(point)
+        except SingularMinor:
+            continue
+    raise ExhaustedRetries(f"no nonsingular sample in {draws} draws")
 
 
 # -- symbolic engine ---------------------------------------------------------
@@ -346,16 +364,14 @@ def verify_bazin(
     corner, |B|_{k1} with b_{ij} = |A_(j..j+n-2, n+i)|_{n+i,n} (the transpose
     of the printed B), which holds for matrix entries of any size.
 
-    Singular draws are retried with incremented seeds, at most
-    max_reseed_default() times.
+    A singular draw is redrawn at the next seed, through first_nonsingular.
     """
     if not (1 <= k <= n):
         raise ValueError("need 1 <= k <= n")
     if variant not in ("printed", "corrected"):
         raise ValueError("variant must be 'printed' or 'corrected'")
-    draws = max_reseed_default() + 1
-    for attempt in range(draws):
-        rng = random.Random(seed + attempt)
+
+    def check(rng: random.Random) -> bool:
         A = [[random_mat(rng, d) for _ in range(n)] for _ in range(2 * n)]
 
         def quasiminor(rows: list[int], pos: int, q: int) -> MatValue:
@@ -364,25 +380,14 @@ def verify_bazin(
             # legitimate zero of the identity, not a sampling failure.
             return block_quasidet([A[i - 1] for i in rows], pos, q)
 
-        try:
-            B = [
-                [
-                    quasiminor(list(range(i, i + n - 1)) + [n + j], n, n)
-                    for j in range(1, k + 1)
-                ]
-                for i in range(1, k + 1)
-            ]
-            if variant == "printed":
-                lhs = block_quasidet(B, 1, k)
-            else:
-                lhs = block_quasidet(list(zip(*B)), k, 1)
-            rows1 = list(range(k, n)) + list(range(n + 1, n + k + 1))
-            f1 = quasiminor(rows1, len(rows1), n)
-            rows2 = list(range(k, n + k))
-            f2 = quasiminor(rows2, rows2.index(n) + 1, n)
-            f3 = quasiminor(list(range(1, n + 1)), n, n)
-            rhs = f1 * f2.inverse() * f3
-        except SingularMinor:
-            continue
-        return lhs == rhs
-    raise ExhaustedRetries(f"no nonsingular sample in {draws} draws")
+        B = [[quasiminor(list(range(i, i + n - 1)) + [n + j], n, n) for j in range(1, k + 1)]
+             for i in range(1, k + 1)]
+        lhs = block_quasidet(B, 1, k) if variant == "printed" else block_quasidet([*zip(*B)], k, 1)
+        rows1 = list(range(k, n)) + list(range(n + 1, n + k + 1))
+        f1 = quasiminor(rows1, len(rows1), n)
+        rows2 = list(range(k, n + k))
+        f2 = quasiminor(rows2, rows2.index(n) + 1, n)
+        f3 = quasiminor(list(range(1, n + 1)), n, n)
+        return lhs == f1 * f2.inverse() * f3
+
+    return first_nonsingular((random.Random(seed + a) for a in count()), check)

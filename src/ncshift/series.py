@@ -48,10 +48,7 @@ class TruncatedTSeries:
         if self.basis is None:
             return self
         return reexpand_values(
-            self.order,
-            self.constant,
-            self.coeffs,
-            [self.basis.term(i) for i in range(1, self.order + 1)],
+            self.order, self.constant, self.coeffs, self.basis.values(self.order)
         )
 
     def reexpand(self, target: ParamSequence | None) -> "TruncatedTSeries":
@@ -60,7 +57,7 @@ class TruncatedTSeries:
         if target is None:
             return plain
         # triangular solve: c_k = p_k - sum_{m<k} c_m h_{k-m}(b_1..b_m)
-        values = [target.term(i) for i in range(1, self.order + 1)]
+        values = target.values(self.order)
         out: dict[int, NCElement] = {}
         for k in range(1, self.order + 1):
             acc = plain.coeff(k)
@@ -121,7 +118,7 @@ def lambda_series_at_minus_t(order: int, base: ParamSequence = SEQ_A) -> Truncat
     expansion uses the negated dual values.
     """
     dual = base.dual()
-    neg_values = [-dual.term(i) for i in range(1, order + 1)]
+    neg_values = [-v for v in dual.values(order)]
     coeffs = {
         k: lambda_in_S(k, base).scale(ParamPoly.const((-1) ** k))
         for k in range(1, order + 1)

@@ -12,14 +12,15 @@ identities of rational functions are checked at seeded random matrix points,
 with bounded resampling when a quasiminor happens to be singular.
 
 Values are memoized per assignment: a VariableAssignment keeps its shifted-power
-chains, minor solves, inverted denominators and S/Lambda values for as long as
-it lives, so each point is evaluated once.  Every grid is boxed at its last
-column, so a quasideterminant is a solve of its minor rows against that column
-plus one Schur complement for the boxed row; the solve is keyed by the minor's
-exponents and shared by every row boxed against it (the S_k numerators,
-Lambda_1 and the S denominator share one, each Lambda_k shares its own with its
-denominator).  Shifted or swapped assignments start empty, and a singular minor
-or denominator is never stored: it is raised again on every call.
+chains, minor solves, inverted denominators, S/Lambda values and quasi-Schur
+values for as long as it lives, so each point is evaluated once.  Every grid is
+boxed at its last column, so a quasideterminant is a solve of its minor rows
+against that column plus one Schur complement for the boxed row; the solve is
+keyed by the minor's exponents and shared by every row boxed against it (the S_k
+numerators, Lambda_1 and the S denominator share one, each Lambda_k shares its
+own with its denominator).  Shifted or swapped assignments start empty, and a
+singular minor, denominator or quasi-Schur value is never stored: it is raised
+again on every call.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .families import shift_Lambda
 from .params import ParamSubstitution, SEQ_A, as_fraction
 from .quasidet import (
     MatValue,
+    SingularMinor,
     block_quasidet,
     hessenberg_quasidet,
     random_mat,
@@ -42,8 +44,8 @@ from .quasidet import (
 from .shifts import shift_S
 
 
-class ZeroDenominator(ArithmeticError):
-    """The commutative determinant oracle hit a vanishing denominator."""
+class ZeroDenominator(SingularMinor):
+    """The commutative determinant oracle hit a vanishing (singular) denominator."""
 
 
 @dataclass(frozen=True)
@@ -364,11 +366,15 @@ def quasi_schur_spec(shape: tuple[int, ...], assignment: VariableAssignment) -> 
 
     Entry (p,q) of the defining matrix is S_{shape_q + q - p}^[n-p], expanded
     in the S-basis and evaluated; the quasideterminant is taken at the
-    top-right corner with outer sign (-1)^(n-1).
+    top-right corner with outer sign (-1)^(n-1).  The value is memoized in
+    the assignment under ("Q", shape); a singular shape is never stored.
     """
     lam = tuple(shape)
     if any(a > b for a, b in zip(lam, lam[1:])):
         raise ValueError("partition parts must be given in increasing order")
+    memo = assignment._memo
+    if ("Q", lam) in memo:
+        return memo["Q", lam]
     n = len(lam)
     d = assignment.d
     blocks = []
@@ -382,7 +388,8 @@ def quasi_schur_spec(shape: tuple[int, ...], assignment: VariableAssignment) -> 
                 row.append(evaluate_nc(shift_S(m, n - p), assignment))
         blocks.append(row)
     val = block_quasidet(blocks, 1, n)
-    return val if (n - 1) % 2 == 0 else -val
+    memo["Q", lam] = val if (n - 1) % 2 == 0 else -val
+    return memo["Q", lam]
 
 
 def quasi_schur_lambda_form(shape: tuple[int, ...], assignment: VariableAssignment) -> MatValue:

@@ -17,6 +17,7 @@ import time
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import count
 from math import comb
 
 from .algebra import NCElement
@@ -38,8 +39,8 @@ from .quasidet import (
     ExhaustedRetries,
     MatValue,
     SingularMinor,
+    first_nonsingular,
     hessenberg_quasidet,
-    max_reseed_default,
     random_mat,
     verify_bazin,
 )
@@ -57,11 +58,10 @@ from .ribbon import (
     ribbon_uniform,
     to_ribbon_basis,
 )
-from .series import defining_relation_defect
+from .series import defining_relation_defect, lambda_series_at_minus_t, sigma_series
 from .shifts import a_binomial, shift_S
 from .special import (
     VariableAssignment,
-    ZeroDenominator,
     check_extension,
     check_shifted_symmetry,
     commutative_recovery,
@@ -198,8 +198,6 @@ def suite_defining_relation(degree: int = 8, seed: int = 0) -> Report:
     )
     rep.add("runtime-under-30s", time.monotonic() - t0 < 30.0, "too slow")
     # mutation control: perturbing Lambda_2 must break the 1/t^2 coefficient
-    from .series import lambda_series_at_minus_t, sigma_series
-
     lam = lambda_series_at_minus_t(4)
     lam.coeffs[2] = lam.coeffs.get(2, NCElement.zero()) + NCElement.gen(1)
     bad = lam.multiply(sigma_series(4).to_plain())
@@ -503,21 +501,18 @@ def _tensor3(d: TensorElement, left: bool) -> dict:
 
 def _sample_assignment(rng: random.Random, n: int, d: int, check=lambda A: A):
     """check(A) at the first point A where S_k, Lambda_k (k <= min(n, 2)) and
-    check itself evaluate, in 1 + max_reseed_default() draws.
+    check itself evaluate, drawn through first_nonsingular.
 
     A draw counts only when every evaluation succeeds: one that raises
     SingularMinor part-way is dropped whole, for the next draw.
     """
-    draws = max_reseed_default() + 1
-    for _ in range(draws):
-        A = random_assignment(rng, n, d)
-        try:
-            s_spec(min(n, 2), A)
-            lambda_spec(min(n, 2), A)
-            return check(A)
-        except SingularMinor:
-            continue
-    raise ExhaustedRetries(f"no nonsingular sample in {draws} draws")
+
+    def evaluated(A):
+        s_spec(min(n, 2), A)
+        lambda_spec(min(n, 2), A)
+        return check(A)
+
+    return first_nonsingular((random_assignment(rng, n, d) for _ in count()), evaluated)
 
 
 def _first_sample(seed: int, n: int, d: int, check):
@@ -629,13 +624,14 @@ def suite_recovery(degree: int = 4, seed: int = 0) -> Report:
     def group(n: int, k: int) -> list[str]:
         # seeded per group, so a higher degree re-checks the lower groups' points
         rng = random.Random((seed or 4321) + 1013 * n + 37 * k)
-        for _ in range(max_reseed_default() + 1):
-            scalars = [Fraction(rng.randint(-9, 12), rng.choice([1, 2, 3])) for _ in range(n)]
-            try:
-                return [] if commutative_recovery(k, n, scalars) else [f"n={n} k={k} at {scalars}"]
-            except (ZeroDenominator, SingularMinor):
-                continue
-        return [f"n={n} k={k}: no usable sample"]
+        points = ([Fraction(rng.randint(-9, 12), rng.choice([1, 2, 3])) for _ in range(n)]
+                  for _ in count())
+        try:
+            return first_nonsingular(points, lambda scalars: (
+                [] if commutative_recovery(k, n, scalars) else [f"n={n} k={k} at {scalars}"]
+            ))
+        except ExhaustedRetries:
+            return [f"n={n} k={k}: no usable sample"]
 
     rep.sampled("determinant-quotient-oracle", (
         group(n, k) for n in range(1, degree + 1) for k in range(1, degree + 1)

@@ -3,7 +3,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations
+from itertools import count, permutations
 
 import pytest
 
@@ -16,11 +16,13 @@ from ncshift.quasidet import (
     SingularMinor,
     _flatten,
     block_quasidet,
+    first_nonsingular,
     hessenberg_quasidet,
     random_mat,
     verify_bazin,
 )
 from ncshift.shifts import shift_S
+from ncshift.special import ZeroDenominator
 
 a = ParamPoly.gen
 S = NCElement.gen
@@ -292,6 +294,87 @@ def test_bazin_respects_reseed_env(monkeypatch):
         verify_bazin(2, 1, 1, seed=1)
     # 3 attempts (NCSHIFT_MAX_RESEED + 1), each drawing a 2n x n = 4 x 2 block matrix
     assert len(calls) == 3 * 8
+
+
+def _counted(points):
+    """The points, with each one recorded in taken as it is drawn."""
+    taken = []
+
+    def draw():
+        for p in points:
+            taken.append(p)
+            yield p
+
+    return taken, draw()
+
+
+def test_first_nonsingular_spends_the_budget(monkeypatch):
+    def singular(p):
+        raise SingularMinor("forced")
+
+    monkeypatch.setenv("NCSHIFT_MAX_RESEED", "2")
+    taken, points = _counted(count())
+    with pytest.raises(ExhaustedRetries, match="^no nonsingular sample in 3 draws$"):
+        first_nonsingular(points, singular)
+    assert taken == [0, 1, 2]
+
+
+def test_first_nonsingular_stops_at_the_first_good_point(monkeypatch):
+    def check(p):
+        if p < 2:
+            raise SingularMinor("forced")
+        return 10 * p
+
+    monkeypatch.setenv("NCSHIFT_MAX_RESEED", "5")
+    taken, points = _counted(count())
+    assert first_nonsingular(points, check) == 20
+    assert taken == [0, 1, 2]
+
+
+def test_first_nonsingular_only_redraws_singular_points(monkeypatch):
+    def vanishing_first(p):
+        if p == 0:
+            raise ZeroDenominator("vanishing Vandermonde-type determinant")
+        return p
+
+    monkeypatch.setenv("NCSHIFT_MAX_RESEED", "5")
+    # an arithmetic error that is no singular draw is a fault, not a redraw
+    for error in (ValueError, ZeroDivisionError):
+
+        def bad(p):
+            raise error("not a sampling failure")
+
+        taken, points = _counted(count())
+        with pytest.raises(error, match="not a sampling failure"):
+            first_nonsingular(points, bad)
+        assert taken == [0]
+    taken, points = _counted(count())
+    assert first_nonsingular(points, vanishing_first) == 1
+    assert taken == [0, 1]
+
+
+@pytest.mark.parametrize("variant", ["printed", "corrected"])
+def test_bazin_redraws_a_singular_attempt_at_the_next_seed(monkeypatch, variant):
+    import ncshift.quasidet as qd
+
+    # n = k = d = 2: an attempt draws 2n x n = 8 blocks; the first attempt's are zero
+    original = qd.random_mat
+
+    def run(seed, zeros):
+        drawn = []
+
+        def recording(rng, d):
+            m = MatValue.zeros(d) if len(drawn) < zeros else original(rng, d)
+            drawn.append(m)
+            return m
+
+        monkeypatch.setattr(qd, "random_mat", recording)
+        return verify_bazin(2, 2, 2, seed=seed, variant=variant), drawn[zeros:]
+
+    for s in range(400, 403):
+        got, redrawn = run(s, 8)
+        want, drawn = run(s + 1, 0)
+        assert got == want and redrawn == drawn and len(drawn) >= 8
 
 
 def test_max_reseed_default(monkeypatch):

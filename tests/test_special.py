@@ -190,7 +190,7 @@ def test_commutative_recovery():
                 try:
                     assert commutative_recovery(k, n, scalars)
                     break
-                except (ZeroDenominator, SingularMinor):
+                except SingularMinor:  # ZeroDenominator included
                     continue
 
 
@@ -426,3 +426,58 @@ def test_singular_shared_minor_raises_on_every_call():
                 with pytest.raises(SingularMinor):
                     SPEC[f](k, A)
     assert {key[0] for key in A._memo} == {"power"}
+
+
+def test_quasi_schur_is_memoized(monkeypatch):
+    import ncshift.special as special
+
+    A = assignment(3, 2, 630)
+    value = quasi_schur_spec((1, 2), A)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return block_quasidet(*args)
+
+    monkeypatch.setattr(special, "block_quasidet", counting)
+    assert quasi_schur_spec((1, 2), A) == value
+    assert calls == []
+    assert quasi_schur_spec((1, 2), VariableAssignment(A.vars, A.sub)) == value
+    assert len(calls) == 1
+
+
+def test_singular_quasi_schur_is_not_memoized(monkeypatch):
+    import ncshift.special as special
+
+    A = assignment(3, 2, 640)
+    calls = []
+
+    def singular(*args):
+        calls.append(args)
+        raise SingularMinor("forced")
+
+    monkeypatch.setattr(special, "block_quasidet", singular)
+    for _ in range(2):
+        with pytest.raises(SingularMinor):
+            quasi_schur_spec((2, 2), A)
+    assert len(calls) == 2
+    assert not any(key[0] == "Q" for key in A._memo)
+
+
+def test_memoized_quasi_schur_matches_fresh_assignment():
+    # every shape the giambelli suite checks up to degree 6, with its hooks,
+    # served from one shared memo against a fresh assignment per shape
+    from ncshift.ribbon import all_compositions
+
+    A = assignment(3, 2, 650)
+    parts = {tuple(sorted(I.parts)) for m in range(2, 7) for I in all_compositions(m)}
+    shapes = [s for s in sorted(parts) if len(frobenius_form(s)[0]) <= 2]
+    for shape in shapes:
+        try:
+            giambelli_check(shape, A)
+        except SingularMinor:
+            continue
+    memoized = {key[1]: value for key, value in A._memo.items() if key[0] == "Q"}
+    assert set(shapes) <= set(memoized)
+    for shape, value in memoized.items():
+        assert quasi_schur_spec(shape, VariableAssignment(A.vars, A.sub)) == value, shape
