@@ -55,7 +55,7 @@ from .ribbon import (
     ribbon_uniform,
     to_ribbon_basis,
 )
-from .series import TruncatedTSeries, sigma_series, verify_defining_relation
+from .series import TruncatedTSeries, sigma_series
 from .shifts import a_binomial, phi_shift, shift_S
 from .special import (
     VariableAssignment,
@@ -65,7 +65,6 @@ from .special import (
     commutative_recovery,
     giambelli_check,
     lambda_spec,
-    psi_variable_shift,
     quasi_schur_spec,
     s_spec,
     shifted_power,

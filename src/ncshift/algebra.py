@@ -187,9 +187,9 @@ def apply_letters(
 
 # -- commutative symmetric polynomials of parameter values -------------------
 #
-# Needed by the series re-expansions (complete homogeneous) and by the
-# finite-variable embedding (elementary).  Standard one-variable-at-a-time
-# recurrences; inputs are plain lists of ParamPoly values.
+# Needed by the series re-expansions and by the finite-variable embedding.
+# The standard one-variable-at-a-time recurrence; inputs are plain lists of
+# ParamPoly values.
 
 
 def complete_homogeneous(values: list[ParamPoly], n: int) -> list[ParamPoly]:
@@ -200,11 +200,3 @@ def complete_homogeneous(values: list[ParamPoly], n: int) -> list[ParamPoly]:
             hs[i] = hs[i] + v * hs[i - 1]
     return hs
 
-
-def elementary(values: list[ParamPoly], n: int) -> list[ParamPoly]:
-    """[e_0, e_1, ..., e_n] of the given values; e_k = 0 past the list length."""
-    es = [ParamPoly.one()] + [ParamPoly.zero()] * n
-    for v in values:
-        for i in range(min(n, len(values)), 0, -1):
-            es[i] = es[i] + v * es[i - 1]
-    return es

@@ -236,7 +236,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (OSError, json.JSONDecodeError, ValueError, KeyError) as e:
+    except (OSError, ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -38,7 +38,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations, pairwise
 
-from .algebra import NCElement, Word, apply_letters, complete_homogeneous, elementary
+from .algebra import NCElement, Word, apply_letters, complete_homogeneous
 from .params import SEQ_A, ParamSequence
 from .quasidet import hessenberg_quasidet
 from .shifts import shift_S
@@ -111,7 +111,6 @@ def omega(x: NCElement, base: ParamSequence = SEQ_A) -> NCElement:
 # -- power sums ---------------------------------------------------------------
 
 
-@cache
 def psi(n: int, base: ParamSequence = SEQ_A) -> NCElement:
     """The shifted power sum Psi_n in the S-basis."""
     return psi_shifted(n, 0, base)
@@ -281,20 +280,10 @@ def project_shifted(n: int) -> NCElement:
     """
     if n == 0:
         return NCElement.one()
+    embedded = embed_unshifted(n).terms
     out = NCElement.gen(n)
     for k in range(1, n):
-        h = complete_homogeneous(SEQ_A.values(k), n - k)[n - k]
-        out = out - project_shifted(k).scale(h)
-    return out
-
-
-def project_shifted_closed_form(n: int) -> NCElement:
-    """The printed elementary-symmetric closed form for S_{n;a}."""
-    es = elementary(SEQ_A.values(n - 1), n)
-    out = NCElement.zero()
-    for i in range(n):
-        c = es[i] if i % 2 == 0 else -es[i]
-        out = out + NCElement.gen(n - i).scale(c)
+        out = out - project_shifted(k).scale(embedded[(k,)])
     return out
 
 

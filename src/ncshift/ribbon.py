@@ -211,15 +211,6 @@ def macmahon_left_shift(I: Composition, J: Composition) -> int:
     return I.parts[-1]
 
 
-def generalized_macmahon_rhs(
-    I: Composition, K: tuple[int, ...], J: Composition, L: tuple[int, ...]
-) -> RibbonElement:
-    """R_{I.J}^[K,L] + R_{I|>J}^[K, l_2..l_m]."""
-    return RibbonElement.single(I.concat(J), K + L) + RibbonElement.single(
-        I.fuse(J), K + L[1:]
-    )
-
-
 def nagelsbach_form(I: Composition, base: ParamSequence = SEQ_A) -> NCElement:
     """R_I^[i_n - 1] computed through the conjugate elementary expansion.
 

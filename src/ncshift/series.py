@@ -3,12 +3,12 @@
 A series is stored to a finite order N as a constant plus coefficients for
 the basis elements 1/<den>^k, k = 1..N, where the denominator basis is either
 plain powers t^k or shifted powers (t - b_1)...(t - b_k) for one of the
-parameter sequences b.  Re-expansion into plain powers follows the geometric
-series,
+parameter sequences b.  Re-expansion goes one way, into plain powers, by the
+geometric series
 
     1/((t-b_1)...(t-b_k)) = sum_{i>=0} h_i(b_1,...,b_k) / t^{k+i},
 
-and the reverse direction is the triangular solve against it.  The defining
+and products are taken in the plain basis.  The defining
 relation of the algebra is the statement that the complete homogeneous series
 over a and the elementary series over the dual sequence, evaluated at -t, are
 mutually inverse; it is checked coefficientwise in the plain basis.
@@ -50,26 +50,6 @@ class TruncatedTSeries:
         return reexpand_values(
             self.order, self.constant, self.coeffs, self.basis.values(self.order)
         )
-
-    def reexpand(self, target: ParamSequence | None) -> "TruncatedTSeries":
-        """The same series over another denominator basis, up to the order."""
-        plain = self.to_plain()
-        if target is None:
-            return plain
-        # triangular solve: c_k = p_k - sum_{m<k} c_m h_{k-m}(b_1..b_m)
-        values = target.values(self.order)
-        out: dict[int, NCElement] = {}
-        for k in range(1, self.order + 1):
-            acc = plain.coeff(k)
-            for m in range(1, k):
-                prev = out.get(m)
-                if prev is None:
-                    continue
-                h = complete_homogeneous(values[:m], k - m)[k - m]
-                acc = acc - prev.scale(h)
-            if not acc.is_zero():
-                out[k] = acc
-        return TruncatedTSeries(self.order, plain.constant, out, target)
 
     def multiply(self, other: "TruncatedTSeries") -> "TruncatedTSeries":
         """Product of two plain-basis series, truncated at the smaller order."""
@@ -141,7 +121,3 @@ def defining_relation_defect(order: int, base: ParamSequence = SEQ_A) -> dict[in
                 defects[tag * 1000 + k] = c
     return defects
 
-
-def verify_defining_relation(order: int, base: ParamSequence = SEQ_A) -> bool:
-    """Whether both products lambda(-t) sigma(t) and sigma(t) lambda(-t) are 1."""
-    return not defining_relation_defect(order, base)

@@ -53,28 +53,17 @@ def a_binomial(l: int, nu: int, k: int, seq: ParamSequence = SEQ_A) -> ParamPoly
 
 
 @cache
-def s_shift_coeffs(k: int, s: int, base: ParamSequence = SEQ_A) -> tuple[ParamPoly, ...]:
-    """Coefficients (c_0, ..., c_{k-1}) with S_k^[s] = sum_nu c_nu S_{k-nu}."""
+def shift_S(k: int, s: int, base: ParamSequence = SEQ_A) -> NCElement:
+    """S_k^[s] expanded in the S-basis: the coefficient of S_{k-nu} is the closed form above."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     if k == 0:
-        return ()
-    if s >= 0:
-        return tuple(
-            a_binomial(s, nu, k - nu, base.tau(-s)) for nu in range(k)
-        )
-    t = -s
-    return tuple(
-        a_binomial(nu + t - 1, nu, 1 - k, base.tau(k - nu)) for nu in range(k)
-    )
-
-
-@cache
-def shift_S(k: int, s: int, base: ParamSequence = SEQ_A) -> NCElement:
-    """S_k^[s] expanded in the S-basis."""
-    if k == 0:
         return NCElement.one()
-    return NCElement({(k - nu,): c for nu, c in enumerate(s_shift_coeffs(k, s, base))})
+    if s >= 0:
+        coeffs = (a_binomial(s, nu, k - nu, base.tau(-s)) for nu in range(k))
+    else:
+        coeffs = (a_binomial(nu - s - 1, nu, 1 - k, base.tau(k - nu)) for nu in range(k))
+    return NCElement({(k - nu,): c for nu, c in enumerate(coeffs)})
 
 
 def coeff_shift(c: ParamPoly, s: int, base: ParamSequence = SEQ_A) -> ParamPoly:

@@ -127,12 +127,10 @@ class VariableAssignment:
         }
 
 
-def random_assignment(
-    rng: random.Random, n: int, d: int, c=1, base=-1
-) -> VariableAssignment:
+def random_assignment(rng: random.Random, n: int, d: int) -> VariableAssignment:
+    """n random d x d variables at a_i = i - 1."""
     return VariableAssignment(
-        tuple(random_mat(rng, d) for _ in range(n)),
-        ParamSubstitution.equidistant(c, base),
+        tuple(random_mat(rng, d) for _ in range(n)), ParamSubstitution.equidistant(1, -1)
     )
 
 
@@ -251,11 +249,6 @@ def evaluate_nc(x: NCElement, assignment: VariableAssignment) -> MatValue:
     return out
 
 
-def psi_variable_shift(k: int, assignment: VariableAssignment, s: int, family: str = "S") -> MatValue:
-    """psi^[s] of the specialized function: evaluation at (x_i + s c)."""
-    return spec_value(family, k, assignment.shift_all(s))
-
-
 def variable_shift_defect(k: int, assignment: VariableAssignment) -> MatValue:
     """psi S_k(x) - S_k(x) - c (n+k-1) S_{k-1}(x); zero when the shift law holds."""
     n = assignment.n
@@ -263,15 +256,6 @@ def variable_shift_defect(k: int, assignment: VariableAssignment) -> MatValue:
     lhs = s_spec(k, assignment.shift_all(1))
     rhs = s_spec(k, assignment) + s_spec(k - 1, assignment).scale(c * (n + k - 1))
     return lhs - rhs
-
-
-def phi_psi_relation_defect(k: int, assignment: VariableAssignment) -> MatValue:
-    """psi S_k(x) - phi^[1] S_k(x) - n c S_{k-1}(x) (the two shifts compared)."""
-    n = assignment.n
-    c = assignment.c
-    lhs = s_spec(k, assignment.shift_all(1))
-    phi = evaluate_nc(shift_S(k, 1), assignment)
-    return lhs - phi - s_spec(k - 1, assignment).scale(n * c)
 
 
 def swap_variables(assignment: VariableAssignment, i: int) -> VariableAssignment:

@@ -11,7 +11,6 @@ from ncshift.algebra import (
     NCElement,
     apply_letters,
     complete_homogeneous,
-    elementary,
     elimination_key,
     serial_key,
 )
@@ -33,7 +32,7 @@ def test_multiply_examples():
     assert lhs == NCElement.word((1, 1)) + NCElement.word((2, 1)).scale(a(1))
 
 
-from tests_support import random_element
+from tests_support import elementary, random_element
 
 
 def test_associativity_on_random_corpus():

@@ -486,6 +486,8 @@ def test_verify_rejects_bad_max_reseed(monkeypatch, capsys):
         ("recovery", 0, "determinant-quotient-oracle"),
         ("specialization", 0, "vanishing-lambda"),
         ("bazin", 0, None),
+        ("hopf", 0, "algebra-morphism"),
+        ("hopf", 1, "algebra-morphism"),
     ],
 )
 def test_verify_fails_when_nothing_is_checked(suite, degree, case, capsys):

@@ -13,7 +13,6 @@ from ncshift.families import (
     lambda_in_S,
     lambda_words_to_s,
     project_shifted,
-    project_shifted_closed_form,
     psi,
     psi_shifted,
     psi_words_to_s,
@@ -26,6 +25,8 @@ from ncshift.families import (
 )
 from ncshift.params import ParamPoly, SEQ_A, SEQ_AHAT
 from ncshift.shifts import a_binomial, phi_shift, shift_S
+
+from tests_support import project_shifted_closed_form
 
 a = ParamPoly.gen
 S = NCElement.gen

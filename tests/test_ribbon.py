@@ -26,6 +26,8 @@ from ncshift.ribbon import (
 )
 from ncshift.shifts import phi_shift, shift_S
 
+from tests_support import generalized_macmahon_rhs, random_element
+
 a = ParamPoly.gen
 S = NCElement.gen
 C = Composition
@@ -171,8 +173,6 @@ def test_macmahon_worked_example():
 
 
 def test_generalized_macmahon_random_shift_vectors():
-    from ncshift.ribbon import generalized_macmahon_rhs
-
     rng = random.Random(321)
     for _ in range(25):
         dI, dJ = rng.randint(1, 3), rng.randint(1, 3)
@@ -212,8 +212,6 @@ def test_basis_round_trip_on_ribbons():
 
 
 def test_basis_round_trip_on_random_elements():
-    from tests_support import random_element
-
     rng = random.Random(2718)
     for _ in range(15):
         x = random_element(rng, max_degree=6)

@@ -6,7 +6,7 @@ from math import comb
 
 from ncshift.algebra import NCElement
 from ncshift.params import ParamPoly, ParamSubstitution, SEQ_A, SEQ_AHAT
-from ncshift.shifts import a_binomial, coeff_shift, phi_shift, s_shift_coeffs, shift_S
+from ncshift.shifts import a_binomial, coeff_shift, phi_shift, shift_S
 
 a = ParamPoly.gen
 S = NCElement.gen
@@ -132,7 +132,7 @@ def test_negative_shift_matches_bracket_enumeration():
 def test_shift_coeffs_unit_leading():
     for k in range(1, 7):
         for s in (-3, -1, 0, 1, 3):
-            assert s_shift_coeffs(k, s)[0] == ParamPoly.one()
+            assert shift_S(k, s).coefficient((k,)) == ParamPoly.one()
 
 
 def test_phi_examples():

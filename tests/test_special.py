@@ -20,15 +20,16 @@ from ncshift.special import (
     giambelli_check,
     hook_partition,
     lambda_spec,
-    phi_psi_relation_defect,
-    psi_variable_shift,
     quasi_schur_lambda_form,
     quasi_schur_spec,
     s_spec,
     shifted_power,
+    spec_value,
     swap_variables,
     variable_shift_defect,
 )
+
+from tests_support import phi_psi_relation_defect
 
 STAR = ParamSubstitution.equidistant(1, -1)  # a_i = i - 1
 
@@ -106,7 +107,7 @@ def test_zero_matrix_values_k0():
 
 def test_variable_shift_laws():
     A = assignment(2, 2, 160)
-    assert psi_variable_shift(1, A, 0) == s_spec(1, A)
+    assert spec_value("S", 1, A.shift_all(0)) == s_spec(1, A)
     for k in (1, 2):
         assert variable_shift_defect(k, A).is_zero()
         assert phi_psi_relation_defect(k, A).is_zero()
@@ -114,7 +115,7 @@ def test_variable_shift_laws():
     zero = ParamSubstitution.equidistant(0, 0)
     A0 = assignment(2, 2, 170, sub=zero)
     for k in (1, 2):
-        assert psi_variable_shift(k, A0, 3) == s_spec(k, A0)
+        assert spec_value("S", k, A0.shift_all(3)) == s_spec(k, A0)
 
 
 def _checked_symmetry(n, d, seed, k, i, sub=STAR, tries=24):
@@ -303,6 +304,32 @@ def test_randomized_cases_fail_when_no_sample_is_evaluated(monkeypatch, suite, p
     cases = {c.id: c for c in getattr(suites, suite)(degree=2).cases}
     assert not cases[case].passed
     assert cases[case].witness == suites.NO_SAMPLE
+
+
+def test_printed_n2_formulas_redraw_a_singular_point(monkeypatch):
+    # the first draw is singular: it is redrawn, so all 9 points are evaluated
+    import ncshift.suites as suites
+
+    lambda_spec = suites.lambda_spec
+    calls = []
+
+    def first_singular(k, A):
+        calls.append(k)
+        if len(calls) == 1:
+            raise SingularMinor("forced")
+        return lambda_spec(k, A)
+
+    points = {}
+    sampled = suites.Report.sampled
+
+    def recorded(self, id, found, *args):
+        points[id] = list(found)
+        return sampled(self, id, points[id], *args)
+
+    monkeypatch.setattr(suites, "lambda_spec", first_singular)
+    monkeypatch.setattr(suites.Report, "sampled", recorded)
+    suites.suite_specialization(degree=1)
+    assert points["printed-n2-formulas"] == [[]] * 9
 
 
 # -- the per-assignment memo against the formula restated without it ------------
