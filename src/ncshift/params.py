@@ -288,14 +288,19 @@ class ParamPoly(LinComb):
         )
 
     def substitute(self, sub: "ParamSubstitution") -> Fraction:
-        """Numeric evaluation under a non-symbolic substitution."""
-        total = Fraction(0)
+        """Numeric evaluation under a non-symbolic substitution; the value of
+        each index is read from sub once per call, as an int where integral."""
+        values: dict[int, int | Fraction] = {}
+        total = 0
         for m, c in self.terms.items():
             v = c
             for i in m:
-                v *= sub.index_value(i)
+                x = values.get(i)
+                if x is None:
+                    x = values[i] = _integral(sub.index_value(i))
+                v *= x
             total += v
-        return total
+        return Fraction(total)
 
     # -- presentation --------------------------------------------------------
 

@@ -16,9 +16,12 @@ Two evaluators cover everything in scope:
   matrices, using the defining formula
   |A|_{pq} = a_{pq} - row_p(A^{pq}) ((A^{pq})^{-1} col_q(A^{pq})) with the
   minor, the row and the column flattened to rational matrices: one inverse
-  and two products, each done on integers over common denominators.  The
-  bracketed solve does not read row p, so it is its own step (solve_minor)
-  for callers that box several rows against one minor.
+  and two products.  The bracketed solve does not read row p, so it is its
+  own step (solve_minor) for callers that box several rows against one minor.
+
+A MatValue is integer numerators over one positive denominator, in lowest
+terms; every operation works on the integers (inverses by Bareiss elimination),
+lifts blocks to the lcm of their denominators and reduces its result once.
 
 Randomized checks evaluate at seeded random points and redraw a point whose
 quasiminor is singular.  first_nonsingular is the one draw loop: it reads the
@@ -36,7 +39,8 @@ import math
 import os
 import random
 from fractions import Fraction
-from itertools import count, islice
+from itertools import chain, count, islice
+from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from .algebra import NCElement
@@ -122,141 +126,99 @@ def hessenberg_quasidet(
 
 
 class MatValue:
-    """Immutable square matrix of exact rationals."""
+    """Immutable square matrix of exact rationals.
 
-    __slots__ = ("data", "n")
+    num is a tuple of rows of integer numerators over den, one positive int,
+    always in lowest terms: gcd(den, *entries) == 1.  So equal matrices have
+    equal (num, den), which == and hash compare.  data builds the entries as
+    Fractions, for printing.
+    """
+
+    __slots__ = ("num", "den", "n")
 
     def __init__(self, data):
-        self.data = tuple(tuple(as_fraction(x) for x in row) for row in data)
-        self.n = len(self.data)
-        for row in self.data:
-            if len(row) != self.n:
-                raise ValueError("matrix must be square")
+        rows = [[as_fraction(x) for x in row] for row in data]
+        if any(len(row) != len(rows) for row in rows):
+            raise ValueError("matrix must be square")
+        # over the lcm of the denominators the numerators are coprime to it
+        den = math.lcm(*(x.denominator for row in rows for x in row))
+        self.num = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rows)
+        self.den = den
+        self.n = len(rows)
 
-    @classmethod
-    def _of(cls, data: tuple) -> "MatValue":
-        """Wrap a square tuple of tuples of Fractions without coercing it."""
-        out = object.__new__(cls)
-        out.data = data
-        out.n = len(data)
-        return out
+    @property
+    def data(self) -> tuple:
+        return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.num)
 
     @staticmethod
     def identity(n: int) -> "MatValue":
-        return MatValue([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return MatValue.scalar(n, 1)
 
     @staticmethod
     def zeros(n: int) -> "MatValue":
-        return MatValue([[0] * n for _ in range(n)])
+        return MatValue.scalar(n, 0)
 
     @staticmethod
     def scalar(n: int, c) -> "MatValue":
-        c = as_fraction(c)
-        return MatValue([[c if i == j else 0 for j in range(n)] for i in range(n)])
+        p, q = as_fraction(c).as_integer_ratio()
+        return _lowest([[p * (i == j) for j in range(n)] for i in range(n)], q)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MatValue):
             return NotImplemented
-        return self.data == other.data
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash(self.data)
+        return hash((self.num, self.den))
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.data for x in row)
+        return not any(map(any, self.num))
 
     def _plus_scalar(self, c: Fraction) -> "MatValue":
-        """self + c Id: only the diagonal entries change."""
-        return MatValue._of(
-            tuple(row[:i] + (row[i] + c,) + row[i + 1 :] for i, row in enumerate(self.data))
-        )
+        """self + c Id: c is added to the diagonal only."""
+        den = math.lcm(self.den, c.denominator)
+        f, diag = den // self.den, c.numerator * (den // c.denominator)
+        rows = [[x * f for x in row] for row in self.num]
+        for i, row in enumerate(rows):
+            row[i] += diag
+        return _lowest(rows, den)
 
     def __add__(self, other) -> "MatValue":
         """Entrywise sum; a rational c is read as c Id."""
         if not isinstance(other, MatValue):
             return self._plus_scalar(as_fraction(other))
-        return MatValue._of(
-            tuple(
-                tuple(a + b for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.data, other.data)
-            )
-        )
+        return _combine(self.num, self.den, other.num, other.den, 1)
 
     def __sub__(self, other) -> "MatValue":
         """Entrywise difference; a rational c is read as c Id."""
         if not isinstance(other, MatValue):
             return self._plus_scalar(-as_fraction(other))
-        return MatValue._of(
-            tuple(
-                tuple(a - b for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.data, other.data)
-            )
-        )
+        return _combine(self.num, self.den, other.num, other.den, -1)
 
     def __neg__(self) -> "MatValue":
-        return MatValue._of(tuple(tuple(-a for a in row) for row in self.data))
+        return _lowest([[-x for x in row] for row in self.num], self.den)
 
     def scale(self, c) -> "MatValue":
-        c = as_fraction(c)
-        return MatValue._of(tuple(tuple(c * a for a in row) for row in self.data))
+        p, q = as_fraction(c).as_integer_ratio()
+        return _lowest([[p * x for x in row] for row in self.num], self.den * q)
 
     def __mul__(self, other: "MatValue") -> "MatValue":
         if not isinstance(other, MatValue):
             return self.scale(other)
-        return MatValue._of(_product(self.data, other.data))
+        return _lowest(_product(self.num, other.num), self.den * other.den)
 
     __rmul__ = scale
 
     def inverse(self) -> "MatValue":
-        """Fraction-free Gauss-Jordan; raises SingularMinor if singular.
-
-        With rows cleared to integers M = diag(den) A, Bareiss's update keeps
-        every entry an integer minor of [M | I], so each division is exact.
-        """
-        n = self.n
-        cleared = _cleared(self.data)
-        m = [ints + [int(i == j) for j in range(n)] for i, (_, ints) in enumerate(cleared)]
-        prev = 1
-        for col in range(n):
-            piv = next((r for r in range(col, n) if m[r][col]), None)
-            if piv is None:
-                raise SingularMinor("singular matrix")
-            m[col], m[piv] = m[piv], m[col]
-            pivot_row = m[col]
-            p = pivot_row[col]
-            for r in range(n):
-                if r != col:
-                    f = m[r][col]
-                    m[r] = [(p * x - f * y) // prev for x, y in zip(m[r], pivot_row)]
-            prev = p
-        # the left block is now prev * I, and A^{-1} = M^{-1} diag(den)
-        dens = [den for den, _ in cleared]
-        inv = [[Fraction(x * den, prev) for x, den in zip(row[n:], dens)] for row in m]
-        return MatValue._of(tuple(map(tuple, inv)))
+        """den num^{-1} by Bareiss elimination; raises SingularMinor if singular."""
+        p, _, right = _bareiss(self.num)
+        if not p:
+            raise SingularMinor("singular matrix")
+        return _lowest([[self.den * x for x in row] for row in right], p)
 
     def det(self) -> Fraction:
-        """Fraction-free Bareiss elimination on a denominator-cleared copy."""
-        n = self.n
-        if n == 0:
-            return Fraction(1)
-        cleared = _cleared(self.data)
-        denom = math.prod(den for den, _ in cleared)
-        m = [ints for _, ints in cleared]
-        sign = 1
-        prev = 1
-        for col in range(n - 1):
-            piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-            if piv is None:
-                return Fraction(0)
-            if piv != col:
-                m[col], m[piv] = m[piv], m[col]
-                sign = -sign
-            for r in range(col + 1, n):
-                for c in range(col + 1, n):
-                    m[r][c] = (m[r][c] * m[col][col] - m[r][col] * m[col][c]) // prev
-                m[r][col] = 0
-            prev = m[col][col]
-        return Fraction(sign * m[n - 1][n - 1], 1) / denom
+        p, sign, _ = _bareiss(self.num)
+        return Fraction(sign * p, self.den**self.n)
 
     def to_json(self) -> list:
         return [[str(x) for x in row] for row in self.data]
@@ -267,30 +229,64 @@ class MatValue:
     __repr__ = __str__
 
 
-def _cleared(vectors) -> list[tuple[int, list[int]]]:
-    """Each vector of Fractions as (common denominator, integer numerators)."""
-    out = []
-    for v in vectors:
-        den = math.lcm(*(x.denominator for x in v))
-        out.append((den, [x.numerator * (den // x.denominator) for x in v]))
+def _lowest(num: Sequence[Sequence[int]], den: int) -> MatValue:
+    """The square matrix num / den (den != 0) in lowest terms, with den > 0."""
+    g = math.gcd(den, *chain.from_iterable(num)) * (-1 if den < 0 else 1)
+    out = object.__new__(MatValue)
+    out.num = tuple(tuple(row) if g == 1 else tuple(x // g for x in row) for row in num)
+    out.den = den // g
+    out.n = len(num)
     return out
 
 
-def _product(left: Sequence[Sequence[Fraction]], right: Sequence[Sequence[Fraction]]) -> tuple:
-    """Product of rectangular Fraction matrices: one integer dot product per entry."""
-    cols = _cleared(zip(*right))
-    return tuple(
-        tuple(Fraction(sum(a * b for a, b in zip(r, c)), dr * dc) for dc, c in cols)
-        for dr, r in _cleared(left)
-    )
+def _combine(num1, den1: int, num2, den2: int, sign: int) -> MatValue:
+    """num1 / den1 + sign num2 / den2, over the lcm of the denominators."""
+    den = math.lcm(den1, den2)
+    f1, f2 = den // den1, sign * (den // den2)
+    return _lowest([[a * f1 + b * f2 for a, b in zip(r1, r2)] for r1, r2 in zip(num1, num2)], den)
+
+
+def _product(left: Sequence[Sequence[int]], right: Sequence[Sequence[int]]) -> list:
+    """Product of rectangular integer matrices, one dot product per entry."""
+    cols = list(zip(*right))
+    return [[sum(map(mul, r, c)) for c in cols] for r in left]
+
+
+def _bareiss(num: Sequence[Sequence[int]]) -> tuple:
+    """Fraction-free Gauss-Jordan elimination of [num | I] (Bareiss 1968).
+
+    Every entry stays an integer minor, so each division is exact.  Returns
+    (p, sign, right): p = sign det(num), the last pivot, with sign that of the
+    row exchanges, and right = p num^{-1}; p = 0 if num is singular.
+    """
+    n = len(num)
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(num)]
+    prev, sign = 1, 1
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col]), None)
+        if piv is None:
+            return 0, sign, None
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            sign = -sign
+        pivot_row = m[col]
+        p = pivot_row[col]
+        for r in range(n):
+            if r != col:
+                f = m[r][col]
+                m[r] = [(p * x - f * y) // prev for x, y in zip(m[r], pivot_row)]
+        prev = p
+    return prev, sign, [row[n:] for row in m]
 
 
 def _flatten(blocks: Sequence[Sequence[MatValue]], d: int) -> MatValue:
+    """The matrix of d x d blocks as one matrix, over the lcm of the block denominators."""
+    den = math.lcm(*(blk.den for brow in blocks for blk in brow))
     rows = []
     for brow in blocks:
-        for r in range(d):
-            rows.append([x for blk in brow for x in blk.data[r]])
-    return MatValue(rows)
+        lifts = [(blk.num, den // blk.den) for blk in brow]
+        rows += ([x * f for num, f in lifts for x in num[r]] for r in range(d))
+    return _lowest(rows, den)
 
 
 def solve_minor(minor: Sequence[Sequence[MatValue]], col: Sequence[MatValue]) -> tuple:
@@ -299,12 +295,14 @@ def solve_minor(minor: Sequence[Sequence[MatValue]], col: Sequence[MatValue]) ->
     This is the half of the Schur-complement form of |A|_{pq} (Gelfand,
     Gelfand, Retakh, Wilson, "Quasideterminants", 2005) that does not read the
     boxed row, so quasideterminants that differ only in that row can share it.
-    Raises SingularMinor if M is singular; an empty minor gives the empty solve.
+    The solve is (integer rows, denominator).  Raises SingularMinor if M is
+    singular; an empty minor gives the empty solve.
     """
     if not col:
         return ()
     inv = _flatten(minor, col[0].n).inverse()
-    return _product(inv.data, [r for blk in col for r in blk.data])
+    c = _flatten([[blk] for blk in col], col[0].n)
+    return _product(inv.num, c.num), inv.den * c.den
 
 
 def schur_complement(corner: MatValue, row: Sequence[MatValue], solved: tuple) -> MatValue:
@@ -312,8 +310,9 @@ def schur_complement(corner: MatValue, row: Sequence[MatValue], solved: tuple) -
     the boxed row and the solve_minor of the other rows."""
     if not solved:
         return corner
-    flat = [[x for blk in row for x in blk.data[r]] for r in range(corner.n)]
-    return corner - MatValue._of(_product(flat, solved))
+    rows, den = solved
+    flat = _flatten([row], corner.n)
+    return _combine(corner.num, corner.den, _product(flat.num, rows), flat.den * den, -1)
 
 
 def block_quasidet(

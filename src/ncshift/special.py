@@ -337,7 +337,7 @@ def commutative_recovery(k: int, n: int, scalars) -> bool:
     for family in ("S", "L"):
         want = commutative_oracle(family, k, scalars)
         got = spec_value(family, k, assignment)
-        if got.data[0][0] != want:
+        if Fraction(got.num[0][0], got.den) != want:
             return False
     return True
 

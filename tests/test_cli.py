@@ -487,6 +487,9 @@ def test_verify_rejects_bad_max_reseed(monkeypatch, capsys):
         ("specialization", 0, "vanishing-lambda"),
         ("bazin", 0, None),
         ("hopf", 0, "algebra-morphism"),
+        ("hopf", 0, "coassociativity"),
+        ("hopf", 0, "counit-laws"),
+        ("hopf", 0, "antipode-convolutions"),
         ("hopf", 1, "algebra-morphism"),
     ],
 )

@@ -1,5 +1,6 @@
 """Quasideterminant engines: symbolic Hessenberg and exact block-matrix."""
 
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -23,6 +24,14 @@ from ncshift.quasidet import (
 )
 from ncshift.shifts import shift_S
 from ncshift.special import ZeroDenominator
+from tests_support import (
+    ref_block_quasidet,
+    ref_det,
+    ref_inverse,
+    ref_product,
+    ref_scalar,
+    ref_sum,
+)
 
 a = ParamPoly.gen
 S = NCElement.gen
@@ -122,22 +131,6 @@ def test_matvalue_plus_rational_is_plus_multiple_of_identity():
             assert m - c == m - MatValue.scalar(d, c)
 
 
-def _gauss_jordan_inverse(m):
-    """Reference inverse: Gauss-Jordan over Fraction, or None if singular."""
-    n = m.n
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m.data)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        aug[col] = [x / aug[col][col] for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                aug[r] = [x - aug[r][col] * y for x, y in zip(aug[r], aug[col])]
-    return MatValue([row[n:] for row in aug])
-
-
 def test_matvalue_inverse_matches_fraction_gauss_jordan():
     # many zero entries force row exchanges; mixed denominators exercise the
     # exact divisions of the fraction-free elimination
@@ -148,14 +141,118 @@ def test_matvalue_inverse_matches_fraction_gauss_jordan():
     for _ in range(400):
         n = rng.randint(1, 6)
         m = MatValue([[rng.choice(pool) for _ in range(n)] for _ in range(n)])
-        want = _gauss_jordan_inverse(m)
+        want = ref_inverse(m.data)
         if want is None:
             singular += 1
             with pytest.raises(SingularMinor):
                 m.inverse()
         else:
-            assert m.inverse() == want
+            assert m.inverse() == MatValue(want)
     assert 0 < singular < 400
+
+
+#: entries with mixed denominators, a quarter of them zero
+MIXED_POOL = [Fraction(k, q) for k in range(-5, 6) if k for q in (1, 2, 3, 4, 6, 9)]
+MIXED_POOL += [Fraction(0)] * (len(MIXED_POOL) // 3)
+
+
+def _mixed(rng, d):
+    return [[rng.choice(MIXED_POOL) for _ in range(d)] for _ in range(d)]
+
+
+def _lowest_terms(m):
+    """m, after asserting its representation: int rows over den > 0 in lowest terms."""
+    assert m.den > 0 and m.n == len(m.num)
+    entries = [x for row in m.num for x in row]
+    assert all(type(x) is int for x in entries) and len(entries) == m.n**2
+    assert math.gcd(m.den, *entries) == 1
+    return m
+
+
+def _agrees(m, ref):
+    """m is the reference matrix, entry by entry and as a MatValue."""
+    _lowest_terms(m)
+    return [list(row) for row in m.data] == ref and m == MatValue(ref)
+
+
+def test_matvalue_ops_match_fraction_reference():
+    rng = random.Random(53)
+    singular = 0
+    for _ in range(400):
+        d = rng.randint(1, 4)
+        a, b, c = _mixed(rng, d), _mixed(rng, d), rng.choice(MIXED_POOL)
+        A, B = MatValue(a), MatValue(b)
+        assert _agrees(A, a) and _agrees(B, b)
+        assert _agrees(A + B, ref_sum(a, b)) and _agrees(A - B, ref_sum(a, b, -1))
+        assert _agrees(A + c, ref_sum(a, ref_scalar(d, c)))
+        assert _agrees(A - c, ref_sum(a, ref_scalar(d, c), -1))
+        assert _agrees(-A, ref_sum(ref_scalar(d, 0), a, -1))
+        scaled = ref_product(ref_scalar(d, c), a)
+        assert _agrees(A.scale(c), scaled) and _agrees(c * A, scaled) and _agrees(A * c, scaled)
+        assert _agrees(A * B, ref_product(a, b))
+        assert A.det() == ref_det(a)
+        assert A.is_zero() == (a == ref_scalar(d, 0))
+        inv = ref_inverse(a)
+        if inv is None:
+            singular += 1
+            with pytest.raises(SingularMinor):
+                A.inverse()
+        else:
+            assert _agrees(A.inverse(), inv)
+    assert 0 < singular < 400
+
+
+def test_block_quasidet_matches_fraction_reference():
+    rng = random.Random(59)
+    singular = 0
+    for _ in range(150):
+        n, d = rng.randint(1, 3), rng.randint(1, 4)
+        blocks = [[_mixed(rng, d) for _ in range(n)] for _ in range(n)]
+        p, q = rng.randint(1, n), rng.randint(1, n)
+        want = ref_block_quasidet(blocks, p, q)
+        mats = [[MatValue(blk) for blk in row] for row in blocks]
+        if want is None:
+            singular += 1
+            with pytest.raises(SingularMinor):
+                block_quasidet(mats, p, q)
+        else:
+            assert _agrees(block_quasidet(mats, p, q), want)
+    assert 0 < singular < 150
+
+
+def test_matvalue_equal_values_by_different_routes_are_equal():
+    half = MatValue([[Fraction(1, 2)]])
+    for other in (MatValue([[Fraction(2, 4)]]), MatValue([["3/6"]]), MatValue([[3]]).scale("1/6")):
+        assert other == half and hash(other) == hash(half)
+    # 1/2 + 1/2 and 2 * (1/2) reduce to the integer 1
+    for one in (half + half, half + Fraction(1, 2), half.scale(2), MatValue.identity(1)):
+        assert (one.num, one.den) == (((1,),), 1) and hash(one) == hash(MatValue([[1]]))
+    rng = random.Random(61)
+    checked = 0
+    for _ in range(100):
+        d = rng.randint(1, 4)
+        A = MatValue(_mixed(rng, d))
+        try:
+            inv = A.inverse()
+        except SingularMinor:
+            continue
+        checked += 1
+        for one in (A * inv, inv * A, _lowest_terms(inv).inverse() * inv):
+            assert one == MatValue.identity(d) and hash(one) == hash(MatValue.identity(d))
+        assert inv.inverse() == A and hash(inv.inverse()) == hash(A)
+    assert checked > 50
+
+
+def test_matvalue_inverse_with_negative_pivots():
+    # Bareiss ends at the last pivot, here negative; the denominator stays positive
+    for rows, inv in [
+        ([[-2]], [[Fraction(-1, 2)]]),
+        ([[0, 1], [1, 0]], [[0, 1], [1, 0]]),
+        ([[1, 2], [3, 4]], [[-2, 1], [Fraction(3, 2), Fraction(-1, 2)]]),
+        ([[Fraction(1, 3), 1], [1, 0]], [[0, 1], [1, Fraction(-1, 3)]]),
+    ]:
+        got = _lowest_terms(MatValue(rows).inverse())
+        assert got == MatValue(inv) and got.data == MatValue(inv).data
 
 
 def test_block_quasidet_base_cases():

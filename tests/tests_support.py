@@ -85,3 +85,75 @@ def reexpand(series: TruncatedTSeries, target: ParamSequence | None) -> Truncate
         if not acc.is_zero():
             out[k] = acc
     return TruncatedTSeries(series.order, plain.constant, out, target)
+
+
+# -- plain-Fraction reference for MatValue: lists of lists of Fractions --------
+
+
+def ref_sum(a, b, sign=1):
+    """a + sign b, entrywise."""
+    return [[x + sign * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def ref_scalar(n, c):
+    """c times the n x n identity."""
+    return [[Fraction(c) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+
+
+def ref_product(a, b):
+    """The product of rectangular matrices, entry by entry."""
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)] for row in a]
+
+
+def ref_inverse(a):
+    """Gauss-Jordan inverse over Fraction, or None if a is singular."""
+    n = len(a)
+    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                aug[r] = [x - aug[r][col] * y for x, y in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def ref_det(a):
+    """Determinant by Gaussian elimination over Fraction."""
+    m = [list(row) for row in a]
+    det = Fraction(1)
+    for col in range(len(m)):
+        piv = next((r for r in range(col, len(m)) if m[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det *= m[col][col]
+        for r in range(col + 1, len(m)):
+            f = m[r][col] / m[col][col]
+            m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return det
+
+
+def ref_block_quasidet(blocks, p, q):
+    """|A|_{pq} of a matrix of square Fraction blocks, from the defining formula
+    a_pq - row (minor^{-1} col) on the flattened blocks; None if the minor is singular."""
+    n, d = len(blocks), len(blocks[0][0])
+
+    def flat(rows, cols):
+        return [[x for j in cols for x in blocks[i][j][r]] for i in rows for r in range(d)]
+
+    rows = [i for i in range(n) if i != p - 1]
+    cols = [j for j in range(n) if j != q - 1]
+    corner = blocks[p - 1][q - 1]
+    if n == 1:
+        return corner
+    inv = ref_inverse(flat(rows, cols))
+    if inv is None:
+        return None
+    solved = ref_product(inv, flat(rows, [q - 1]))
+    return ref_sum(corner, ref_product(flat([p - 1], cols), solved), -1)
