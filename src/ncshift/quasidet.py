@@ -15,18 +15,20 @@ Two evaluators cover everything in scope:
 * an exact numeric evaluator for matrices whose entries are square rational
   matrices, using the defining formula
   |A|_{pq} = a_{pq} - row_p(A^{pq}) ((A^{pq})^{-1} col_q(A^{pq})) with the
-  minor, the row and the column flattened to rational matrices: one inverse
-  and two products.  The bracketed solve does not read row p, so it is its
-  own step (solve_minor) for callers that box several rows against one minor.
+  minor, the row and the column flattened to rational matrices: one
+  elimination of [minor | column] and one product.  The bracketed solve does
+  not read row p, so it is its own step (solve_minor) for callers that box
+  several rows against one minor.
 
 A MatValue is integer numerators over one positive denominator, in lowest
-terms; every operation works on the integers (inverses by Bareiss elimination),
-lifts blocks to the lcm of their denominators and reduces its result once.
+terms; every operation works on the integers (inverses and solves by Bareiss
+elimination), lifts blocks to the lcm of their denominators and reduces its
+result once.
 
 Randomized checks evaluate at seeded random points and redraw a point whose
-quasiminor is singular.  first_nonsingular is the one draw loop: it reads the
-reseed budget (max_reseed_default), spends it on the points a caller supplies
-and raises ExhaustedRetries when every one of them is singular.
+quasiminor is singular.  first_nonsingular is the one draw loop: it spends
+the reseed budget MAX_RESEED on the points a caller supplies and raises
+ExhaustedRetries when every one of them is singular.
 
 Any nonzero rational subdiagonal is accepted in the symbolic engine:
 left-scaling a non-boxed row leaves the quasideterminant unchanged, so rows
@@ -36,7 +38,6 @@ are normalized first.  A rational factor on the boxed column scales it.
 from __future__ import annotations
 
 import math
-import os
 import random
 from fractions import Fraction
 from itertools import chain, count, islice
@@ -46,16 +47,8 @@ from typing import Callable, Iterable, Sequence
 from .algebra import NCElement
 from .params import as_fraction
 
-
-def max_reseed_default() -> int:
-    """Resampling budget for singular draws; NCSHIFT_MAX_RESEED overrides.
-
-    Raises ValueError unless the variable holds a non-negative integer.
-    """
-    raw = os.environ.get("NCSHIFT_MAX_RESEED", "16")
-    if not raw.strip().isdecimal():
-        raise ValueError(f"NCSHIFT_MAX_RESEED must be a non-negative integer, got {raw!r}")
-    return int(raw)
+#: redraws a randomized check may spend on singular points: 1 + MAX_RESEED draws in all
+MAX_RESEED = 16
 
 
 class ShapeError(ValueError):
@@ -71,9 +64,9 @@ class ExhaustedRetries(RuntimeError):
 
 
 def first_nonsingular(points: Iterable, check: Callable):
-    """check(point) at the first of at most 1 + max_reseed_default() points, taken
+    """check(point) at the first of at most 1 + MAX_RESEED points, taken
     lazily, where it raises no SingularMinor; ExhaustedRetries if every one does."""
-    draws = max_reseed_default() + 1
+    draws = MAX_RESEED + 1
     for point in islice(points, draws):
         try:
             return check(point)
@@ -211,13 +204,13 @@ class MatValue:
 
     def inverse(self) -> "MatValue":
         """den num^{-1} by Bareiss elimination; raises SingularMinor if singular."""
-        p, _, right = _bareiss(self.num)
+        p, _, right = _bareiss(self.num, MatValue.identity(self.n).num)
         if not p:
             raise SingularMinor("singular matrix")
         return _lowest([[self.den * x for x in row] for row in right], p)
 
     def det(self) -> Fraction:
-        p, sign, _ = _bareiss(self.num)
+        p, sign, _ = _bareiss(self.num, [()] * self.n)
         return Fraction(sign * p, self.den**self.n)
 
     def to_json(self) -> list:
@@ -252,15 +245,15 @@ def _product(left: Sequence[Sequence[int]], right: Sequence[Sequence[int]]) -> l
     return [[sum(map(mul, r, c)) for c in cols] for r in left]
 
 
-def _bareiss(num: Sequence[Sequence[int]]) -> tuple:
-    """Fraction-free Gauss-Jordan elimination of [num | I] (Bareiss 1968).
+def _bareiss(num: Sequence[Sequence[int]], rhs: Sequence[Sequence[int]]) -> tuple:
+    """Fraction-free Gauss-Jordan elimination of [num | rhs] (Bareiss 1968).
 
     Every entry stays an integer minor, so each division is exact.  Returns
     (p, sign, right): p = sign det(num), the last pivot, with sign that of the
-    row exchanges, and right = p num^{-1}; p = 0 if num is singular.
+    row exchanges, and right = p num^{-1} rhs; p = 0 if num is singular.
     """
     n = len(num)
-    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(num)]
+    m = [list(row) + list(r) for row, r in zip(num, rhs)]
     prev, sign = 1, 1
     for col in range(n):
         piv = next((r for r in range(col, n) if m[r][col]), None)
@@ -295,14 +288,18 @@ def solve_minor(minor: Sequence[Sequence[MatValue]], col: Sequence[MatValue]) ->
     This is the half of the Schur-complement form of |A|_{pq} (Gelfand,
     Gelfand, Retakh, Wilson, "Quasideterminants", 2005) that does not read the
     boxed row, so quasideterminants that differ only in that row can share it.
-    The solve is (integer rows, denominator).  Raises SingularMinor if M is
-    singular; an empty minor gives the empty solve.
+    The solve is (integer rows, denominator), from one Bareiss elimination of
+    [M | c].  Raises SingularMinor if M is singular; an empty minor gives the
+    empty solve.
     """
     if not col:
         return ()
-    inv = _flatten(minor, col[0].n).inverse()
+    m = _flatten(minor, col[0].n)
     c = _flatten([[blk] for blk in col], col[0].n)
-    return _product(inv.num, c.num), inv.den * c.den
+    p, _, right = _bareiss(m.num, c.num)
+    if not p:
+        raise SingularMinor("singular matrix")
+    return [[m.den * x for x in row] for row in right], p * c.den
 
 
 def schur_complement(corner: MatValue, row: Sequence[MatValue], solved: tuple) -> MatValue:

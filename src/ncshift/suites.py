@@ -17,7 +17,7 @@ import time
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count
+from itertools import chain, count
 from math import comb
 
 from .algebra import NCElement
@@ -38,7 +38,6 @@ from .params import SEQ_A, SEQ_AHAT, LinComb, ParamPoly, ParamSubstitution, accu
 from .quasidet import (
     ExhaustedRetries,
     MatValue,
-    SingularMinor,
     first_nonsingular,
     hessenberg_quasidet,
     verify_bazin,
@@ -76,10 +75,6 @@ from .special import (
     swap_variables,
     variable_shift_defect,
 )
-
-
-#: witness of a randomized case whose every draw hit a singular minor
-NO_SAMPLE = "no sample was evaluated: every draw was singular"
 
 
 @dataclass
@@ -120,21 +115,26 @@ class Report:
         self.check_rows(f"{id}-printed", ((lab, got, p) for lab, got, p, _ in rows))
         self.check_rows(f"{id}-corrected", ((lab, got, c) for lab, got, _, c in rows))
 
-    def sampled(self, id: str, points: Iterable, empty: str = NO_SAMPLE):
-        """Record a randomized case from its points, in order.
+    def sampled(self, id: str, groups: Iterable[tuple], empty: str = "nothing to check"):
+        """Record a randomized case from its (label, points, check) groups, in order.
 
-        A point is None when it was skipped as singular, else the list of its
-        failure witnesses.  The case fails with the first witness, or with the
-        empty witness when every point was skipped: it has checked nothing.
+        Each group draws through first_nonsingular: check at its first point
+        that is not singular gives the group's failure witnesses.  A group
+        whose every draw is singular fails under its label.  The case fails
+        with the first witness, or with the empty witness when it has no
+        group: it has checked nothing.
         """
 
         def failures():
-            evaluated = False
-            for found in points:
-                if found is not None:
-                    evaluated = True
-                    yield from found
-            if not evaluated:
+            checked = False
+            for label, points, check in groups:
+                checked = True
+                try:
+                    found = first_nonsingular(points, check)
+                except ExhaustedRetries as e:
+                    found = [f"{label}: {e}"]
+                yield from found
+            if not checked:
                 yield empty
 
         self.first(id, failures())
@@ -265,7 +265,7 @@ def suite_macmahon(degree: int = 6, seed: int = 0) -> Report:
         for I in all_compositions(dI) for J in all_compositions(dJ)
     ))
 
-    a = ParamPoly.gen
+    a = SEQ_A.term
     S = NCElement.gen
 
     def hook_comp(k: int, last: int) -> Composition:
@@ -427,7 +427,7 @@ def suite_hopf(degree: int = 5, seed: int = 0) -> Report:
     t0 = time.monotonic()
     S = NCElement.gen
     one = ParamPoly.one()
-    a = ParamPoly.gen
+    a = SEQ_A.term
     d2 = coproduct(S(2))
     want2 = TensorElement({((2,), ()): one, ((1,), (1,)): one, ((), (2,)): one})
     rep.add("delta-s2-printed", d2 == want2, "Delta(S_2) differs")
@@ -503,9 +503,9 @@ def _tensor3(d: TensorElement, left: bool) -> dict:
     return out
 
 
-def _sample_assignment(rng: random.Random, n: int, d: int, check=lambda A: A):
-    """check(A) at the first point A where S_k, Lambda_k (k <= min(n, 2)) and
-    check itself evaluate, drawn through first_nonsingular.
+def _draws(rng: random.Random, n: int, d: int, check) -> tuple:
+    """The points and check of a Report.sampled group: random points of n
+    d x d variables drawn from rng, and check behind S_k, Lambda_k (k <= min(n, 2)).
 
     A draw counts only when every evaluation succeeds: one that raises
     SingularMinor part-way is dropped whole, for the next draw.
@@ -516,15 +516,12 @@ def _sample_assignment(rng: random.Random, n: int, d: int, check=lambda A: A):
         lambda_spec(min(n, 2), A)
         return check(A)
 
-    return first_nonsingular((random_assignment(rng, n, d) for _ in count()), evaluated)
+    return (random_assignment(rng, n, d) for _ in count()), evaluated
 
 
-def _first_sample(seed: int, n: int, d: int, check):
-    """check(A) at the first usable point drawn from seed; None when every draw is singular."""
-    try:
-        return _sample_assignment(random.Random(seed), n, d, check)
-    except ExhaustedRetries:
-        return None
+def _held(label: str, holds):
+    """The check whose failure witness is label wherever holds(point) is false."""
+    return lambda point: [] if holds(point) else [label]
 
 
 def _swaps_broken(expansion: NCElement, A) -> list[int]:
@@ -557,13 +554,9 @@ def suite_specialization(degree: int = 4, seed: int = 0) -> Report:
             failed.append(f"S2 d={d}")
         return failed
 
-    def n2_failures(d: int) -> list[str] | None:
-        try:
-            return _sample_assignment(rng, 2, d, n2_check)
-        except ExhaustedRetries:
-            return None
-
-    rep.sampled("printed-n2-formulas", (n2_failures(d) for d in (1, 2, 3) for _ in range(3)))
+    rep.sampled("printed-n2-formulas", (
+        (f"d={d}", *_draws(rng, 2, d, n2_check)) for d in (1, 2, 3) for _ in range(3)
+    ))
 
     s_claim = (
         "S_{k} of {n} variables is nonzero (e.g. S_2(x_1) = <x_1|a>^2); the defining "
@@ -574,40 +567,35 @@ def suite_specialization(degree: int = 4, seed: int = 0) -> Report:
         ("vanishing-s-printed", s_spec, s_claim),
     ):
         rep.sampled(id, (
-            _first_sample(seed + 31 * n + d, n, d, lambda A: [
+            (f"n={n} d={d}", *_draws(random.Random(seed + 31 * n + d), n, d, lambda A: [
                 witness.format(k=k, n=n) for k in (n + 1, n + 2) if not spec(k, A).is_zero()
-            ])
+            ]))
             for n in range(1, degree + 1) for d in (1, 2, 3)
-        ), NO_SAMPLE if degree else "no n in 1..degree to check at degree 0")
+        ), "no n in 1..degree to check at degree 0")
     rep.sampled("variable-shift-law", (
-        _first_sample(seed + 101 * n + k, n, 2, lambda A: (
-            [] if variable_shift_defect(k, A).is_zero() else [f"n={n} k={k}"]
-        ))
+        (f"n={n} k={k}", *_draws(random.Random(seed + 101 * n + k), n, 2, _held(
+            f"n={n} k={k}", lambda A: variable_shift_defect(k, A).is_zero()
+        )))
         for n in (2, 3) for k in range(1, n + 1)
     ))
     return rep
 
 
-def _held(group: str, held: bool | None) -> list[str]:
-    """The failure point of a strict group: no witness when it held."""
-    if held is None:
-        return [f"{group}: no nonsingular sample"]
-    return [] if held else [group]
-
-
 def suite_symmetry(degree: int = 4, seed: int = 0) -> Report:
     rep = Report("symmetry", seed=seed)
     rep.sampled("shifted-symmetry", (
-        _held(f"n={n} k={k} i={i}", _first_sample(
-            seed + 1009 * n + 31 * k + i, n, 2, lambda A: check_shifted_symmetry(k, A, i)
+        (f"n={n} k={k} i={i}", *_draws(
+            random.Random(seed + 1009 * n + 31 * k + i), n, 2,
+            _held(f"n={n} k={k} i={i}", lambda A: check_shifted_symmetry(k, A, i)),
         ))
         for n in range(2, degree + 1) for k in range(1, min(degree, 4) + 1) for i in range(1, n)
     ), "no (n, k, i) with n >= 2 to check")
     # ribbon specializations inherit the symmetry
     rep.sampled("ribbon-symmetry", (
-        _first_sample(seed + 7 * d_I + n + sum(I.parts), n, 2, lambda A: [
-            f"I={I} n={n} i={i}" for i in _swaps_broken(ribbon(I), A)
-        ])
+        (f"I={I} n={n}", *_draws(
+            random.Random(seed + 7 * d_I + n + sum(I.parts)), n, 2,
+            lambda A: [f"I={I} n={n} i={i}" for i in _swaps_broken(ribbon(I), A)],
+        ))
         for d_I in range(1, 5) for I in all_compositions(d_I) for n in (2, 3)
     ))
     return rep
@@ -616,9 +604,9 @@ def suite_symmetry(degree: int = 4, seed: int = 0) -> Report:
 def suite_extension(degree: int = 3, seed: int = 0) -> Report:
     rep = Report("extension", seed=seed)
     rep.sampled("extension-stability", (
-        _held(f"n={n} k={k}", _first_sample(
-            seed + 77 * n + 13 * k, n, 2, lambda A: check_extension(k, A)
-        ))
+        (f"n={n} k={k}", *_draws(random.Random(seed + 77 * n + 13 * k), n, 2, _held(
+            f"n={n} k={k}", lambda A: check_extension(k, A)
+        )))
         for n in range(1, degree + 1) for k in range(1, degree + 1)
     ), "no (n, k) to check at degree 0")
     return rep
@@ -627,17 +615,14 @@ def suite_extension(degree: int = 3, seed: int = 0) -> Report:
 def suite_recovery(degree: int = 4, seed: int = 0) -> Report:
     rep = Report("recovery", seed=seed)
 
-    def group(n: int, k: int) -> list[str]:
+    def group(n: int, k: int) -> tuple:
         # seeded per group, so a higher degree re-checks the lower groups' points
         rng = random.Random((seed or 4321) + 1013 * n + 37 * k)
         points = ([Fraction(rng.randint(-9, 12), rng.choice([1, 2, 3])) for _ in range(n)]
                   for _ in count())
-        try:
-            return first_nonsingular(points, lambda scalars: (
-                [] if commutative_recovery(k, n, scalars) else [f"n={n} k={k} at {scalars}"]
-            ))
-        except ExhaustedRetries:
-            return [f"n={n} k={k}: no usable sample"]
+        return f"n={n} k={k}", points, lambda scalars: (
+            [] if commutative_recovery(k, n, scalars) else [f"n={n} k={k} at {scalars}"]
+        )
 
     rep.sampled("determinant-quotient-oracle", (
         group(n, k) for n in range(1, degree + 1) for k in range(1, degree + 1)
@@ -647,49 +632,39 @@ def suite_recovery(degree: int = 4, seed: int = 0) -> Report:
 
 def suite_giambelli(degree: int = 6, seed: int = 0) -> Report:
     rep = Report("giambelli", seed=seed)
-    try:
-        A = _sample_assignment(random.Random(seed + 5550), 4, 2)
-    except ExhaustedRetries as e:
-        for id in ("quasi-schur-row-column", "conjugate-112-13", "giambelli-rank-le-2"):
-            rep.add(id, False, str(e))
-        return rep
+    rng = random.Random(seed + 5550)
+    shared = []  # A, the first point a group accepts: every later group starts there
 
-    def row_column_failures():
-        for k in range(1, 4):
-            try:
-                if quasi_schur_spec((k,), A) != s_spec(k, A):
-                    yield f"row shape ({k},)"
-                if quasi_schur_spec((1,) * k, A) != lambda_spec(k, A):
-                    yield f"column shape (1^{k})"
-            except SingularMinor:
-                yield f"singular at k={k}"
+    def at_shared(label: str, check) -> tuple:
+        points, evaluated = _draws(rng, 4, 2, check)
 
-    rep.first("quasi-schur-row-column", row_column_failures())
-    try:
-        lhs = quasi_schur_spec((1, 1, 2), A)
-        rhs = quasi_schur_lambda_form((1, 3), A)
-        rep.add(
-            "conjugate-112-13",
-            lhs == rhs,
-            mat_witness(lhs, rhs),
-        )
-    except SingularMinor as e:
-        rep.add("conjugate-112-13", False, f"singular: {e}")
+        def kept(A):
+            found = evaluated(A)
+            if not shared:
+                shared.append(A)
+            return found
+
+        return label, chain(shared, points), kept
+
+    def row_column(A) -> list[str]:
+        return [w for k in range(1, 4) for w, got, want in (
+            (f"row shape ({k},)", quasi_schur_spec((k,), A), s_spec(k, A)),
+            (f"column shape (1^{k})", quasi_schur_spec((1,) * k, A), lambda_spec(k, A)),
+        ) if got != want]
+
+    def conjugate(A) -> list[str]:
+        witness = mat_witness(quasi_schur_spec((1, 1, 2), A), quasi_schur_lambda_form((1, 3), A))
+        return [witness] if witness else []
+
+    rep.sampled("quasi-schur-row-column", [at_shared("shapes (k,), (1^k) for k <= 3", row_column)])
+    rep.sampled("conjugate-112-13", [at_shared("shapes (1, 1, 2), (1, 3)", conjugate)])
     # partitions of 2..degree, parts increasing, of Frobenius rank <= 2
     parts = {tuple(sorted(I.parts)) for m in range(2, degree + 1) for I in all_compositions(m)}
     shapes = [s for s in sorted(parts) if len(frobenius_form(s)[0]) <= 2]
-
-    def shape_failures(shape) -> list[str] | None:
-        try:
-            return [] if giambelli_check(shape, A) else [f"shape {shape}"]
-        except SingularMinor:
-            return None
-
-    rep.sampled(
-        "giambelli-rank-le-2",
-        map(shape_failures, shapes),
-        NO_SAMPLE if shapes else "no shape of size 2..degree to check",
-    )
+    rep.sampled("giambelli-rank-le-2", (
+        at_shared(f"shape {s}", _held(f"shape {s}", lambda A: giambelli_check(s, A)))
+        for s in shapes
+    ), "no shape of size 2..degree to check")
     return rep
 
 

@@ -473,11 +473,6 @@ def test_verify_rejects_negative_degree(capsys):
     _assert_input_error(*run_cli(["verify", "shift-coefficients", "--degree", "-1"], capsys))
 
 
-def test_verify_rejects_bad_max_reseed(monkeypatch, capsys):
-    monkeypatch.setenv("NCSHIFT_MAX_RESEED", "-3")
-    _assert_input_error(*run_cli(["verify", "extension", "--degree", "1"], capsys))
-
-
 @pytest.mark.parametrize(
     "suite, degree, case",
     [
@@ -505,25 +500,29 @@ def test_verify_fails_when_nothing_is_checked(suite, degree, case, capsys):
 
 
 def test_verify_giambelli_exhausted_reseeds(monkeypatch, capsys):
-    # every draw singular: the three giambelli cases fail, nothing raises
-    from ncshift import suites
+    # every draw singular: the three giambelli cases fail under their first group
+    from ncshift import quasidet, suites
     from ncshift.quasidet import SingularMinor
 
     def singular(k, A):
         raise SingularMinor("singular matrix")
 
-    monkeypatch.setenv("NCSHIFT_MAX_RESEED", "0")
+    monkeypatch.setattr(quasidet, "MAX_RESEED", 0)
     monkeypatch.setattr(suites, "s_spec", singular)
     code, out, err = run_cli(["verify", "giambelli"], capsys)
     assert code == 1 and err == ""
-    cases = json.loads(out)["cases"]
-    assert [c["pass"] for c in cases] == [False] * 3
-    assert {c["witness"] for c in cases} == {"no nonsingular sample in 1 draws"}
+    cases = {c["id"]: (c["pass"], c["witness"]) for c in json.loads(out)["cases"]}
+    exhausted = ": no nonsingular sample in 1 draws"
+    assert cases == {
+        "quasi-schur-row-column": (False, "shapes (k,), (1^k) for k <= 3" + exhausted),
+        "conjugate-112-13": (False, "shapes (1, 1, 2), (1, 3)" + exhausted),
+        "giambelli-rank-le-2": (False, "shape (1, 1)" + exhausted),
+    }
 
 
 def test_verify_recovery_draws_within_the_reseed_budget(monkeypatch, capsys):
     # every draw has a vanishing oracle denominator: a group makes 1 + budget draws
-    from ncshift import suites
+    from ncshift import quasidet, suites
     from ncshift.special import ZeroDenominator
 
     calls = []
@@ -532,21 +531,19 @@ def test_verify_recovery_draws_within_the_reseed_budget(monkeypatch, capsys):
         calls.append((n, k))
         raise ZeroDenominator("vanishing Vandermonde-type determinant")
 
-    monkeypatch.setenv("NCSHIFT_MAX_RESEED", "2")
+    monkeypatch.setattr(quasidet, "MAX_RESEED", 2)
     monkeypatch.setattr(suites, "commutative_recovery", vanishing)
     code, out, err = run_cli(["verify", "recovery", "--degree", "2"], capsys)
     assert code == 1 and err == ""
     # the case stops at its first failing group, n = k = 1
     assert calls == [(1, 1)] * 3
     (case,) = json.loads(out)["cases"]
-    assert not case["pass"] and case["witness"] == "n=1 k=1: no usable sample"
-    monkeypatch.setenv("NCSHIFT_MAX_RESEED", "x")
-    _assert_input_error(*run_cli(["verify", "recovery", "--degree", "2"], capsys))
+    assert not case["pass"] and case["witness"] == "n=1 k=1: no nonsingular sample in 3 draws"
 
 
 def test_verify_extension_draws_within_the_reseed_budget(monkeypatch, capsys):
     # the check is singular at every point: a group makes 1 + budget draws in all
-    from ncshift import suites
+    from ncshift import quasidet, suites
     from ncshift.quasidet import SingularMinor
 
     draws = []
@@ -559,14 +556,14 @@ def test_verify_extension_draws_within_the_reseed_budget(monkeypatch, capsys):
         raise SingularMinor("singular matrix")
 
     random_assignment = suites.random_assignment
-    monkeypatch.setenv("NCSHIFT_MAX_RESEED", "0")
+    monkeypatch.setattr(quasidet, "MAX_RESEED", 0)
     monkeypatch.setattr(suites, "random_assignment", counted)
     monkeypatch.setattr(suites, "check_extension", singular)
     code, out, err = run_cli(["verify", "extension", "--degree", "1"], capsys)
     assert code == 1 and err == ""
     assert draws == [(1, 2)]
     (case,) = json.loads(out)["cases"]
-    assert not case["pass"] and case["witness"] == "n=1 k=1: no nonsingular sample"
+    assert not case["pass"] and case["witness"] == "n=1 k=1: no nonsingular sample in 1 draws"
 
 
 #: in-process requests whose options would leak into the next one if parsing kept state

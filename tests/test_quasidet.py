@@ -8,6 +8,7 @@ from itertools import count, permutations
 
 import pytest
 
+from ncshift import quasidet
 from ncshift.algebra import NCElement
 from ncshift.params import ParamPoly
 from ncshift.quasidet import (
@@ -369,16 +370,16 @@ def test_bazin_exhausted_retries(monkeypatch):
     import ncshift.quasidet as qd
 
     # every sampled matrix singular -> bounded reseeding must give up
-    monkeypatch.setenv("NCSHIFT_MAX_RESEED", "3")
+    monkeypatch.setattr(qd, "MAX_RESEED", 3)
     monkeypatch.setattr(qd, "random_mat", lambda rng, d: MatValue.zeros(d))
     with pytest.raises(ExhaustedRetries):
         verify_bazin(2, 2, 2, seed=1)
 
 
-def test_bazin_respects_reseed_env(monkeypatch):
+def test_bazin_respects_reseed_budget(monkeypatch):
     import ncshift.quasidet as qd
 
-    monkeypatch.setenv("NCSHIFT_MAX_RESEED", "2")
+    monkeypatch.setattr(qd, "MAX_RESEED", 2)
     calls = []
     original = qd.random_mat
 
@@ -389,7 +390,7 @@ def test_bazin_respects_reseed_env(monkeypatch):
     monkeypatch.setattr(qd, "random_mat", counting)
     with pytest.raises(ExhaustedRetries):
         verify_bazin(2, 1, 1, seed=1)
-    # 3 attempts (NCSHIFT_MAX_RESEED + 1), each drawing a 2n x n = 4 x 2 block matrix
+    # 3 attempts (MAX_RESEED + 1), each drawing a 2n x n = 4 x 2 block matrix
     assert len(calls) == 3 * 8
 
 
@@ -409,7 +410,7 @@ def test_first_nonsingular_spends_the_budget(monkeypatch):
     def singular(p):
         raise SingularMinor("forced")
 
-    monkeypatch.setenv("NCSHIFT_MAX_RESEED", "2")
+    monkeypatch.setattr(quasidet, "MAX_RESEED", 2)
     taken, points = _counted(count())
     with pytest.raises(ExhaustedRetries, match="^no nonsingular sample in 3 draws$"):
         first_nonsingular(points, singular)
@@ -422,7 +423,7 @@ def test_first_nonsingular_stops_at_the_first_good_point(monkeypatch):
             raise SingularMinor("forced")
         return 10 * p
 
-    monkeypatch.setenv("NCSHIFT_MAX_RESEED", "5")
+    monkeypatch.setattr(quasidet, "MAX_RESEED", 5)
     taken, points = _counted(count())
     assert first_nonsingular(points, check) == 20
     assert taken == [0, 1, 2]
@@ -434,7 +435,7 @@ def test_first_nonsingular_only_redraws_singular_points(monkeypatch):
             raise ZeroDenominator("vanishing Vandermonde-type determinant")
         return p
 
-    monkeypatch.setenv("NCSHIFT_MAX_RESEED", "5")
+    monkeypatch.setattr(quasidet, "MAX_RESEED", 5)
     # an arithmetic error that is no singular draw is a fault, not a redraw
     for error in (ValueError, ZeroDivisionError):
 
@@ -472,16 +473,3 @@ def test_bazin_redraws_a_singular_attempt_at_the_next_seed(monkeypatch, variant)
         got, redrawn = run(s, 8)
         want, drawn = run(s + 1, 0)
         assert got == want and redrawn == drawn and len(drawn) >= 8
-
-
-def test_max_reseed_default(monkeypatch):
-    from ncshift.quasidet import max_reseed_default
-
-    monkeypatch.delenv("NCSHIFT_MAX_RESEED", raising=False)
-    assert max_reseed_default() == 16
-    monkeypatch.setenv("NCSHIFT_MAX_RESEED", "0")
-    assert max_reseed_default() == 0
-    for bad in ("-1", "two", "1.5", ""):
-        monkeypatch.setenv("NCSHIFT_MAX_RESEED", bad)
-        with pytest.raises(ValueError, match="NCSHIFT_MAX_RESEED must be a non-negative integer"):
-            max_reseed_default()

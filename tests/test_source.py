@@ -6,6 +6,8 @@ from pathlib import Path
 import ncshift
 
 SRC = Path(ncshift.__file__).parent
+#: the os names through which a module reads the process environment
+ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
 
 
 def _unreferenced(src: Path) -> list[str]:
@@ -32,3 +34,21 @@ def _unreferenced(src: Path) -> list[str]:
 def test_every_top_level_definition_is_used_by_the_package():
     # a reference formula only tests call belongs in tests/tests_support.py
     assert _unreferenced(SRC) == []
+
+
+def _environment_reads(src: Path) -> list[str]:
+    """module:line of every attribute or import alias in src that names an
+    environment reader of os."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT or (
+                isinstance(node, ast.alias) and node.name in ENVIRONMENT
+            ):
+                found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_no_module_reads_the_environment():
+    # an option is a CLI flag or a module constant, never an environment variable
+    assert _environment_reads(SRC) == []

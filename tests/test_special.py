@@ -5,8 +5,15 @@ from fractions import Fraction
 
 import pytest
 
+from ncshift import quasidet
 from ncshift.params import SEQ_A, ParamSubstitution
-from ncshift.quasidet import MatValue, SingularMinor, block_quasidet, random_mat
+from ncshift.quasidet import (
+    MatValue,
+    SingularMinor,
+    block_quasidet,
+    first_nonsingular,
+    random_mat,
+)
 from ncshift.ribbon import Composition, ribbon
 from ncshift.special import (
     VariableAssignment,
@@ -276,12 +283,38 @@ def test_vanishing_cases_fail_when_no_sample_is_evaluated(monkeypatch):
     def singular(k, assignment):
         raise SingularMinor("forced")
 
-    monkeypatch.setenv("NCSHIFT_MAX_RESEED", "2")
+    monkeypatch.setattr(quasidet, "MAX_RESEED", 2)
     monkeypatch.setattr(suites, "lambda_spec", singular)
     cases = {c.id: c for c in suites.suite_specialization(degree=2).cases}
     for id in ("vanishing-lambda", "vanishing-s-printed"):
         assert not cases[id].passed
-        assert cases[id].witness.startswith("no sample was evaluated")
+        assert cases[id].witness == "n=1 d=1: no nonsingular sample in 3 draws"
+
+
+def test_vanishing_lambda_fails_when_one_group_is_exhausted(monkeypatch):
+    import ncshift.suites as suites
+
+    # only the n = 1 groups are singular at every draw; the n = 2 groups hold,
+    # but a group that checked nothing fails the case instead of being skipped
+    def singular_at_one_variable(k, A):
+        if A.n == 1:
+            raise SingularMinor("forced")
+        return lambda_spec(k, A)
+
+    monkeypatch.setattr(quasidet, "MAX_RESEED", 2)
+    monkeypatch.setattr(suites, "lambda_spec", singular_at_one_variable)
+    cases = {c.id: c for c in suites.suite_specialization(degree=2).cases}
+    assert not cases["vanishing-lambda"].passed
+    assert cases["vanishing-lambda"].witness == "n=1 d=1: no nonsingular sample in 3 draws"
+
+
+#: the label of each randomized case's first group at degree 2
+FIRST_GROUP = {
+    "printed-n2-formulas": "d=1",
+    "variable-shift-law": "n=2 k=1",
+    "ribbon-symmetry": "I=(1) n=2",
+    "giambelli-rank-le-2": "shape (1, 1)",
+}
 
 
 @pytest.mark.parametrize(
@@ -299,11 +332,11 @@ def test_randomized_cases_fail_when_no_sample_is_evaluated(monkeypatch, suite, p
     def singular(*args):
         raise SingularMinor("forced")
 
-    monkeypatch.setenv("NCSHIFT_MAX_RESEED", "2")
+    monkeypatch.setattr(quasidet, "MAX_RESEED", 2)
     monkeypatch.setattr(suites, patched, singular)
     cases = {c.id: c for c in getattr(suites, suite)(degree=2).cases}
     assert not cases[case].passed
-    assert cases[case].witness == suites.NO_SAMPLE
+    assert cases[case].witness == f"{FIRST_GROUP[case]}: no nonsingular sample in 3 draws"
 
 
 def test_printed_n2_formulas_redraw_a_singular_point(monkeypatch):
@@ -319,17 +352,39 @@ def test_printed_n2_formulas_redraw_a_singular_point(monkeypatch):
             raise SingularMinor("forced")
         return lambda_spec(k, A)
 
-    points = {}
-    sampled = suites.Report.sampled
+    found = []
 
-    def recorded(self, id, found, *args):
-        points[id] = list(found)
-        return sampled(self, id, points[id], *args)
+    def recorded(points, check):
+        found.append(first_nonsingular(points, check))
+        return found[-1]
 
     monkeypatch.setattr(suites, "lambda_spec", first_singular)
-    monkeypatch.setattr(suites.Report, "sampled", recorded)
+    monkeypatch.setattr(suites, "first_nonsingular", recorded)
     suites.suite_specialization(degree=1)
-    assert points["printed-n2-formulas"] == [[]] * 9
+    # printed-n2-formulas is the first case: its 9 groups are drawn first
+    assert found[:9] == [[]] * 9
+
+
+def test_giambelli_redraws_a_shape_singular_at_the_shared_point(monkeypatch):
+    # every shape is checked at the shared point A; one singular there is
+    # redrawn from the same stream and evaluated, not skipped
+    import ncshift.suites as suites
+
+    points = {}
+
+    def singular_once(shape, A):
+        points.setdefault(shape, []).append(A)
+        if shape == (1, 2) and len(points[shape]) == 1:
+            raise SingularMinor("forced")
+        return giambelli_check(shape, A)
+
+    monkeypatch.setattr(suites, "giambelli_check", singular_once)
+    cases = {c.id: c for c in suites.suite_giambelli(degree=4).cases}
+    assert cases["giambelli-rank-le-2"].passed
+    (A,) = points[(1, 1)]
+    first, redrawn = points[(1, 2)]
+    assert first is A and redrawn != A
+    assert all(drawn == [A] for shape, drawn in points.items() if shape != (1, 2))
 
 
 # -- the per-assignment memo against the formula restated without it ------------
