@@ -72,8 +72,8 @@ class NCElement(LinComb):
     @staticmethod
     def word(w: Iterable[int]) -> "NCElement":
         w = tuple(w)
-        if any(k < 1 for k in w):
-            raise ValueError(f"word letters must be positive, got {w}")
+        if any(type(k) is not int or k < 1 for k in w):
+            raise ValueError(f"word letters must be positive integers, got {w}")
         return NCElement._of({w: ParamPoly.one()})
 
     @staticmethod

@@ -26,7 +26,7 @@ from .families import (
     s_to_psi,
     shift_Lambda,
 )
-from .params import ParamSubstitution, as_fraction, canonical_int
+from .params import MissingIndex, ParamSubstitution, as_fraction, canonical_int
 from .quasidet import SingularMinor
 from .ribbon import (
     Composition,
@@ -152,7 +152,10 @@ def cmd_convert(args) -> int:
     payload = out.to_json() if out_basis == "R" else out.to_json(out_basis)
     if out_basis == "R" and sub.is_whole_distant():
         payload["whole_distant"] = True
-        payload["integer_coefficients"] = out.integer_coefficients(sub)
+        try:
+            payload["integer_coefficients"] = out.integer_coefficients(sub)
+        except MissingIndex as e:
+            raise ValueError(f"the --params file gives no value for a_{e.args[0]}") from None
     print(json.dumps(payload, indent=2))
     return 0
 

@@ -338,14 +338,13 @@ def random_mat(rng: random.Random, d: int) -> MatValue:
     return MatValue([[rng.choice(RANDOM_POOL) for _ in range(d)] for _ in range(d)])
 
 
-def verify_bazin(
-    n: int,
-    k: int,
-    d: int,
-    seed: int,
-    variant: str = "corrected",
-) -> bool:
-    """Check the Bazin-type identity on a random 2n x n block matrix.
+def bazin_matrix(rng: random.Random, n: int, d: int) -> list:
+    """A point of the Bazin check: a random 2n x n matrix of d x d blocks."""
+    return [[random_mat(rng, d) for _ in range(n)] for _ in range(2 * n)]
+
+
+def bazin_holds(A: Sequence[Sequence[MatValue]], k: int, variant: str) -> bool:
+    """Whether the Bazin-type identity holds at a 2n x n block matrix A.
 
     The right-hand side is always the three-factor product
 
@@ -359,31 +358,33 @@ def verify_bazin(
     indexed by the column and the quasideterminant boxes the bottom-left
     corner, |B|_{k1} with b_{ij} = |A_(j..j+n-2, n+i)|_{n+i,n} (the transpose
     of the printed B), which holds for matrix entries of any size.
-
-    A singular draw is redrawn at the next seed, through first_nonsingular.
     """
+    n = len(A[0])
     if not (1 <= k <= n):
         raise ValueError("need 1 <= k <= n")
     if variant not in ("printed", "corrected"):
         raise ValueError("variant must be 'printed' or 'corrected'")
 
-    def check(rng: random.Random) -> bool:
-        A = [[random_mat(rng, d) for _ in range(n)] for _ in range(2 * n)]
+    def quasiminor(rows: list[int], pos: int, q: int) -> MatValue:
+        # pos is the 1-indexed position of the boxed row within the list;
+        # the list may repeat a row label, in which case the block is a
+        # legitimate zero of the identity, not a sampling failure.
+        return block_quasidet([A[i - 1] for i in rows], pos, q)
 
-        def quasiminor(rows: list[int], pos: int, q: int) -> MatValue:
-            # pos is the 1-indexed position of the boxed row within the list;
-            # the list may repeat a row label, in which case the block is a
-            # legitimate zero of the identity, not a sampling failure.
-            return block_quasidet([A[i - 1] for i in rows], pos, q)
+    B = [[quasiminor(list(range(i, i + n - 1)) + [n + j], n, n) for j in range(1, k + 1)]
+         for i in range(1, k + 1)]
+    lhs = block_quasidet(B, 1, k) if variant == "printed" else block_quasidet([*zip(*B)], k, 1)
+    rows1 = list(range(k, n)) + list(range(n + 1, n + k + 1))
+    f1 = quasiminor(rows1, len(rows1), n)
+    rows2 = list(range(k, n + k))
+    f2 = quasiminor(rows2, rows2.index(n) + 1, n)
+    f3 = quasiminor(list(range(1, n + 1)), n, n)
+    return lhs == f1 * f2.inverse() * f3
 
-        B = [[quasiminor(list(range(i, i + n - 1)) + [n + j], n, n) for j in range(1, k + 1)]
-             for i in range(1, k + 1)]
-        lhs = block_quasidet(B, 1, k) if variant == "printed" else block_quasidet([*zip(*B)], k, 1)
-        rows1 = list(range(k, n)) + list(range(n + 1, n + k + 1))
-        f1 = quasiminor(rows1, len(rows1), n)
-        rows2 = list(range(k, n + k))
-        f2 = quasiminor(rows2, rows2.index(n) + 1, n)
-        f3 = quasiminor(list(range(1, n + 1)), n, n)
-        return lhs == f1 * f2.inverse() * f3
 
-    return first_nonsingular((random.Random(seed + a) for a in count()), check)
+def verify_bazin(n: int, k: int, d: int, seed: int, variant: str = "corrected") -> bool:
+    """bazin_holds at a bazin_matrix drawn from the stream seeded seed; a
+    singular draw is redrawn from the stream of the next seed, through
+    first_nonsingular."""
+    draws = (bazin_matrix(random.Random(seed + a), n, d) for a in count())
+    return first_nonsingular(draws, lambda A: bazin_holds(A, k, variant))

@@ -32,9 +32,9 @@ class Composition:
     parts: tuple[int, ...]
 
     def __init__(self, parts):
-        parts = tuple(int(p) for p in parts)
-        if not parts or any(p < 1 for p in parts):
-            raise ValueError(f"composition parts must be positive, got {parts}")
+        parts = tuple(parts)
+        if not parts or any(type(p) is not int or p < 1 for p in parts):
+            raise ValueError(f"composition parts must be positive integers, got {parts}")
         object.__setattr__(self, "parts", parts)
 
     @property

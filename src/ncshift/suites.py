@@ -38,9 +38,10 @@ from .params import SEQ_A, SEQ_AHAT, LinComb, ParamPoly, ParamSubstitution, accu
 from .quasidet import (
     ExhaustedRetries,
     MatValue,
+    bazin_holds,
+    bazin_matrix,
     first_nonsingular,
     hessenberg_quasidet,
-    verify_bazin,
 )
 from .ribbon import (
     Composition,
@@ -115,14 +116,20 @@ class Report:
         self.check_rows(f"{id}-printed", ((lab, got, p) for lab, got, p, _ in rows))
         self.check_rows(f"{id}-corrected", ((lab, got, c) for lab, got, _, c in rows))
 
+    def rng(self, id: str, label: str = "") -> random.Random:
+        """The random stream of group label of case id, one per (suite, seed, case,
+        label): the same at every degree and, seeded by a str, in every process."""
+        return random.Random(f"{self.suite}/{self.seed}/{id}/{label}")
+
     def sampled(self, id: str, groups: Iterable[tuple], empty: str = "nothing to check"):
         """Record a randomized case from its (label, points, check) groups, in order.
 
-        Each group draws through first_nonsingular: check at its first point
-        that is not singular gives the group's failure witnesses.  A group
-        whose every draw is singular fails under its label.  The case fails
-        with the first witness, or with the empty witness when it has no
-        group: it has checked nothing.
+        Each group draws points(self.rng(id, label)) through first_nonsingular:
+        check at its first point that is not singular gives the group's
+        failure witnesses, or a bool where False stands for [label].  Labels
+        are unique within a case.  A group whose every draw is singular fails
+        under its label.  The case fails with the first witness, or with the
+        empty witness when it has no group: it has checked nothing.
         """
 
         def failures():
@@ -130,9 +137,11 @@ class Report:
             for label, points, check in groups:
                 checked = True
                 try:
-                    found = first_nonsingular(points, check)
+                    found = first_nonsingular(points(self.rng(id, label)), check)
                 except ExhaustedRetries as e:
                     found = [f"{label}: {e}"]
+                if isinstance(found, bool):
+                    found = [] if found else [label]
                 yield from found
             if not checked:
                 yield empty
@@ -464,7 +473,7 @@ def suite_hopf(degree: int = 5, seed: int = 0) -> Report:
             r = r + e1.scale(counit(e2) * c)
         return l == x and r == x
 
-    rng = random.Random(seed)
+    rng = rep.rng("algebra-morphism")
     degs = [w for w in words if sum(w) <= max(1, degree - 1)]
 
     def morphism_failures():
@@ -503,9 +512,10 @@ def _tensor3(d: TensorElement, left: bool) -> dict:
     return out
 
 
-def _draws(rng: random.Random, n: int, d: int, check) -> tuple:
+def _draws(n: int, d: int, check) -> tuple:
     """The points and check of a Report.sampled group: random points of n
-    d x d variables drawn from rng, and check behind S_k, Lambda_k (k <= min(n, 2)).
+    d x d variables drawn from the group's rng, and check behind S_k,
+    Lambda_k (k <= min(n, 2)).
 
     A draw counts only when every evaluation succeeds: one that raises
     SingularMinor part-way is dropped whole, for the next draw.
@@ -516,12 +526,7 @@ def _draws(rng: random.Random, n: int, d: int, check) -> tuple:
         lambda_spec(min(n, 2), A)
         return check(A)
 
-    return (random_assignment(rng, n, d) for _ in count()), evaluated
-
-
-def _held(label: str, holds):
-    """The check whose failure witness is label wherever holds(point) is false."""
-    return lambda point: [] if holds(point) else [label]
+    return lambda rng: (random_assignment(rng, n, d) for _ in count()), evaluated
 
 
 def _swaps_broken(expansion: NCElement, A) -> list[int]:
@@ -532,7 +537,6 @@ def _swaps_broken(expansion: NCElement, A) -> list[int]:
 
 def suite_specialization(degree: int = 4, seed: int = 0) -> Report:
     rep = Report("specialization", seed=seed)
-    rng = random.Random(seed or 20240)
 
     def n2_check(A2) -> list[str]:
         x1, x2 = A2.vars
@@ -555,7 +559,7 @@ def suite_specialization(degree: int = 4, seed: int = 0) -> Report:
         return failed
 
     rep.sampled("printed-n2-formulas", (
-        (f"d={d}", *_draws(rng, 2, d, n2_check)) for d in (1, 2, 3) for _ in range(3)
+        (f"d={d} draw {i}", *_draws(2, d, n2_check)) for d in (1, 2, 3) for i in range(3)
     ))
 
     s_claim = (
@@ -563,19 +567,19 @@ def suite_specialization(degree: int = 4, seed: int = 0) -> Report:
         "series forces this, so the claimed vanishing holds for the elementary family only"
     )
     for id, spec, witness in (
-        ("vanishing-lambda", lambda_spec, "Lambda_{k} of {n} variables"),
+        # Lambda_k rebuilt from the S values: lambda_spec is zero for k > n by definition
+        ("vanishing-lambda", lambda k, A: evaluate_nc(lambda_in_S(k), A),
+         "Lambda_{k} of {n} variables"),
         ("vanishing-s-printed", s_spec, s_claim),
     ):
         rep.sampled(id, (
-            (f"n={n} d={d}", *_draws(random.Random(seed + 31 * n + d), n, d, lambda A: [
+            (f"n={n} d={d}", *_draws(n, d, lambda A: [
                 witness.format(k=k, n=n) for k in (n + 1, n + 2) if not spec(k, A).is_zero()
             ]))
             for n in range(1, degree + 1) for d in (1, 2, 3)
         ), "no n in 1..degree to check at degree 0")
     rep.sampled("variable-shift-law", (
-        (f"n={n} k={k}", *_draws(random.Random(seed + 101 * n + k), n, 2, _held(
-            f"n={n} k={k}", lambda A: variable_shift_defect(k, A).is_zero()
-        )))
+        (f"n={n} k={k}", *_draws(n, 2, lambda A: variable_shift_defect(k, A).is_zero()))
         for n in (2, 3) for k in range(1, n + 1)
     ))
     return rep
@@ -584,17 +588,13 @@ def suite_specialization(degree: int = 4, seed: int = 0) -> Report:
 def suite_symmetry(degree: int = 4, seed: int = 0) -> Report:
     rep = Report("symmetry", seed=seed)
     rep.sampled("shifted-symmetry", (
-        (f"n={n} k={k} i={i}", *_draws(
-            random.Random(seed + 1009 * n + 31 * k + i), n, 2,
-            _held(f"n={n} k={k} i={i}", lambda A: check_shifted_symmetry(k, A, i)),
-        ))
+        (f"n={n} k={k} i={i}", *_draws(n, 2, lambda A: check_shifted_symmetry(k, A, i)))
         for n in range(2, degree + 1) for k in range(1, min(degree, 4) + 1) for i in range(1, n)
     ), "no (n, k, i) with n >= 2 to check")
     # ribbon specializations inherit the symmetry
     rep.sampled("ribbon-symmetry", (
         (f"I={I} n={n}", *_draws(
-            random.Random(seed + 7 * d_I + n + sum(I.parts)), n, 2,
-            lambda A: [f"I={I} n={n} i={i}" for i in _swaps_broken(ribbon(I), A)],
+            n, 2, lambda A: [f"I={I} n={n} i={i}" for i in _swaps_broken(ribbon(I), A)]
         ))
         for d_I in range(1, 5) for I in all_compositions(d_I) for n in (2, 3)
     ))
@@ -604,9 +604,7 @@ def suite_symmetry(degree: int = 4, seed: int = 0) -> Report:
 def suite_extension(degree: int = 3, seed: int = 0) -> Report:
     rep = Report("extension", seed=seed)
     rep.sampled("extension-stability", (
-        (f"n={n} k={k}", *_draws(random.Random(seed + 77 * n + 13 * k), n, 2, _held(
-            f"n={n} k={k}", lambda A: check_extension(k, A)
-        )))
+        (f"n={n} k={k}", *_draws(n, 2, lambda A: check_extension(k, A)))
         for n in range(1, degree + 1) for k in range(1, degree + 1)
     ), "no (n, k) to check at degree 0")
     return rep
@@ -616,10 +614,10 @@ def suite_recovery(degree: int = 4, seed: int = 0) -> Report:
     rep = Report("recovery", seed=seed)
 
     def group(n: int, k: int) -> tuple:
-        # seeded per group, so a higher degree re-checks the lower groups' points
-        rng = random.Random((seed or 4321) + 1013 * n + 37 * k)
-        points = ([Fraction(rng.randint(-9, 12), rng.choice([1, 2, 3])) for _ in range(n)]
-                  for _ in count())
+        def points(rng):
+            return ([Fraction(rng.randint(-9, 12), rng.choice([1, 2, 3])) for _ in range(n)]
+                    for _ in count())
+
         return f"n={n} k={k}", points, lambda scalars: (
             [] if commutative_recovery(k, n, scalars) else [f"n={n} k={k} at {scalars}"]
         )
@@ -632,11 +630,10 @@ def suite_recovery(degree: int = 4, seed: int = 0) -> Report:
 
 def suite_giambelli(degree: int = 6, seed: int = 0) -> Report:
     rep = Report("giambelli", seed=seed)
-    rng = random.Random(seed + 5550)
     shared = []  # A, the first point a group accepts: every later group starts there
 
     def at_shared(label: str, check) -> tuple:
-        points, evaluated = _draws(rng, 4, 2, check)
+        points, evaluated = _draws(4, 2, check)
 
         def kept(A):
             found = evaluated(A)
@@ -644,7 +641,7 @@ def suite_giambelli(degree: int = 6, seed: int = 0) -> Report:
                 shared.append(A)
             return found
 
-        return label, chain(shared, points), kept
+        return label, lambda rng: chain(shared, points(rng)), kept
 
     def row_column(A) -> list[str]:
         return [w for k in range(1, 4) for w, got, want in (
@@ -662,35 +659,23 @@ def suite_giambelli(degree: int = 6, seed: int = 0) -> Report:
     parts = {tuple(sorted(I.parts)) for m in range(2, degree + 1) for I in all_compositions(m)}
     shapes = [s for s in sorted(parts) if len(frobenius_form(s)[0]) <= 2]
     rep.sampled("giambelli-rank-le-2", (
-        at_shared(f"shape {s}", _held(f"shape {s}", lambda A: giambelli_check(s, A)))
-        for s in shapes
+        at_shared(f"shape {s}", lambda A: giambelli_check(s, A)) for s in shapes
     ), "no shape of size 2..degree to check")
     return rep
 
 
 def suite_bazin(degree: int = 3, seed: int = 0) -> Report:
     rep = Report("bazin", seed=seed)
-    base_seed = seed or 97531
-
-    def failures(variant: str, n: int, k: int, d: int):
-        note = ""
-        if variant == "printed" and d > 1 and k > 1:
-            note = (
-                "; the displayed reading fails for "
-                "noncommuting entries, see the corrected variant"
-            )
-        for s in range(10):
-            try:
-                if not verify_bazin(n, k, d, base_seed + 7919 * s, variant=variant):
-                    yield f"seed offset {s}{note}"
-            except ExhaustedRetries as e:
-                yield f"{e}{note}"
-
-    for variant in ("printed", "corrected"):
-        for n in range(1, degree + 1):
-            for k in range(1, n + 1):
-                for d in (1, 2):
-                    rep.first(f"bazin-{variant}-n{n}-k{k}-d{d}", failures(variant, n, k, d))
+    misprint = "; the displayed reading fails for noncommuting entries, see the corrected variant"
+    cases = [(variant, n, k, d) for variant in ("printed", "corrected")
+             for n in range(1, degree + 1) for k in range(1, n + 1) for d in (1, 2)]
+    for variant, n, k, d in cases:
+        note = misprint if variant == "printed" and d > 1 and k > 1 else ""
+        rep.sampled(f"bazin-{variant}-n{n}-k{k}-d{d}", (
+            (f"seed offset {s}", lambda rng: (bazin_matrix(rng, n, d) for _ in count()),
+             lambda A: [] if bazin_holds(A, k, variant) else [f"seed offset {s}{note}"])
+            for s in range(10)
+        ))
     return rep
 
 

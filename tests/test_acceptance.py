@@ -524,8 +524,8 @@ def test_criterion_11_bazin_printed():
     it fails whenever k >= 2, as verify_bazin's docstring says.  Of the 20
     printed cases exactly the six n{2,3,4}-k>=2-d2 ones must be refuted,
     each with the "noncommuting entries" witness, and the corrected reading
-    must hold at each of them.  The suite's first draw (base seed 97531)
-    is rechecked directly.
+    must hold at each of them.  verify_bazin, which draws from its own
+    seeded streams, rechecks the refuted shapes at seed 97531.
     """
     rep = run_suite("bazin", degree=4)
     params = [(n, k, d) for n in (1, 2, 3, 4) for k in range(1, n + 1) for d in (1, 2)]

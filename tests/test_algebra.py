@@ -7,6 +7,8 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations_with_replacement
 
+import pytest
+
 from ncshift.algebra import (
     NCElement,
     apply_letters,
@@ -53,6 +55,12 @@ def test_degree_filtration():
     x = S(3) + S(1).scale(a(0))
     y = S(2) + NCElement.one()
     assert (x * y).degree() == 5
+
+
+@pytest.mark.parametrize("w", [(1.5,), (1, "2"), (True,), (2, 1.0)])
+def test_word_rejects_non_integer_letters(w):
+    with pytest.raises(ValueError, match="positive integers"):
+        NCElement.word(w)
 
 
 def test_word_orders():

@@ -420,6 +420,18 @@ def test_convert_rejects_float_params_file(tmp_path, capsys):
     _assert_input_error(*run_cli(argv, capsys))
 
 
+def test_convert_names_the_index_a_params_file_lacks(tmp_path, capsys):
+    # the a_1 S_1 coefficient needs a_1; the file gives a_0 only
+    src = tmp_path / "x.json"
+    src.write_text(json.dumps({"terms": [{"word": [1], "coeff": [{"c": "1", "e": {"1": 1}}]}]}))
+    table = tmp_path / "p.json"
+    table.write_text(json.dumps({"0": "1"}))
+    argv = ["convert", "--to", "R", "--params", f"file:{table}", "--input", str(src)]
+    code, out, err = run_cli(argv, capsys)
+    _assert_input_error(code, out, err)
+    assert err == "error: the --params file gives no value for a_1\n"
+
+
 def test_convert_drops_zero_exponents(tmp_path, capsys):
     # 1*a_1^0 - 1 is the zero coefficient: the word cancels
     coeff = [{"c": "1", "e": {"1": 0}}, {"c": "-1", "e": {}}]

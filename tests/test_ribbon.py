@@ -49,6 +49,13 @@ def test_composition_invariants():
         C((1, 0, 2))
 
 
+@pytest.mark.parametrize("parts", [(2.7, 1), ("3",), (True,), (1, Fraction(2))])
+def test_composition_rejects_non_integer_parts(parts):
+    # a part is an int, not anything int() accepts: 2.7 is no part 2
+    with pytest.raises(ValueError, match="positive integers"):
+        C(parts)
+
+
 def test_conjugate_fixtures():
     # the (2,1,1) and (1,3,2,1) conjugates are pinned by the printed
     # elementary-generator matrices; (1,1,2) by the partition example

@@ -52,3 +52,47 @@ def _environment_reads(src: Path) -> list[str]:
 def test_no_module_reads_the_environment():
     # an option is a CLI flag or a module constant, never an environment variable
     assert _environment_reads(SRC) == []
+
+
+def _scopes(src: Path, matches) -> list[str]:
+    """module.qualname of the function or class around each node of src that
+    matches, in source order."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+        if matches(node):
+            found.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    return found
+
+
+def _names(node, name: str) -> bool:
+    """Whether node is the name, or an attribute access ending in it."""
+    return (isinstance(node, ast.Name) and node.id == name) or (
+        isinstance(node, ast.Attribute) and node.attr == name
+    )
+
+
+def test_random_streams_are_made_in_two_places():
+    # every randomized suite group draws from Report.rng, one stream per
+    # (suite, seed, case, label); verify_bazin keeps its seed + a streams
+    def makes_stream(node):
+        return isinstance(node, ast.Call) and _names(node.func, "Random")
+
+    assert _scopes(SRC, makes_stream) == ["quasidet.verify_bazin", "suites.Report.rng"]
+
+
+def test_only_report_sampled_catches_exhausted_retries():
+    # what a group whose every draw is singular means is decided in one place
+    def catches(node):
+        return isinstance(node, ast.ExceptHandler) and node.type is not None and any(
+            _names(n, "ExhaustedRetries") for n in ast.walk(node.type)
+        )
+
+    assert _scopes(SRC, catches) == ["suites.Report.sampled.failures"]

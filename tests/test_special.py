@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -14,7 +15,7 @@ from ncshift.quasidet import (
     first_nonsingular,
     random_mat,
 )
-from ncshift.ribbon import Composition, ribbon
+from ncshift.ribbon import Composition, all_compositions, ribbon
 from ncshift.special import (
     VariableAssignment,
     ZeroDenominator,
@@ -310,7 +311,7 @@ def test_vanishing_lambda_fails_when_one_group_is_exhausted(monkeypatch):
 
 #: the label of each randomized case's first group at degree 2
 FIRST_GROUP = {
-    "printed-n2-formulas": "d=1",
+    "printed-n2-formulas": "d=1 draw 0",
     "variable-shift-law": "n=2 k=1",
     "ribbon-symmetry": "I=(1) n=2",
     "giambelli-rank-le-2": "shape (1, 1)",
@@ -365,9 +366,94 @@ def test_printed_n2_formulas_redraw_a_singular_point(monkeypatch):
     assert found[:9] == [[]] * 9
 
 
+def test_vanishing_lambda_rebuilds_lambda_from_s(monkeypatch):
+    # lambda_spec is zero for k > n by definition; the case rebuilds Lambda_k
+    # from the S values at the point, so a wrong S_2 shows
+    import ncshift.special as special
+    import ncshift.suites as suites
+
+    s_spec = special.s_spec
+    monkeypatch.setattr(
+        special, "s_spec", lambda k, A: s_spec(k, A).scale(2) if k == 2 else s_spec(k, A)
+    )
+    cases = {c.id: c for c in suites.suite_specialization(degree=2).cases}
+    assert not cases["vanishing-lambda"].passed
+    assert cases["vanishing-lambda"].witness == "Lambda_2 of 1 variables"
+
+
+# -- one random stream per (suite, seed, case, label) --------------------------
+
+
+def _first_points(monkeypatch, run) -> list:
+    """The first point each Report.sampled group draws while run() runs, in order."""
+    import ncshift.suites as suites
+
+    firsts = []
+
+    def recorded(points, check):
+        points = iter(points)
+        firsts.append(next(points))
+        return first_nonsingular(chain([firsts[-1]], points), check)
+
+    monkeypatch.setattr(suites, "first_nonsingular", recorded)
+    run()
+    return firsts
+
+
+def test_ribbon_symmetry_groups_draw_from_their_own_streams(monkeypatch):
+    # no two groups of one composition degree and one n start at one point
+    import ncshift.suites as suites
+
+    firsts = _first_points(monkeypatch, lambda: suites.suite_symmetry(degree=1))
+    labels = [(d, I, n) for d in range(1, 5) for I in all_compositions(d) for n in (2, 3)]
+    assert len(firsts) == len(labels) == 30
+    by_degree = {}
+    for (d, I, n), A in zip(labels, firsts):
+        by_degree.setdefault((d, n), []).append(A.vars)
+    for (d, n), points in by_degree.items():
+        assert len(set(points)) == len(points) == 2 ** (d - 1), (d, n)
+
+
+def test_seeds_do_not_alias(monkeypatch):
+    # no seed stands for another: seed 0 draws none of seed 20240's points
+    import ncshift.suites as suites
+
+    draws = [
+        _first_points(monkeypatch, lambda: suites.suite_specialization(degree=0, seed=seed))
+        for seed in (0, 20240)
+    ]
+    # at degree 0 only the 9 printed-n2-formulas and 5 variable-shift-law groups draw
+    assert [len(d) for d in draws] == [14, 14]
+    zero, other = ([A.vars for A in d[:9]] for d in draws)
+    assert all(a != b for a in zero for b in other)
+
+
+def test_a_group_draws_the_same_point_at_every_degree(monkeypatch):
+    import ncshift.suites as suites
+
+    # shifted-symmetry's first group is n=2 k=1 i=1 at both degrees
+    low, high = (
+        _first_points(monkeypatch, lambda: suites.suite_symmetry(degree=degree))[0]
+        for degree in (2, 4)
+    )
+    assert low.vars == high.vars
+
+
+def test_bazin_groups_are_labelled_by_seed_offset(monkeypatch):
+    # every Bazin draw singular: the case fails under its first group's label
+    import ncshift.suites as suites
+
+    monkeypatch.setattr(quasidet, "MAX_RESEED", 0)
+    monkeypatch.setattr(quasidet, "random_mat", lambda rng, d: MatValue.zeros(d))
+    cases = {c.id: c for c in suites.suite_bazin(degree=1).cases}
+    assert len(cases) == 4 and not any(c.passed for c in cases.values())
+    witness = cases["bazin-printed-n1-k1-d1"].witness
+    assert witness == "seed offset 0: no nonsingular sample in 1 draws"
+
+
 def test_giambelli_redraws_a_shape_singular_at_the_shared_point(monkeypatch):
     # every shape is checked at the shared point A; one singular there is
-    # redrawn from the same stream and evaluated, not skipped
+    # redrawn from its own stream and evaluated, not skipped
     import ncshift.suites as suites
 
     points = {}
