@@ -43,6 +43,14 @@ def elimination_key(w: Word):
     return (len(w), word_degree(w), w)
 
 
+def positive_word(w: Iterable[int]) -> Word:
+    """w as a word; a letter that is not a positive int is a ValueError."""
+    w = tuple(w)
+    if any(type(k) is not int or k < 1 for k in w):
+        raise ValueError(f"word letters must be positive integers, got {w}")
+    return w
+
+
 class NCElement(LinComb):
     """A finite map word -> nonzero ParamPoly.
 
@@ -71,10 +79,7 @@ class NCElement(LinComb):
 
     @staticmethod
     def word(w: Iterable[int]) -> "NCElement":
-        w = tuple(w)
-        if any(type(k) is not int or k < 1 for k in w):
-            raise ValueError(f"word letters must be positive integers, got {w}")
-        return NCElement._of({w: ParamPoly.one()})
+        return NCElement._of({positive_word(w): ParamPoly.one()})
 
     @staticmethod
     def scalar(c) -> "NCElement":
@@ -132,13 +137,7 @@ class NCElement(LinComb):
 
     @staticmethod
     def from_json(data: Mapping) -> "NCElement":
-        def word(item) -> Word:
-            w = json_ints(item["word"])
-            if any(k < 1 for k in w):
-                raise ValueError(f"word letters must be positive, got {w}")
-            return w
-
-        return NCElement._from_json(data, word)
+        return NCElement._from_json(data, lambda item: positive_word(json_ints(item["word"])))
 
     def __str__(self) -> str:
         return self.pretty("S")

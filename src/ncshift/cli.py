@@ -57,12 +57,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_exact(fh):
-    """JSON with every number exact: a float literal is an input error."""
+    """JSON with every number exact: a float literal is an input error, and so
+    is nesting deeper than the decoder's recursion limit."""
 
     def reject(literal: str):
         raise ValueError(f"{literal} is not exact; write rationals as strings such as \"1/2\"")
 
-    return json.load(fh, parse_float=reject)
+    try:
+        return json.load(fh, parse_float=reject)
+    except RecursionError:
+        raise ValueError("the JSON input is nested too deeply") from None
 
 
 def _ints(text: str) -> tuple[int, ...]:

@@ -24,12 +24,12 @@ free generators over Q[a] (the rewrite into them needs denominators 1/n, so
 the Z[a]-lattice is left).  S_n over Psi-letters comes degree by degree from
 the Wronski recursion; round trips are exact.
 
-Everything is parameterized by the base sequence, so the same functions
-compute in the dual algebra by passing the dualized sequence.
+Everything is computed over the sequence a, except lambda_in_S and omega,
+which take a sequence: omega maps the algebra over a sequence to the one over
+its dual, so omega and its Lambda-images are needed over a-hat too.
 
-Memo tables are keyed by (argument, base) through functools.cache, which is
-safe for concurrent readers: a consistent map is observed, at worst a value
-is computed twice.
+Memo tables are functools.cache tables, which are safe for concurrent
+readers: a consistent map is observed, at worst a value is computed twice.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from functools import cache
 from itertools import combinations, pairwise
 
 from .algebra import NCElement, Word, apply_letters, complete_homogeneous
-from .params import SEQ_A, ParamSequence
+from .params import SEQ_A, SEQ_AHAT, ParamSequence
 from .quasidet import hessenberg_quasidet
 from .shifts import shift_S
 
@@ -60,22 +60,22 @@ def lambda_in_S(n: int, base: ParamSequence = SEQ_A) -> NCElement:
 
 
 @cache
-def shift_Lambda(k: int, s: int, base: ParamSequence = SEQ_A) -> NCElement:
+def shift_Lambda(k: int, s: int) -> NCElement:
     """Lambda_k^[s] in the S-basis: S_k^[-s] over the dual sequence, read in Lambda-letters."""
-    return lambda_words_to_s(shift_S(k, -s, base.dual()), base)
+    return lambda_words_to_s(shift_S(k, -s, SEQ_AHAT))
 
 
-def lambda_by_quasidet(n: int, base: ParamSequence = SEQ_A) -> NCElement:
+def lambda_by_quasidet(n: int) -> NCElement:
     """Lambda_n via the quasideterminant closed form (a checked theorem).
 
     Entry (i,j) of the Hessenberg matrix is S_{j-i+1}^[n-i]; unit subdiagonal.
     """
     if n == 0:
         return NCElement.one()
-    return hessenberg_quasidet(n, lambda i, j: shift_S(j - i + 1, n - i, base))
+    return hessenberg_quasidet(n, lambda i, j: shift_S(j - i + 1, n - i))
 
 
-def s_in_lambda(n: int, base: ParamSequence = SEQ_A) -> NCElement:
+def s_in_lambda(n: int) -> NCElement:
     """S_n as a polynomial in Lambda-letters, via the inverse closed form.
 
     The returned words are monomials in the elementary generators.  Entry
@@ -84,18 +84,17 @@ def s_in_lambda(n: int, base: ParamSequence = SEQ_A) -> NCElement:
     """
     if n == 0:
         return NCElement.one()
-    dual = base.dual()
-    return hessenberg_quasidet(n, lambda i, j: shift_S(j - i + 1, j - 1, dual))
+    return hessenberg_quasidet(n, lambda i, j: shift_S(j - i + 1, j - 1, SEQ_AHAT))
 
 
-def lambda_words_to_s(x: NCElement, base: ParamSequence = SEQ_A) -> NCElement:
+def lambda_words_to_s(x: NCElement) -> NCElement:
     """Interpret words of x as Lambda-monomials and expand in the S-basis."""
-    return apply_letters(x, lambda k: lambda_in_S(k, base))
+    return apply_letters(x, lambda_in_S)
 
 
-def s_to_lambda(x: NCElement, base: ParamSequence = SEQ_A) -> NCElement:
+def s_to_lambda(x: NCElement) -> NCElement:
     """Rewrite an S-basis element over Lambda-letters: omega, then every word reversed."""
-    return NCElement({w[::-1]: c for w, c in omega(x, base).terms.items()})
+    return NCElement({w[::-1]: c for w, c in omega(x).terms.items()})
 
 
 def omega(x: NCElement, base: ParamSequence = SEQ_A) -> NCElement:
@@ -111,26 +110,26 @@ def omega(x: NCElement, base: ParamSequence = SEQ_A) -> NCElement:
 # -- power sums ---------------------------------------------------------------
 
 
-def psi(n: int, base: ParamSequence = SEQ_A) -> NCElement:
+def psi(n: int) -> NCElement:
     """The shifted power sum Psi_n in the S-basis."""
-    return psi_shifted(n, 0, base)
+    return psi_shifted(n, 0)
 
 
 @cache
-def psi_shifted(n: int, s: int, base: ParamSequence = SEQ_A) -> NCElement:
+def psi_shifted(n: int, s: int) -> NCElement:
     """Psi_n^[s]; coincides with phi_shift(psi(n), s)."""
     if n < 1:
         raise ValueError("power sums start at n = 1")
     out = NCElement.zero()
     for k in range(n):
-        term = shift_Lambda(k, n - k + s, base) * shift_S(n - k, n - k - 1 + s, base)
+        term = shift_Lambda(k, n - k + s) * shift_S(n - k, n - k - 1 + s)
         term = term.scale(Fraction(n - k))
         out = out + (term if k % 2 == 0 else -term)
     return out
 
 
 @cache
-def s_in_psi_table(n: int, base: ParamSequence = SEQ_A) -> NCElement:
+def s_in_psi_table(n: int) -> NCElement:
     """S_n over Psi-letters.
 
     Built from the Wronski recursion n S_n^[n-1] = sum_k S_k^[n-1] Psi_{n-k};
@@ -138,117 +137,116 @@ def s_in_psi_table(n: int, base: ParamSequence = SEQ_A) -> NCElement:
     """
     if n == 0:
         return NCElement.one()
-    table = lambda k: s_in_psi_table(k, base)
     acc = NCElement.gen(n)  # the Psi_n letter
     for k in range(1, n):
-        acc = acc + apply_letters(shift_S(k, n - 1, base), table) * NCElement.gen(n - k)
+        acc = acc + apply_letters(shift_S(k, n - 1), s_in_psi_table) * NCElement.gen(n - k)
     # acc / n = S_n^[n-1] over Psi-letters: S_n plus lower single-letter
     # terms, whose images are subtracted
-    lower = shift_S(n, n - 1, base) - NCElement.gen(n)
-    return acc.scale(Fraction(1, n)) - apply_letters(lower, table)
+    lower = shift_S(n, n - 1) - NCElement.gen(n)
+    return acc.scale(Fraction(1, n)) - apply_letters(lower, s_in_psi_table)
 
 
-def psi_words_to_s(x: NCElement, base: ParamSequence = SEQ_A) -> NCElement:
+def psi_words_to_s(x: NCElement) -> NCElement:
     """Interpret words of x as Psi-monomials and expand in the S-basis."""
-    return apply_letters(x, lambda k: psi(k, base))
+    return apply_letters(x, psi)
 
 
-def s_to_psi(x: NCElement, base: ParamSequence = SEQ_A) -> NCElement:
+def s_to_psi(x: NCElement) -> NCElement:
     """Rewrite an S-basis element over Psi-letters (denominators 1/n appear)."""
-    return apply_letters(x, lambda k: s_in_psi_table(k, base))
+    return apply_letters(x, s_in_psi_table)
 
 
 # -- identity checks -----------------------------------------------------------
 
 
-def check_lineareq(n: int, base: ParamSequence = SEQ_A) -> NCElement:
+def check_lineareq(n: int) -> NCElement:
     """The defect of sum_{i+j=n} (-1)^j S_i^[n-1] Lambda_j (zero iff it holds)."""
     acc = NCElement.zero()
     for j in range(n + 1):
-        term = shift_S(n - j, n - 1, base) * lambda_in_S(j, base)
+        term = shift_S(n - j, n - 1) * lambda_in_S(j)
         acc = acc + (term if j % 2 == 0 else -term)
     if n == 0:
         acc = acc - NCElement.one()
     return acc
 
 
-def verify_wronski_newton(n: int, base: ParamSequence = SEQ_A) -> tuple[bool, str]:
+def verify_wronski_newton(n: int) -> tuple[bool, str]:
     """Check the fundamental, Wronski and Newton identities at degree n."""
     # S_n^[n-1] = sum_{k=1}^{n} (-1)^{k-1} Lambda_k^[n-k] S_{n-k}^[n-1-k]
-    lhs = shift_S(n, n - 1, base)
+    lhs = shift_S(n, n - 1)
     rhs = NCElement.zero()
     for k in range(1, n + 1):
-        term = shift_Lambda(k, n - k, base) * shift_S(n - k, n - 1 - k, base)
+        term = shift_Lambda(k, n - k) * shift_S(n - k, n - 1 - k)
         rhs = rhs + (term if (k - 1) % 2 == 0 else -term)
     if lhs != rhs:
         return False, f"fundamental identity fails at n={n}"
     # n S_n^[n-1] = sum_{k=0}^{n-1} S_k^[n-1] Psi_{n-k}
-    lhs = shift_S(n, n - 1, base).scale(Fraction(n))
+    lhs = shift_S(n, n - 1).scale(Fraction(n))
     rhs = NCElement.zero()
     for k in range(n):
-        rhs = rhs + shift_S(k, n - 1, base) * psi(n - k, base)
+        rhs = rhs + shift_S(k, n - 1) * psi(n - k)
     if lhs != rhs:
         return False, f"Wronski identity fails at n={n}"
     # n Lambda_n = sum_{k=0}^{n-1} (-1)^{n-k-1} Psi_{n-k}^[k] Lambda_k
-    lhs = lambda_in_S(n, base).scale(Fraction(n))
+    lhs = lambda_in_S(n).scale(Fraction(n))
     rhs = NCElement.zero()
     for k in range(n):
-        term = psi_shifted(n - k, k, base) * lambda_in_S(k, base)
+        term = psi_shifted(n - k, k) * lambda_in_S(k)
         rhs = rhs + (term if (n - k - 1) % 2 == 0 else -term)
     if lhs != rhs:
         return False, f"Newton identity fails at n={n}"
     return True, ""
 
 
-def translation_psi_from_s(n: int, base: ParamSequence = SEQ_A) -> NCElement:
+def translation_psi_from_s(n: int) -> NCElement:
     """Psi_n as the quasideterminant in shifted S's, last column weighted (-1)^(n-1) (n-i+1)."""
     sign = (-1) ** (n - 1)
 
     def entry(i: int, j: int) -> NCElement:
-        e = shift_S(j - i + 1, n - i, base)
+        e = shift_S(j - i + 1, n - i)
         return e.scale(Fraction(sign * (n - i + 1))) if j == n else e
 
     return hessenberg_quasidet(n, entry)
 
 
-def translation_psi_from_lambda(n: int, base: ParamSequence = SEQ_A) -> NCElement:
+def translation_psi_from_lambda(n: int) -> NCElement:
     """Psi_n as the quasideterminant in shifted Lambdas (first row weighted)."""
 
     def entry(i: int, j: int) -> NCElement:
-        e = shift_Lambda(j - i + 1, n - j, base)
+        e = shift_Lambda(j - i + 1, n - j)
         return e.scale(Fraction(j)) if i == 1 else e
 
     return hessenberg_quasidet(n, entry)
 
 
-def translation_s_from_psi(n: int, base: ParamSequence = SEQ_A) -> NCElement:
+def translation_s_from_psi(n: int) -> NCElement:
     """n S_n^[n-1] as the quasideterminant in shifted Psis, last column weighted (-1)^(n-1)."""
     def entry(i: int, j: int) -> NCElement:
-        e = psi_shifted(j - i + 1, n - j, base)
+        e = psi_shifted(j - i + 1, n - j)
         return -e if j == n and n % 2 == 0 else e
 
     return hessenberg_quasidet(n, entry, subdiag=[-i for i in range(1, n)])
 
 
-def translation_lambda_from_psi(n: int, base: ParamSequence = SEQ_A) -> NCElement:
+def translation_lambda_from_psi(n: int) -> NCElement:
     """n Lambda_n as the quasideterminant in shifted Psis (subdiagonal n-i)."""
     return hessenberg_quasidet(
         n,
-        lambda i, j: psi_shifted(j - i + 1, n - j, base),
+        lambda i, j: psi_shifted(j - i + 1, n - j),
         subdiag=[n - i for i in range(1, n)],
     )
 
 
-def verify_translations(n: int, base: ParamSequence = SEQ_A) -> tuple[bool, str]:
+def verify_translations(n: int) -> tuple[bool, str]:
     """All four translation quasideterminants at degree n."""
-    p = psi(n, base)
-    if translation_psi_from_s(n, base) != p:
+    p = psi(n)
+    if translation_psi_from_s(n) != p:
         return False, f"Psi-from-S quasideterminant fails at n={n}"
-    if translation_psi_from_lambda(n, base) != p:
+    if translation_psi_from_lambda(n) != p:
         return False, f"Psi-from-Lambda quasideterminant fails at n={n}"
-    if translation_s_from_psi(n, base) != shift_S(n, n - 1, base).scale(Fraction(n)):
+    if translation_s_from_psi(n) != shift_S(n, n - 1).scale(Fraction(n)):
         return False, f"S-from-Psi quasideterminant fails at n={n}"
-    if translation_lambda_from_psi(n, base) != lambda_in_S(n, base).scale(Fraction(n)):
+    if translation_lambda_from_psi(n) != lambda_in_S(n).scale(Fraction(n)):
         return False, f"Lambda-from-Psi quasideterminant fails at n={n}"
     return True, ""
 

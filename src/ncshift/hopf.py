@@ -6,7 +6,7 @@ antipode is the anti-algebra extension of Psi_n -> -Psi_n.  All three are
 computed by rewriting into the power-sum generating set, acting there, and
 rewriting back into the S-basis: the coproduct splits each Psi-word over its
 subsets, merges the tensor terms in the Psi basis and expands each leg (once
-per Psi-word and base, in _psi_word_in_s); the antipode is apply_letters with
+per Psi-word, in _psi_word_in_s); the antipode is apply_letters with
 the image -Psi_n, reversed.  Tensors are LinComb combinations keyed by pairs
 of words.
 """
@@ -17,7 +17,7 @@ from functools import cache
 
 from .algebra import NCElement, apply_letters
 from .families import psi, psi_words_to_s, s_to_psi
-from .params import SEQ_A, LinComb, ParamPoly, ParamSequence, accumulate
+from .params import LinComb, ParamPoly, accumulate
 
 
 class TensorElement(LinComb):
@@ -58,10 +58,10 @@ class TensorElement(LinComb):
     __repr__ = __str__
 
 
-def coproduct(x: NCElement, base: ParamSequence = SEQ_A) -> TensorElement:
+def coproduct(x: NCElement) -> TensorElement:
     """Delta(x), computed through the primitive power-sum generators."""
     in_psi: dict = {}
-    for w, c in s_to_psi(x, base).terms.items():
+    for w, c in s_to_psi(x).terms.items():
         m = len(w)
         for mask in range(1 << m):
             left = tuple(w[i] for i in range(m) if mask >> i & 1)
@@ -69,36 +69,36 @@ def coproduct(x: NCElement, base: ParamSequence = SEQ_A) -> TensorElement:
             accumulate(in_psi, (left, right), c)
     out: dict = {}
     for (left, right), c in in_psi.items():
-        x1, x2 = _psi_word_in_s(left, base), _psi_word_in_s(right, base)
+        x1, x2 = _psi_word_in_s(left), _psi_word_in_s(right)
         for key, d in TensorElement.of(x1, x2).terms.items():
             accumulate(out, key, c * d)
     return TensorElement._of(out)
 
 
 @cache
-def _psi_word_in_s(w: tuple[int, ...], base: ParamSequence) -> NCElement:
+def _psi_word_in_s(w: tuple[int, ...]) -> NCElement:
     """The Psi-word w expanded in the S-basis: one leg of a coproduct term."""
-    return psi_words_to_s(NCElement.word(w), base)
+    return psi_words_to_s(NCElement.word(w))
 
 
-def counit(x: NCElement, base: ParamSequence = SEQ_A) -> ParamPoly:
+def counit(x: NCElement) -> ParamPoly:
     """The constant term of x in the power-sum generating set."""
-    return s_to_psi(x, base).constant_term()
+    return s_to_psi(x).constant_term()
 
 
-def antipode(x: NCElement, base: ParamSequence = SEQ_A) -> NCElement:
+def antipode(x: NCElement) -> NCElement:
     """Word-reversing extension of Psi_n -> -Psi_n, back in the S-basis."""
-    return apply_letters(s_to_psi(x, base), lambda k: -psi(k, base), reverse=True)
+    return apply_letters(s_to_psi(x), lambda k: -psi(k), reverse=True)
 
 
-def convolution_defect(x: NCElement, base: ParamSequence = SEQ_A) -> tuple[NCElement, NCElement]:
+def convolution_defect(x: NCElement) -> tuple[NCElement, NCElement]:
     """m(S x id)Delta(x) - eps(x) 1 and m(id x S)Delta(x) - eps(x) 1."""
-    d = coproduct(x, base)
-    eps = NCElement.scalar(counit(x, base))
+    d = coproduct(x)
+    eps = NCElement.scalar(counit(x))
     left = NCElement.zero()
     right = NCElement.zero()
     for (w1, w2), c in d.terms.items():
         e1, e2 = NCElement.word(w1), NCElement.word(w2)
-        left = left + (antipode(e1, base) * e2).scale(c)
-        right = right + (e1 * antipode(e2, base)).scale(c)
+        left = left + (antipode(e1) * e2).scale(c)
+        right = right + (e1 * antipode(e2)).scale(c)
     return left - eps, right - eps

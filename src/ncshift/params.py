@@ -408,7 +408,9 @@ class ParamSubstitution:
 
     @staticmethod
     def explicit(mapping: Mapping[int, object]) -> "ParamSubstitution":
-        table = tuple(sorted((int(i), as_fraction(v)) for i, v in mapping.items()))
+        if any(type(i) is not int for i in mapping):
+            raise ValueError(f"substitution indices must be integers, got {list(mapping)}")
+        table = tuple(sorted((i, as_fraction(v)) for i, v in mapping.items()))
         return ParamSubstitution("explicit", table=table)
 
     def index_value(self, i: int) -> Fraction:

@@ -93,9 +93,9 @@ def ribbon_shifted(
     )
 
 
-def ribbon(I: Composition, base: ParamSequence = SEQ_A) -> NCElement:
+def ribbon(I: Composition) -> NCElement:
     """R_I at the canonical shifts."""
-    return ribbon_shifted(I, I.row_shifts(), base)
+    return ribbon_shifted(I, I.row_shifts())
 
 
 def ribbon_uniform(I: Composition, s: int, base: ParamSequence = SEQ_A) -> NCElement:
@@ -164,14 +164,14 @@ class RibbonElement(LinComb):
         return self._show_ribbons(ParamPoly.latex, "R_{(%s);a}", "^{[%s]}", "\\left(%s\\right) ")
 
 
-def from_ribbon_basis(x: RibbonElement, base: ParamSequence = SEQ_A) -> NCElement:
+def from_ribbon_basis(x: RibbonElement) -> NCElement:
     out = NCElement.zero()
     for (comp, K), c in x.terms.items():
-        out = out + ribbon_shifted(Composition(comp), K, base).scale(c)
+        out = out + ribbon_shifted(Composition(comp), K).scale(c)
     return out
 
 
-def to_ribbon_basis(x: NCElement, base: ParamSequence = SEQ_A) -> RibbonElement:
+def to_ribbon_basis(x: NCElement) -> RibbonElement:
     """Triangular elimination against leading words in the elimination order."""
     out = RibbonElement()
     rest = x
@@ -182,7 +182,7 @@ def to_ribbon_basis(x: NCElement, base: ParamSequence = SEQ_A) -> RibbonElement:
         I = Composition(w)
         c = rest.terms[w]
         out = out + RibbonElement.single(I, coeff=c)
-        rest = rest - ribbon(I, base).scale(c)
+        rest = rest - ribbon(I).scale(c)
     return out
 
 
@@ -211,7 +211,7 @@ def macmahon_left_shift(I: Composition, J: Composition) -> int:
     return I.parts[-1]
 
 
-def nagelsbach_form(I: Composition, base: ParamSequence = SEQ_A) -> NCElement:
+def nagelsbach_form(I: Composition) -> NCElement:
     """R_I^[i_n - 1] computed through the conjugate elementary expansion.
 
     With I~ = (j_1, ..., j_m) and u = reversed(I~), the (p,q) entry of the
@@ -222,7 +222,7 @@ def nagelsbach_form(I: Composition, base: ParamSequence = SEQ_A) -> NCElement:
     m = len(conj)
     u = conj[::-1]
     return hessenberg_quasidet(
-        m, lambda p, q: shift_Lambda(sum(u[p - 1 : q]), sum(conj[: m - q]), base)
+        m, lambda p, q: shift_Lambda(sum(u[p - 1 : q]), sum(conj[: m - q]))
     )
 
 

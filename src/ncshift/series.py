@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .algebra import NCElement, complete_homogeneous
 from .families import lambda_in_S
-from .params import SEQ_A, ParamPoly, ParamSequence, accumulate
+from .params import SEQ_A, SEQ_AHAT, ParamPoly, ParamSequence, accumulate
 
 
 @dataclass
@@ -84,32 +84,31 @@ def reexpand_values(
     return TruncatedTSeries(order, constant, out, None)
 
 
-def sigma_series(order: int, base: ParamSequence = SEQ_A) -> TruncatedTSeries:
+def sigma_series(order: int) -> TruncatedTSeries:
     """The complete homogeneous generating series, truncated."""
     return TruncatedTSeries(
-        order, NCElement.one(), {k: NCElement.gen(k) for k in range(1, order + 1)}, base
+        order, NCElement.one(), {k: NCElement.gen(k) for k in range(1, order + 1)}, SEQ_A
     )
 
 
-def lambda_series_at_minus_t(order: int, base: ParamSequence = SEQ_A) -> TruncatedTSeries:
+def lambda_series_at_minus_t(order: int) -> TruncatedTSeries:
     """The elementary series over the dual sequence, evaluated at -t, plain basis.
 
     1/((-t) - b_1)...((-t) - b_k) = (-1)^k / ((t+b_1)...(t+b_k)), so the plain
     expansion uses the negated dual values.
     """
-    dual = base.dual()
-    neg_values = [-v for v in dual.values(order)]
+    neg_values = [-v for v in SEQ_AHAT.values(order)]
     coeffs = {
-        k: lambda_in_S(k, base).scale(ParamPoly.const((-1) ** k))
+        k: lambda_in_S(k).scale(ParamPoly.const((-1) ** k))
         for k in range(1, order + 1)
     }
     return reexpand_values(order, NCElement.one(), coeffs, neg_values)
 
 
-def defining_relation_defect(order: int, base: ParamSequence = SEQ_A) -> dict[int, NCElement]:
+def defining_relation_defect(order: int) -> dict[int, NCElement]:
     """Nonzero plain coefficients of lambda(-t) sigma(t) - 1 and of the swap."""
-    sig = sigma_series(order, base).to_plain()
-    lam = lambda_series_at_minus_t(order, base)
+    sig = sigma_series(order).to_plain()
+    lam = lambda_series_at_minus_t(order)
     defects: dict[int, NCElement] = {}
     for left, right, tag in ((lam, sig, 0), (sig, lam, 1)):
         prod = left.multiply(right)

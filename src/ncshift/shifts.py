@@ -17,11 +17,10 @@ to Lambda_k^[-s] over its dual, so Lambda_k^[s] over Lambda-letters is
 S_k^[-s] over the dual sequence, and families reads it from shift_S.
 
 The shift automorphism phi^[s] sends S_k to S_k^[s] multiplicatively.  On
-coefficients it acts by re-indexing the parameters (a_i -> a_{i-s} over the
-plain sequence, a_i -> a_{i+s} over the dualized one): this is the unique
-extension under which phi^[s] o phi^[t] = phi^[s+t], phi^[s] maps the
-elementary family to its shifts, and the ribbon shift notation R^[K+s] agrees
-with phi^[s] applied to R^[K].  With coefficients held fixed instead, already
+coefficients it acts by re-indexing the parameters, a_i -> a_{i-s}: this is
+the unique extension under which phi^[s] o phi^[t] = phi^[s+t], phi^[s] maps
+the elementary family to its shifts, and the ribbon shift notation R^[K+s]
+agrees with phi^[s] applied to R^[K].  With coefficients held fixed instead, already
 phi^[1](phi^[-1](S_2)) = S_2 + (2a_1 - a_0 - a_2) S_1 fails to return S_2.
 """
 
@@ -66,19 +65,18 @@ def shift_S(k: int, s: int, base: ParamSequence = SEQ_A) -> NCElement:
     return NCElement({(k - nu,): c for nu, c in enumerate(coeffs)})
 
 
-def coeff_shift(c: ParamPoly, s: int, base: ParamSequence = SEQ_A) -> ParamPoly:
+def coeff_shift(c: ParamPoly, s: int) -> ParamPoly:
     """Action of phi^[s] on a coefficient polynomial.
 
-    Induced by the base-sequence move b -> tau^{-s} b read on the indices of
-    a itself, so the direction flips over a dualized base.
+    Induced by the sequence move a -> tau^{-s} a read on the indices of a.
     """
-    return c.tau(s if base.hat else -s)
+    return c.tau(-s)
 
 
-def phi_shift(x: NCElement, s: int, base: ParamSequence = SEQ_A) -> NCElement:
+def phi_shift(x: NCElement, s: int) -> NCElement:
     """The algebra map phi^[s]: letters via shift_S, coefficients re-indexed."""
     if s == 0:
         return x
     return apply_letters(
-        x.map_coefficients(lambda c: coeff_shift(c, s, base)), lambda k: shift_S(k, s, base)
+        x.map_coefficients(lambda c: coeff_shift(c, s)), lambda k: shift_S(k, s)
     )

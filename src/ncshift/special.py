@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .algebra import NCElement
 from .families import shift_Lambda
-from .params import ParamSubstitution, SEQ_A, as_fraction
+from .params import ParamSubstitution, as_fraction
 from .quasidet import (
     MatValue,
     SingularMinor,
@@ -134,14 +134,13 @@ def random_assignment(rng: random.Random, n: int, d: int) -> VariableAssignment:
     )
 
 
-def shifted_power(x: MatValue, sub: ParamSubstitution, k: int, seq=SEQ_A) -> MatValue:
-    """The ordered product (x - b_1) ... (x - b_k) for b the given sequence."""
+def shifted_power(x: MatValue, sub: ParamSubstitution, k: int) -> MatValue:
+    """The ordered product (x - a_1) ... (x - a_k) at the values of sub."""
     if k < 0:
         raise ValueError("negative shifted power")
     out = MatValue.identity(x.n)
     for i in range(1, k + 1):
-        b = seq.term(i).substitute(sub)
-        out = out * (x - b)
+        out = out * (x - sub.index_value(i))
     return out
 
 

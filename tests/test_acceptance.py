@@ -312,7 +312,7 @@ def test_criterion_05_duality_corollary_printed():
     printed = ribbon_shifted(shown, (1, 0, -3, -5, -7), SEQ_AHAT)
     # at a constant sequence omega(R_I) is R_{I~} (the corrected identity
     # below with every shift trivial), which the display misses
-    classical = ribbon(I.conjugate(), SEQ_AHAT)
+    classical = ribbon_uniform(I.conjugate(), 0, SEQ_AHAT)
     assert not _holds(printed - classical, CONSTANT[0])
     w = (2, 1)  # the report's first discrepancy; the display has no such term
     assert cases["example-2232-printed"].witness.startswith(f"word {w}: got ")

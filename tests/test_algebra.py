@@ -3,6 +3,7 @@
 import json
 import operator
 import random
+import re
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations_with_replacement
@@ -61,6 +62,16 @@ def test_degree_filtration():
 def test_word_rejects_non_integer_letters(w):
     with pytest.raises(ValueError, match="positive integers"):
         NCElement.word(w)
+
+
+@pytest.mark.parametrize("w", [(0,), (2, -1)])
+def test_word_and_from_json_share_the_letter_rule(w):
+    message = re.escape(f"word letters must be positive integers, got {w}")
+    with pytest.raises(ValueError, match=message):
+        NCElement.word(w)
+    data = {"terms": [{"word": list(w), "coeff": ParamPoly.one().to_json()}]}
+    with pytest.raises(ValueError, match=message):
+        NCElement.from_json(data)
 
 
 def test_word_orders():

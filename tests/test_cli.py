@@ -409,6 +409,25 @@ def test_convert_rejects_malformed_element(text, tmp_path, capsys):
     _assert_input_error(*run_cli(["convert", "--to", "S", "--input", str(src)], capsys))
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["convert", "--to", "S", "--input", "{path}"],
+        ["convert", "--to", "R", "--params", "file:{path}", "--input", "{element}"],
+        ["specialize", "--family", "S", "--k", "1", "--assignment", "{path}"],
+    ],
+    ids=["convert-input", "convert-params", "specialize-assignment"],
+)
+def test_deeply_nested_json_is_an_input_error(argv, tmp_path, capsys):
+    path, element = tmp_path / "deep.json", tmp_path / "x.json"
+    path.write_text("[" * 100_000)
+    element.write_text(json.dumps({"terms": []}))
+    argv = [arg.format(path=path, element=element) for arg in argv]
+    code, out, err = run_cli(argv, capsys)
+    _assert_input_error(code, out, err)
+    assert err == "error: the JSON input is nested too deeply\n"
+
+
 def test_convert_rejects_float_params_file(tmp_path, capsys):
     from ncshift.families import lambda_in_S
 

@@ -12,6 +12,7 @@ from ncshift.families import (
     lambda_by_quasidet,
     lambda_in_S,
     lambda_words_to_s,
+    omega,
     project_shifted,
     psi,
     psi_shifted,
@@ -24,6 +25,7 @@ from ncshift.families import (
     verify_wronski_newton,
 )
 from ncshift.params import ParamPoly, SEQ_A, SEQ_AHAT
+from ncshift.quasidet import hessenberg_quasidet
 from ncshift.shifts import a_binomial, phi_shift, shift_S
 
 from tests_support import project_shifted_closed_form
@@ -128,24 +130,36 @@ def reference_s_over_lambda(n, base, table):
     return acc - apply_letters(shift_S(n, n - 1, base) - NCElement.gen(n), image)
 
 
+def reversed_words(x):
+    return NCElement({w[::-1]: c for w, c in x.terms.items()})
+
+
 def test_lambda_side_matches_references():
     for base in REFERENCE_BASES:
         table = []
         for n in range(8):
             table.append(reference_s_over_lambda(n, base, table))
-            assert s_to_lambda(S(n), base) == table[n]
+            # S_n over Lambda-letters is omega(S_n) with every word reversed
+            assert reversed_words(omega(S(n), base)) == table[n]
             for s in range(-6, 7):
                 letters = reference_lambda_letter_shift(n, s, base)
                 # over Lambda-letters, Lambda_n^[s] is S_n^[-s] of the dual sequence
                 assert shift_S(n, -s, base.dual()) == letters
-                if n <= 4:  # the S-basis images grow fast; n <= 4 covers every branch
-                    assert shift_Lambda(n, s, base) == lambda_words_to_s(letters, base)
+                # the S-basis images grow fast; n <= 4 covers every branch
+                if base == SEQ_A and n <= 4:
+                    assert shift_Lambda(n, s) == lambda_words_to_s(letters)
+        if base == SEQ_A:
+            assert [s_to_lambda(S(n)) for n in range(8)] == table
 
 
 def test_s_in_lambda_closed_form_over_every_base():
+    # entry (i,j) of the inverse closed form is S_{j-i+1}^[j-1] over the dual sequence
     for base in REFERENCE_BASES:
-        for n in range(6):
-            assert s_in_lambda(n, base) == s_to_lambda(S(n), base)
+        for n in range(1, 6):
+            closed = hessenberg_quasidet(n, lambda i, j: shift_S(j - i + 1, j - 1, base.dual()))
+            assert closed == reversed_words(omega(S(n), base))
+    for n in range(6):
+        assert s_in_lambda(n) == s_to_lambda(S(n))
 
 
 def test_shiftauto_on_lambda():

@@ -34,9 +34,8 @@ from ncshift.families import (
     psi,
     s_to_lambda,
     s_to_psi,
-    shift_Lambda,
 )
-from ncshift.params import SEQ_A, SEQ_AHAT, ParamPoly
+from ncshift.params import SEQ_AHAT, ParamPoly
 from ncshift.ribbon import (
     Composition,
     RibbonElement,
@@ -179,10 +178,14 @@ def _outputs(group, tmp_path, capsys):
         for k in range(6):
             for s in range(-3, 4):
                 yield _cli(["expand", "--lambda", str(k), "--shift", str(s)], capsys)
-                yield _dump(shift_Lambda(k, s, SEQ_AHAT).to_json())
-        for base in (SEQ_A, SEQ_AHAT):
-            for w in all_words(5):
-                yield _dump(s_to_lambda(NCElement.word(w), base).to_json("L"))
+                # Lambda_k^[s] over a-hat is omega(S_k^[-s])
+                yield _dump(omega(shift_S(k, -s)).to_json())
+        for w in all_words(5):
+            yield _dump(s_to_lambda(NCElement.word(w)).to_json("L"))
+        # S-words over a-hat Lambda-letters: omega over a-hat, every word reversed
+        for w in all_words(5):
+            dual = omega(NCElement.word(w), SEQ_AHAT)
+            yield _dump(NCElement({u[::-1]: c for u, c in dual.terms.items()}).to_json("L"))
 
 
 @pytest.mark.parametrize("group", sorted(GOLDEN))

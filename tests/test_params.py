@@ -199,6 +199,13 @@ def test_explicit_substitution_missing_index():
         a(2).substitute(sub)
 
 
+@pytest.mark.parametrize("key", [1.5, True, "1", Fraction(1)])
+def test_explicit_substitution_rejects_non_integer_indices(key):
+    # int(key) would read 1.5 and True both as index 1
+    with pytest.raises(ValueError, match="indices must be integers"):
+        ParamSubstitution.explicit({key: "1", 2: "2"})
+
+
 def test_symbolic_substitution_rejected():
     with pytest.raises(ValueError):
         a(1).substitute(ParamSubstitution.symbolic())

@@ -280,9 +280,10 @@ def test_omega_examples():
 
 
 def test_omega_shift_compatibility():
+    # omega over a-hat sends S_k^[s] over a-hat to Lambda_k^[-s] over a
     for k in range(1, 7):
         for s in (-3, -1, 0, 1, 3):
-            assert omega(shift_S(k, s)) == shift_Lambda(k, -s, SEQ_AHAT)
+            assert omega(shift_S(k, s, SEQ_AHAT), SEQ_AHAT) == shift_Lambda(k, -s)
 
 
 def test_duality_corollary_corrected_shift():

@@ -104,8 +104,3 @@ def test_defining_relation_detects_perturbation():
     lam.coeffs[2] = lam.coeffs.get(2, NCElement.zero()) + NCElement.gen(1)
     prod = lam.multiply(sigma_series(4).to_plain())
     assert any(not prod.coeff(k).is_zero() for k in range(1, 5))
-
-
-def test_defining_relation_dual_base():
-    # the same statement holds verbatim in the dual algebra
-    assert not defining_relation_defect(3, SEQ_AHAT)

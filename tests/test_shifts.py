@@ -157,11 +157,3 @@ def test_phi_multiplicative_and_semilinear():
         assert phi_shift(x * y, s) == phi_shift(x, s) * phi_shift(y, s)
         c = a(1) * a(0) - 2
         assert phi_shift(x.scale(c), s) == phi_shift(x, s).scale(coeff_shift(c, s))
-
-
-def test_phi_on_dual_base_composes():
-    for k in (2, 3):
-        for s in (-2, 1):
-            assert (
-                phi_shift(phi_shift(S(k), s, SEQ_AHAT), -s, SEQ_AHAT) == S(k)
-            )

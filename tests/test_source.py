@@ -96,3 +96,30 @@ def test_only_report_sampled_catches_exhausted_retries():
         )
 
     assert _scopes(SRC, catches) == ["suites.Report.sampled.failures"]
+
+
+def test_only_the_duality_layer_takes_a_sequence():
+    # the ring is built over a; the dual sequence enters only through omega,
+    # the Lambda_n it sends S_n to, and the S_k^[s] and ribbons it images to
+    def takes_sequence(node):
+        args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+        annotations = [n for arg in args if arg.annotation for n in ast.walk(arg.annotation)]
+        defaults = node.args.defaults + [d for d in node.args.kw_defaults if d is not None]
+        return any(_names(n, "ParamSequence") for n in annotations) or any(
+            _names(d, "SEQ_A") or _names(d, "SEQ_AHAT") for d in defaults
+        )
+
+    found = [
+        f"{path.stem}.{node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.FunctionDef) and takes_sequence(node)
+    ]
+    assert found == [
+        "families.lambda_in_S",
+        "families.omega",
+        "ribbon.ribbon_shifted",
+        "ribbon.ribbon_uniform",
+        "shifts.a_binomial",
+        "shifts.shift_S",
+    ]

@@ -7,7 +7,7 @@ from itertools import chain
 import pytest
 
 from ncshift import quasidet
-from ncshift.params import SEQ_A, ParamSubstitution
+from ncshift.params import ParamSubstitution
 from ncshift.quasidet import (
     MatValue,
     SingularMinor,
@@ -476,10 +476,15 @@ def test_giambelli_redraws_a_shape_singular_at_the_shared_point(monkeypatch):
 # -- the per-assignment memo against the formula restated without it ------------
 
 
+def _tau(sub, t):
+    """The equidistant substitution read on tau^t a: a_i -> a_{i+t}."""
+    return ParamSubstitution.equidistant(sub.c, sub.base + t * sub.c)
+
+
 def _grid(A, s, exps, box_row):
     """Quasideterminant of rows <x_j | tau^{j-s} a>^m, m in exps, boxed at (box_row, n)."""
     blocks = [
-        [shifted_power(A.vars[j], A.sub, m, SEQ_A.tau(j + 1 - s)) for j in range(A.n)]
+        [shifted_power(A.vars[j], _tau(A.sub, j + 1 - s), m) for j in range(A.n)]
         for m in exps
     ]
     return block_quasidet(blocks, box_row, A.n)
@@ -555,7 +560,7 @@ def test_memo_is_not_shared_with_derived_assignments():
         # not: a power chain served from A's memo would show here
         for j in range(3):
             for m in range(1, 7):
-                want = shifted_power(B.vars[j], B.sub, m, SEQ_A.tau(j - 2))
+                want = shifted_power(B.vars[j], _tau(B.sub, j - 2), m)
                 assert want != _power(A, j, j - 2, m) or B.vars[j] == A.vars[j]
                 assert _power(B, j, j - 2, m) == want
     shifted = A.shift_all(1)
