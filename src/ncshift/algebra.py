@@ -26,7 +26,7 @@ from fractions import Fraction
 from operator import add
 from typing import Callable, Iterable, Mapping
 
-from .params import LinComb, ParamPoly, ParamSubstitution, accumulate, json_ints, signed
+from .params import LinComb, ParamPoly, ParamSubstitution, add_product, json_ints, signed
 
 Word = tuple[int, ...]
 
@@ -174,14 +174,14 @@ def apply_letters(
     set, each word is read backwards, which gives the anti-homomorphism.
     """
     one = NCElement.one()
-    out: dict[Word, ParamPoly] = {}
+    acc: dict = {}
     for w, c in x.terms.items():
         p = one
         for k in reversed(w) if reverse else w:
             p = p * image(k)
         for u, d in p.terms.items():
-            accumulate(out, u, c * d)
-    return NCElement._of(out)
+            add_product(acc, u, c, d)
+    return NCElement._summed(acc)
 
 
 # -- commutative symmetric polynomials of parameter values -------------------

@@ -5,19 +5,23 @@ Delta(Psi_n) = Psi_n x 1 + 1 x Psi_n, the counit kills every Psi_n, and the
 antipode is the anti-algebra extension of Psi_n -> -Psi_n.  All three are
 computed by rewriting into the power-sum generating set, acting there, and
 rewriting back into the S-basis: the coproduct splits each Psi-word over its
-subsets, merges the tensor terms in the Psi basis and expands each leg (once
-per Psi-word, in _psi_word_in_s); the antipode is apply_letters with
-the image -Psi_n, reversed.  Tensors are LinComb combinations keyed by pairs
-of words.
+subsets and merges the tensor terms in the Psi basis; then, per left part, it
+sums the expanded right legs and multiplies the expanded left leg into that
+sum once (each leg expanded once per Psi-word, in _psi_word_in_s).  The
+antipode is apply_letters with the image -Psi_n, reversed.  Like every sum of
+products over Q[a] in the package, the coproduct and the convolution defects
+write each coefficient product into one accumulator (params.add_product) and
+normalize once.  Tensors are LinComb combinations keyed by pairs of words.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from operator import add
 
 from .algebra import NCElement, apply_letters
 from .families import psi, psi_words_to_s, s_to_psi
-from .params import LinComb, ParamPoly, accumulate
+from .params import LinComb, ParamPoly, accumulate, add_product, add_products
 
 
 class TensorElement(LinComb):
@@ -60,19 +64,25 @@ class TensorElement(LinComb):
 
 def coproduct(x: NCElement) -> TensorElement:
     """Delta(x), computed through the primitive power-sum generators."""
-    in_psi: dict = {}
+    # rights[left][right]: the coefficient of left x right over the splits of
+    # each Psi-word; the right legs of one left part are summed in the S-basis
+    # first, so that each left leg enters one product
+    rights: dict = {}
     for w, c in s_to_psi(x).terms.items():
         m = len(w)
         for mask in range(1 << m):
             left = tuple(w[i] for i in range(m) if mask >> i & 1)
             right = tuple(w[i] for i in range(m) if not mask >> i & 1)
-            accumulate(in_psi, (left, right), c)
-    out: dict = {}
-    for (left, right), c in in_psi.items():
-        x1, x2 = _psi_word_in_s(left), _psi_word_in_s(right)
-        for key, d in TensorElement.of(x1, x2).terms.items():
-            accumulate(out, key, c * d)
-    return TensorElement._of(out)
+            accumulate(rights.setdefault(left, {}), right, c)
+    acc: dict = {}
+    for left, terms in rights.items():
+        rights_in_s: dict = {}
+        for right, c in terms.items():
+            for u, d in _psi_word_in_s(right).terms.items():
+                add_product(rights_in_s, u, c, d)
+        right_sum = NCElement._summed(rights_in_s).terms
+        add_products(acc, _psi_word_in_s(left).terms, right_sum, lambda u, v: (u, v))
+    return TensorElement._summed(acc)
 
 
 @cache
@@ -93,12 +103,18 @@ def antipode(x: NCElement) -> NCElement:
 
 def convolution_defect(x: NCElement) -> tuple[NCElement, NCElement]:
     """m(S x id)Delta(x) - eps(x) 1 and m(id x S)Delta(x) - eps(x) 1."""
-    d = coproduct(x)
+    # group the terms of Delta(x) by the leg the antipode acts on, so that
+    # each antipode is computed once and multiplies the sum of its partners
+    by_left: dict = {}
+    by_right: dict = {}
+    for (w1, w2), c in coproduct(x).terms.items():
+        by_left.setdefault(w1, {})[w2] = c
+        by_right.setdefault(w2, {})[w1] = c
+    left: dict = {}
+    right: dict = {}
+    for w1, terms in by_left.items():
+        add_products(left, antipode(NCElement.word(w1)).terms, terms, add)
+    for w2, terms in by_right.items():
+        add_products(right, terms, antipode(NCElement.word(w2)).terms, add)
     eps = NCElement.scalar(counit(x))
-    left = NCElement.zero()
-    right = NCElement.zero()
-    for (w1, w2), c in d.terms.items():
-        e1, e2 = NCElement.word(w1), NCElement.word(w2)
-        left = left + (antipode(e1) * e2).scale(c)
-        right = right + (e1 * antipode(e2)).scale(c)
-    return left - eps, right - eps
+    return NCElement._summed(left) - eps, NCElement._summed(right) - eps

@@ -5,14 +5,23 @@ a_i, indexed by arbitrary (signed) integers.  Every linear combination of the
 package is a LinComb: a finite, zero-pruned map from basis keys to nonzero
 coefficients, with the linear structure, equality, sorted serialization, the
 printed signed sum and the bilinear product loop written once, and
-accumulate() the in-place sum they all build on.  Each class prints only its
-own term, most through signed(), which writes coefficient 1 or -1 as the bare
-or negated term.  ParamPoly is the LinComb of monomials with rational
+accumulate() the in-place sum of the linear structure.  Each class prints only
+its own term, most through signed(), which writes coefficient 1 or -1 as the
+bare or negated term.  ParamPoly is the LinComb of monomials with rational
 coefficients, each an int where it is integral and a Fraction otherwise; the
 element classes downstream are LinCombs with ParamPoly coefficients.  A
 monomial is the sorted tuple of its factor indices: a_1^2 a_3 is (1, 1, 3),
 the product of two monomials is their sorted concatenation, and the
 (index, exponent) form exists only in the printers and the JSON form.
+
+Every sum of products over Q[a] -- element products, letter substitutions,
+ribbon and coproduct expansions -- writes into one accumulator: a dict from
+output key to a raw monomial -> coefficient dict.  add_product() adds each
+coefficient product a*b at its joined monomial, add_products() does so over
+all term pairs of two combinations, and LinComb._summed() drops zeros, turns
+integral Fractions into ints and drops vanished keys once, at the end.
+ParamPoly's own product runs through the same monomial loop, so the monomial
+join is written once.
 
 Three structure maps act on the index lattice:
 
@@ -82,6 +91,40 @@ def accumulate(terms: dict, key, c) -> None:
         terms.pop(key, None)
 
 
+def _add_monomial_products(t: dict, p: dict, q: dict) -> None:
+    """t[m1 m2] += a*b over the terms a m1 of p and b m2 of q, with no pruning:
+    t may hold zeros and integral Fractions until _normal_terms() reads it."""
+    for m1, a in p.items():
+        if not m1:
+            for m2, b in q.items():
+                t[m2] = t.get(m2, 0) + a * b
+            continue
+        for m2, b in q.items():
+            m = tuple(sorted(m1 + m2)) if m2 else m1
+            t[m] = t.get(m, 0) + a * b
+
+
+def _normal_terms(t: dict) -> dict:
+    """A raw monomial dict in normal form: no zero, every integral value an int."""
+    return {m: _integral(c) for m, c in t.items() if c}
+
+
+def add_product(acc: dict, key, p: "ParamPoly", q: "ParamPoly") -> None:
+    """Add the polynomial product p*q into acc[key], a raw monomial dict."""
+    t = acc.get(key)
+    if t is None:
+        t = acc[key] = {}
+    _add_monomial_products(t, p.terms, q.terms)
+
+
+def add_products(acc: dict, x: dict, y: dict, join: Callable) -> None:
+    """add_product() of c1 and c2 at join(k1, k2), over all pairs of terms
+    k1: c1 of x and k2: c2 of y (term maps with ParamPoly coefficients)."""
+    for k1, c1 in x.items():
+        for k2, c2 in y.items():
+            add_product(acc, join(k1, k2), c1, c2)
+
+
 def signed(coeff: str, body: str, scaled: str) -> str:
     """A printed term: body under the coefficient text "1", -body under "-1",
     else the caller's scaled form."""
@@ -108,6 +151,17 @@ class LinComb:
         out = cls.__new__(cls)
         out.terms = terms
         return out
+
+    @classmethod
+    def _summed(cls, acc: dict):
+        """The combination an accumulator holds: each raw monomial dict in
+        normal form, and the keys whose polynomial vanished dropped."""
+        out = {}
+        for key, t in acc.items():
+            t = _normal_terms(t)
+            if t:
+                out[key] = ParamPoly._of(t)
+        return cls._of(out)
 
     @classmethod
     def zero(cls):
@@ -147,20 +201,13 @@ class LinComb:
         return self._of({k: _integral(c * v) for k, v in self.terms.items()} if c else {})
 
     def _product(self, other, join: Callable):
-        """The bilinear product: c1*c2 summed at join(k1, k2) over all term pairs."""
-        out: dict = {}
-        # accumulate() written out: this is the innermost loop of every product
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                k = join(k1, k2)
-                c = c1 * c2
-                s = out.get(k)
-                s = c if s is None else s + c
-                if s:
-                    out[k] = _integral(s)
-                else:
-                    out.pop(k, None)
-        return self._of(out)
+        """The bilinear product of two combinations with ParamPoly coefficients:
+        c1*c2 summed at join(k1, k2) over all term pairs."""
+        # one accumulator for the whole product: each c1*c2 goes straight into
+        # the raw monomial dict of its key, and is normalized once at the end
+        acc: dict = {}
+        add_products(acc, self.terms, other.terms, join)
+        return self._summed(acc)
 
     def sorted_terms(self) -> list:
         terms = self.terms
@@ -257,7 +304,9 @@ class ParamPoly(LinComb):
     def __mul__(self, other) -> "ParamPoly":
         if not isinstance(other, ParamPoly):
             return self.scale(_integral(as_fraction(other)))
-        return self._product(other, lambda m1, m2: tuple(sorted(m1 + m2)))
+        t: dict = {}
+        _add_monomial_products(t, self.terms, other.terms)
+        return ParamPoly._of(_normal_terms(t))
 
     __rmul__ = __mul__
 

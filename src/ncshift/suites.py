@@ -34,7 +34,15 @@ from .families import (
     verify_wronski_newton,
 )
 from .hopf import TensorElement, convolution_defect, coproduct, counit
-from .params import SEQ_A, SEQ_AHAT, LinComb, ParamPoly, ParamSubstitution, accumulate
+from .params import (
+    SEQ_A,
+    SEQ_AHAT,
+    LinComb,
+    ParamPoly,
+    ParamSubstitution,
+    add_product,
+    add_products,
+)
 from .quasidet import (
     ExhaustedRetries,
     MatValue,
@@ -466,12 +474,12 @@ def suite_hopf(degree: int = 5, seed: int = 0) -> Report:
 
     def counital(w) -> bool:
         x = NCElement.word(w)
-        l = r = NCElement.zero()
+        l: dict = {}
+        r: dict = {}
         for (w1, w2), c in coproduct(x).terms.items():
-            e1, e2 = NCElement.word(w1), NCElement.word(w2)
-            l = l + e2.scale(counit(e1) * c)
-            r = r + e1.scale(counit(e2) * c)
-        return l == x and r == x
+            add_product(l, w2, counit(NCElement.word(w1)), c)
+            add_product(r, w1, counit(NCElement.word(w2)), c)
+        return NCElement._summed(l) == x and NCElement._summed(r) == x
 
     rng = rep.rng("algebra-morphism")
     degs = [w for w in words if sum(w) <= max(1, degree - 1)]
@@ -503,13 +511,21 @@ def suite_hopf(degree: int = 5, seed: int = 0) -> Report:
     return rep
 
 
-def _tensor3(d: TensorElement, left: bool) -> dict:
+def _tensor3(d: TensorElement, left: bool) -> LinComb:
     """(Delta x id)(d) if left is set, else (id x Delta)(d), keyed by word triples."""
-    out: dict = {}
+    # one coproduct per distinct word it splits, times the sum of its partners
+    split: dict = {}
     for (w1, w2), c in d.terms.items():
-        for (u1, u2), c2 in coproduct(NCElement.word(w1 if left else w2)).terms.items():
-            accumulate(out, (u1, u2, w2) if left else (w1, u1, u2), c * c2)
-    return out
+        w, partner = (w1, w2) if left else (w2, w1)
+        split.setdefault(w, {})[partner] = c
+    acc: dict = {}
+    for w, partners in split.items():
+        delta = coproduct(NCElement.word(w)).terms
+        if left:
+            add_products(acc, delta, partners, lambda k, u: (*k, u))
+        else:
+            add_products(acc, partners, delta, lambda u, k: (u, *k))
+    return LinComb._summed(acc)
 
 
 def _draws(n: int, d: int, check) -> tuple:

@@ -1,0 +1,126 @@
+"""Every sum of products over Q[a] against the nested per-pair reference.
+
+The package sums each coefficient product straight into one raw monomial
+dict per output key and normalizes once; tests_support keeps the nested
+path (a fresh ParamPoly per product, added through accumulate) to hold each
+site to.
+"""
+
+import random
+from fractions import Fraction
+from operator import add
+
+import pytest
+
+from ncshift.algebra import NCElement, apply_letters
+from ncshift.families import lambda_in_S, psi
+from ncshift.hopf import TensorElement, convolution_defect, coproduct
+from ncshift.params import ParamPoly
+from ncshift.ribbon import Composition, RibbonElement, from_ribbon_basis
+from ncshift.shifts import shift_S
+from tests_support import (
+    assert_normal_form,
+    random_element,
+    ref_apply_letters,
+    ref_convolution_defect,
+    ref_coproduct,
+    ref_from_ribbon_basis,
+    ref_nested_product,
+)
+
+a = ParamPoly.gen
+S = NCElement.gen
+
+
+def _elements(seed, count, max_degree):
+    """Random elements whose coefficients have several monomials and
+    non-integral Fractions."""
+    rng = random.Random(seed)
+    return [random_element(rng, max_degree, terms=4, monomials=3) for _ in range(count)]
+
+
+def _tensor(x, y):
+    """A tensor pairing the terms of x with the words of y."""
+    return TensorElement({(u, v): c for (u, c), v in zip(x.terms.items(), y.terms)})
+
+
+def test_corpus_has_several_monomials_and_fractions():
+    coeffs = [c for x in _elements(2101, 30, 4) for c in x.terms.values()]
+    assert any(len(c.terms) > 1 for c in coeffs)
+    assert any(type(r) is Fraction for c in coeffs for r in c.terms.values())
+
+
+def test_element_products_match_nested_reference():
+    xs = _elements(2102, 24, 4)
+    for x, y in zip(xs, xs[1:]):
+        got = x * y
+        assert got == ref_nested_product(x, y, add)
+        assert_normal_form(got)
+
+
+def test_tensor_products_match_nested_reference():
+    def join(k1, k2):
+        return k1[0] + k2[0], k1[1] + k2[1]
+
+    xs = _elements(2103, 24, 3)
+    tensors = [_tensor(x, y) for x, y in zip(xs, reversed(xs))]
+    for s, t in zip(tensors, tensors[1:]):
+        got = s * t
+        assert got == ref_nested_product(s, t, join)
+        assert_normal_form(got)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_apply_letters_matches_nested_reference(reverse):
+    images = (lambda_in_S, psi, lambda k: shift_S(k, 1))
+    for image in images:
+        for x in _elements(2104, 6, 4):
+            got = apply_letters(x, image, reverse)
+            assert got == ref_apply_letters(x, image, reverse)
+            assert_normal_form(got)
+
+
+def test_from_ribbon_basis_matches_nested_reference():
+    rng = random.Random(2105)
+    for x in _elements(2105, 12, 4):
+        terms = {}
+        for w, c in x.terms.items():
+            if w:
+                K = tuple(s + rng.randint(-1, 1) for s in Composition(w).row_shifts())
+                terms[(w, K)] = c
+        r = RibbonElement(terms)
+        got = from_ribbon_basis(r)
+        assert got == ref_from_ribbon_basis(r)
+        assert_normal_form(got)
+
+
+def test_coproduct_and_convolution_defect_match_nested_reference():
+    for x in _elements(2106, 10, 4):
+        d = coproduct(x)
+        assert d == ref_coproduct(x)
+        assert_normal_form(d)
+        got = convolution_defect(x)
+        assert got == ref_convolution_defect(x)
+        for side in got:
+            assert_normal_form(side)
+
+
+def test_cancelled_coefficient_is_not_stored():
+    # word (1,1,1) of x*y collects 1*a1 + a1*(-1) = 0
+    x = S(1) + NCElement.word((1, 1)).scale(a(1))
+    y = NCElement.word((1, 1)).scale(a(1)) - S(1)
+    got = x * y
+    assert (1, 1, 1) not in got.terms
+    assert got == NCElement.word((1, 1)).scale(-1) + NCElement.word((1, 1, 1, 1)).scale(a(1) * a(1))
+    assert_normal_form(got)
+
+
+def test_integral_product_is_stored_as_int():
+    x = S(1).scale(Fraction(1, 2))
+    y = S(1).scale(2)
+    c = (x * y).terms[(1, 1)].terms[()]
+    assert type(c) is int and c == 1
+    t = TensorElement({((1,), ()): ParamPoly.const(Fraction(1, 2))})
+    u = TensorElement({((), (1,)): ParamPoly.const(2) * a(0)})
+    c = (t * u).terms[((1,), (1,))].terms[(0,)]
+    assert type(c) is int and c == 1

@@ -123,3 +123,25 @@ def test_only_the_duality_layer_takes_a_sequence():
         "shifts.a_binomial",
         "shifts.shift_S",
     ]
+
+
+def test_one_monomial_join_and_no_per_pair_products():
+    # every sum of products over Q[a] writes into one accumulator; the
+    # monomial join lives in its one loop, and no call site adds a product
+    # built per pair
+    def joins_monomials(node):
+        return (
+            isinstance(node, ast.Call)
+            and _names(node.func, "sorted")
+            and any(isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.Add) for arg in node.args)
+        )
+
+    def accumulates_a_product(node):
+        return (
+            isinstance(node, ast.Call)
+            and _names(node.func, "accumulate")
+            and any(isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.Mult) for arg in node.args)
+        )
+
+    assert _scopes(SRC, joins_monomials) == ["params._add_monomial_products"]
+    assert _scopes(SRC, accumulates_a_product) == []

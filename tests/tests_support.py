@@ -2,17 +2,22 @@
 
 import random
 from fractions import Fraction
+from operator import add
 
 from ncshift.algebra import NCElement, complete_homogeneous
-from ncshift.params import SEQ_A, ParamPoly, ParamSequence
-from ncshift.ribbon import Composition, RibbonElement
+from ncshift.families import psi_words_to_s, s_to_psi
+from ncshift.hopf import TensorElement, antipode, counit
+from ncshift.params import SEQ_A, ParamPoly, ParamSequence, accumulate
+from ncshift.ribbon import Composition, RibbonElement, ribbon_shifted
 from ncshift.series import TruncatedTSeries
 from ncshift.special import VariableAssignment, evaluate_nc, s_spec
 from ncshift.shifts import shift_S
 
 
-def random_element(rng: random.Random, max_degree=6, terms=3) -> NCElement:
-    """A small random Q[a]-combination of words of bounded degree."""
+def random_element(rng: random.Random, max_degree=6, terms=3, monomials=1) -> NCElement:
+    """A small random Q[a]-combination of words of bounded degree, each
+    coefficient a sum of `monomials` random terms c or c*a_i, with c in
+    (1/6)Z; the draws for monomials=1 are those of one such term."""
     out = NCElement.zero()
     for _ in range(rng.randint(1, terms)):
         d = rng.randint(0, max_degree)
@@ -21,9 +26,12 @@ def random_element(rng: random.Random, max_degree=6, terms=3) -> NCElement:
             k = rng.randint(1, d)
             w.append(k)
             d -= k
-        c = ParamPoly.const(Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3])))
-        if rng.random() < 0.5:
-            c = c * ParamPoly.gen(rng.randint(-2, 2))
+        c = ParamPoly.zero()
+        for _ in range(monomials):
+            m = ParamPoly.const(Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3])))
+            if rng.random() < 0.5:
+                m = m * ParamPoly.gen(rng.randint(-2, 2))
+            c = c + m
         out = out + NCElement({tuple(w): c})
     return out
 
@@ -157,3 +165,102 @@ def ref_block_quasidet(blocks, p, q):
         return None
     solved = ref_product(inv, flat(rows, [q - 1]))
     return ref_sum(corner, ref_product(flat([p - 1], cols), solved), -1)
+
+
+# -- nested-product reference for sums of products over Q[a] -------------------
+#
+# Each product of two coefficients is a fresh ParamPoly, built one monomial
+# pair at a time, and each is added to the running sum through accumulate:
+# the per-pair path that the package's single accumulator replaces.
+
+
+def ref_poly_product(p: ParamPoly, q: ParamPoly) -> ParamPoly:
+    """p*q, each monomial product summed through accumulate."""
+    out: dict = {}
+    for m1, a in p.terms.items():
+        for m2, b in q.terms.items():
+            accumulate(out, tuple(sorted(m1 + m2)), a * b)
+    return ParamPoly._of(out)
+
+
+def ref_sum_of_products(triples) -> dict:
+    """key -> the sum of p*q over the (key, p, q) triples."""
+    out: dict = {}
+    for key, p, q in triples:
+        accumulate(out, key, ref_poly_product(p, q))
+    return out
+
+
+def ref_nested_product(x, y, join):
+    """The bilinear product of two combinations with ParamPoly coefficients."""
+    return type(x)._of(
+        ref_sum_of_products(
+            (join(k1, k2), c1, c2) for k1, c1 in x.terms.items() for k2, c2 in y.terms.items()
+        )
+    )
+
+
+def ref_apply_letters(x: NCElement, image, reverse=False) -> NCElement:
+    """sum_w c_w image(w_1)...image(w_m), each word's product taken nested."""
+    triples = []
+    for w, c in x.terms.items():
+        p = NCElement.one()
+        for k in reversed(w) if reverse else w:
+            p = ref_nested_product(p, image(k), add)
+        triples += [(u, c, d) for u, d in p.terms.items()]
+    return NCElement._of(ref_sum_of_products(triples))
+
+
+def ref_from_ribbon_basis(x: RibbonElement) -> NCElement:
+    """sum c R_I^[K] over the terms of x."""
+    return NCElement._of(
+        ref_sum_of_products(
+            (u, c, d)
+            for (comp, K), c in x.terms.items()
+            for u, d in ribbon_shifted(Composition(comp), K).terms.items()
+        )
+    )
+
+
+def ref_coproduct(x: NCElement) -> TensorElement:
+    """Delta(x): every split (left, right) of every Psi-word, its coefficient
+    times each term pair of the two legs, one pair at a time."""
+    in_psi: dict = {}
+    for w, c in s_to_psi(x).terms.items():
+        for mask in range(1 << len(w)):
+            left = tuple(k for i, k in enumerate(w) if mask >> i & 1)
+            right = tuple(k for i, k in enumerate(w) if not mask >> i & 1)
+            accumulate(in_psi, (left, right), c)
+    triples = []
+    for (left, right), c in in_psi.items():
+        legs = psi_words_to_s(NCElement.word(left)), psi_words_to_s(NCElement.word(right))
+        triples += [
+            ((w1, w2), c, ref_poly_product(c1, c2))
+            for w1, c1 in legs[0].terms.items()
+            for w2, c2 in legs[1].terms.items()
+        ]
+    return TensorElement._of(ref_sum_of_products(triples))
+
+
+def ref_convolution_defect(x: NCElement) -> tuple[NCElement, NCElement]:
+    """m(S x id)Delta(x) - eps(x) 1 and m(id x S)Delta(x) - eps(x) 1, one
+    coproduct term at a time."""
+    left, right = [], []
+    for (w1, w2), c in ref_coproduct(x).terms.items():
+        left += [(u + w2, c, d) for u, d in antipode(NCElement.word(w1)).terms.items()]
+        right += [(w1 + u, c, d) for u, d in antipode(NCElement.word(w2)).terms.items()]
+    eps = NCElement.scalar(counit(x))
+    return (
+        NCElement._of(ref_sum_of_products(left)) - eps,
+        NCElement._of(ref_sum_of_products(right)) - eps,
+    )
+
+
+def assert_normal_form(x) -> None:
+    """No zero or empty coefficient is stored, and every rational is an int
+    or a Fraction with denominator > 1."""
+    for key, c in x.terms.items():
+        assert type(c) is ParamPoly and c.terms, (key, c)
+        for m, r in c.terms.items():
+            ok = type(r) is int or (type(r) is Fraction and r.denominator > 1)
+            assert r and ok, (key, m, r)
