@@ -12,6 +12,10 @@ combinations subclass LinComb in their own modules.
 Each change of generating set, the duality map, the shift automorphism and
 the antipode is fixed by the image of each letter: apply_letters() extends
 such an image to words, multiplicatively or (reversed) anti-multiplicatively.
+The image of each word is computed once per process and letter map, from the
+image of its prefix (word_image, a functools.cache table), so a letter map
+must be a pure function of (letter, *args) and the same function object on
+every call; a reversed word reads the image of its reversal.
 
 Two word orders matter:
 
@@ -23,6 +27,7 @@ Two word orders matter:
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from operator import add
 from typing import Callable, Iterable, Mapping
 
@@ -166,22 +171,46 @@ class NCElement(LinComb):
 
 
 def apply_letters(
-    x: NCElement, image: Callable[[int], NCElement], reverse: bool = False
+    x: NCElement,
+    image: Callable[..., NCElement],
+    reverse: bool = False,
+    args: tuple = (),
 ) -> NCElement:
-    """The sum of c_w image(w_1)...image(w_m) over the terms c_w w of x.
+    """The sum of c_w image(w_1, *args)...image(w_m, *args) over the terms c_w w of x.
 
     This is the algebra map fixed by the image of each letter; with reverse
     set, each word is read backwards, which gives the anti-homomorphism.
+    Each word's image is read from word_image(), so image must be a pure
+    function of (letter, *args); a reversed word reads the image of w[::-1].
     """
-    one = NCElement.one()
     acc: dict = {}
     for w, c in x.terms.items():
-        p = one
-        for k in reversed(w) if reverse else w:
-            p = p * image(k)
-        for u, d in p.terms.items():
+        for u, d in word_image(image, w[::-1] if reverse else w, *args).terms.items():
             add_product(acc, u, c, d)
     return NCElement._summed(acc)
+
+
+#: word_image() caches every this-many-th prefix of a longer word first, so
+#: that no call recurses deeper than this
+_PREFIX_STRIDE = 256
+
+
+@cache
+def word_image(image: Callable[..., NCElement], w: Word, *args) -> NCElement:
+    """image(w_1, *args)...image(w_m, *args), memoized per process.
+
+    The image of a one-letter word is the letter's image itself; that of a
+    longer word w is the cached image of its prefix w[:-1] times the image
+    of its last letter: one product per word not seen before.  The table
+    keys on the letter map itself, so it must be a pure function of
+    (letter, *args) and the same object on every call (a module-level
+    function, not a closure made per call).
+    """
+    if len(w) < 2:
+        return image(w[0], *args) if w else NCElement.one()
+    for i in range(_PREFIX_STRIDE, len(w) - 1, _PREFIX_STRIDE):
+        word_image(image, w[:i], *args)
+    return word_image(image, w[:-1], *args) * image(w[-1], *args)
 
 
 # -- commutative symmetric polynomials of parameter values -------------------

@@ -37,9 +37,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, pairwise
+from operator import add
 
 from .algebra import NCElement, Word, apply_letters, complete_homogeneous
-from .params import SEQ_A, SEQ_AHAT, ParamSequence
+from .params import SEQ_A, SEQ_AHAT, ParamSequence, add_products
 from .quasidet import hessenberg_quasidet
 from .shifts import shift_S
 
@@ -103,8 +104,7 @@ def omega(x: NCElement, base: ParamSequence = SEQ_A) -> NCElement:
     Words are reversed, each letter S_k becomes Lambda_k over the dual
     sequence, and coefficient polynomials pass through unchanged.
     """
-    dual = base.dual()
-    return apply_letters(x, lambda k: lambda_in_S(k, dual), reverse=True)
+    return apply_letters(x, lambda_in_S, True, (base.dual(),))
 
 
 # -- power sums ---------------------------------------------------------------
@@ -137,9 +137,11 @@ def s_in_psi_table(n: int) -> NCElement:
     """
     if n == 0:
         return NCElement.one()
-    acc = NCElement.gen(n)  # the Psi_n letter
+    terms: dict = {}
     for k in range(1, n):
-        acc = acc + apply_letters(shift_S(k, n - 1), s_in_psi_table) * NCElement.gen(n - k)
+        image = apply_letters(shift_S(k, n - 1), s_in_psi_table)
+        add_products(terms, image.terms, NCElement.gen(n - k).terms, add)
+    acc = NCElement.gen(n) + NCElement._summed(terms)  # plus the Psi_n letter
     # acc / n = S_n^[n-1] over Psi-letters: S_n plus lower single-letter
     # terms, whose images are subtracted
     lower = shift_S(n, n - 1) - NCElement.gen(n)
@@ -182,10 +184,10 @@ def verify_wronski_newton(n: int) -> tuple[bool, str]:
         return False, f"fundamental identity fails at n={n}"
     # n S_n^[n-1] = sum_{k=0}^{n-1} S_k^[n-1] Psi_{n-k}
     lhs = shift_S(n, n - 1).scale(Fraction(n))
-    rhs = NCElement.zero()
+    acc: dict = {}
     for k in range(n):
-        rhs = rhs + shift_S(k, n - 1) * psi(n - k)
-    if lhs != rhs:
+        add_products(acc, shift_S(k, n - 1).terms, psi(n - k).terms, add)
+    if lhs != NCElement._summed(acc):
         return False, f"Wronski identity fails at n={n}"
     # n Lambda_n = sum_{k=0}^{n-1} (-1)^{n-k-1} Psi_{n-k}^[k] Lambda_k
     lhs = lambda_in_S(n).scale(Fraction(n))

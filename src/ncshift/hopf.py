@@ -7,20 +7,22 @@ computed by rewriting into the power-sum generating set, acting there, and
 rewriting back into the S-basis: the coproduct splits each Psi-word over its
 subsets and merges the tensor terms in the Psi basis; then, per left part, it
 sums the expanded right legs and multiplies the expanded left leg into that
-sum once (each leg expanded once per Psi-word, in _psi_word_in_s).  The
-antipode is apply_letters with the image -Psi_n, reversed.  Like every sum of
-products over Q[a] in the package, the coproduct and the convolution defects
-write each coefficient product into one accumulator (params.add_product) and
-normalize once.  Tensors are LinComb combinations keyed by pairs of words.
+sum once.  The antipode sends each Psi-word w to (-1)^len(w) times the psi
+image of w reversed.  Every leg, every psi_words_to_s and every antipode
+reads the S-expansion of a Psi-word from the one table algebra.word_image,
+and the Psi-words of an S-word from the same table under s_in_psi_table, so
+each is computed once per process.  Like every sum of products over Q[a] in
+the package, the coproduct and the convolution defects write each
+coefficient product into one accumulator (params.add_product) and normalize
+once.  Tensors are LinComb combinations keyed by pairs of words.
 """
 
 from __future__ import annotations
 
-from functools import cache
 from operator import add
 
-from .algebra import NCElement, apply_letters
-from .families import psi, psi_words_to_s, s_to_psi
+from .algebra import NCElement, apply_letters, word_image
+from .families import psi, s_to_psi
 from .params import LinComb, ParamPoly, accumulate, add_product, add_products
 
 
@@ -78,17 +80,11 @@ def coproduct(x: NCElement) -> TensorElement:
     for left, terms in rights.items():
         rights_in_s: dict = {}
         for right, c in terms.items():
-            for u, d in _psi_word_in_s(right).terms.items():
+            for u, d in word_image(psi, right).terms.items():
                 add_product(rights_in_s, u, c, d)
         right_sum = NCElement._summed(rights_in_s).terms
-        add_products(acc, _psi_word_in_s(left).terms, right_sum, lambda u, v: (u, v))
+        add_products(acc, word_image(psi, left).terms, right_sum, lambda u, v: (u, v))
     return TensorElement._summed(acc)
-
-
-@cache
-def _psi_word_in_s(w: tuple[int, ...]) -> NCElement:
-    """The Psi-word w expanded in the S-basis: one leg of a coproduct term."""
-    return psi_words_to_s(NCElement.word(w))
 
 
 def counit(x: NCElement) -> ParamPoly:
@@ -97,8 +93,10 @@ def counit(x: NCElement) -> ParamPoly:
 
 
 def antipode(x: NCElement) -> NCElement:
-    """Word-reversing extension of Psi_n -> -Psi_n, back in the S-basis."""
-    return apply_letters(s_to_psi(x), lambda k: -psi(k), reverse=True)
+    """Word-reversing extension of Psi_n -> -Psi_n, back in the S-basis: each
+    Psi-word w goes to (-1)^len(w) times the psi image of w reversed."""
+    signed = {w: -c if len(w) % 2 else c for w, c in s_to_psi(x).terms.items()}
+    return apply_letters(NCElement._of(signed), psi, reverse=True)
 
 
 def convolution_defect(x: NCElement) -> tuple[NCElement, NCElement]:

@@ -8,19 +8,23 @@ geometric series
 
     1/((t-b_1)...(t-b_k)) = sum_{i>=0} h_i(b_1,...,b_k) / t^{k+i},
 
-and products are taken in the plain basis.  The defining
-relation of the algebra is the statement that the complete homogeneous series
-over a and the elementary series over the dual sequence, evaluated at -t, are
-mutually inverse; it is checked coefficientwise in the plain basis.
+and products are taken in the plain basis.  Like every sum of products over
+Q[a] in the package, each coefficient of a product or of a re-expansion sums
+its coefficient products into one accumulator (params.add_product) and is
+normalized once.  The defining relation of the algebra is the statement that
+the complete homogeneous series over a and the elementary series over the
+dual sequence, evaluated at -t, are mutually inverse; it is checked
+coefficientwise in the plain basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add
 
 from .algebra import NCElement, complete_homogeneous
 from .families import lambda_in_S
-from .params import SEQ_A, SEQ_AHAT, ParamPoly, ParamSequence, accumulate
+from .params import SEQ_A, SEQ_AHAT, ParamPoly, ParamSequence, add_product, add_products
 
 
 @dataclass
@@ -58,11 +62,12 @@ class TruncatedTSeries:
         n = min(self.order, other.order)
         out: dict[int, NCElement] = {}
         for k in range(1, n + 1):
-            acc = NCElement.zero()
+            acc: dict = {}
             for i in range(k + 1):
-                acc = acc + self.coeff(i) * other.coeff(k - i)
-            if not acc.is_zero():
-                out[k] = acc
+                add_products(acc, self.coeff(i).terms, other.coeff(k - i).terms, add)
+            c = NCElement._summed(acc)
+            if c:
+                out[k] = c
         return TruncatedTSeries(n, self.constant * other.constant, out, None)
 
 
@@ -73,14 +78,15 @@ def reexpand_values(
     values: list[ParamPoly],
 ) -> TruncatedTSeries:
     """Plain-basis form of sum_k coeffs[k]/((t-v_1)...(t-v_k))."""
-    out: dict[int, NCElement] = {}
+    accs: dict[int, dict] = {}
     for k, c in coeffs.items():
-        if k > order or c.is_zero():
+        if k > order:
             continue
-        hs = complete_homogeneous(values[:k], order - k)
-        for i in range(order - k + 1):
-            if hs[i]:
-                accumulate(out, k + i, c.scale(hs[i]))
+        for i, h in enumerate(complete_homogeneous(values[:k], order - k)):
+            acc = accs.setdefault(k + i, {})
+            for w, d in c.terms.items():
+                add_product(acc, w, d, h)
+    out = {k: c for k, acc in accs.items() if (c := NCElement._summed(acc))}
     return TruncatedTSeries(order, constant, out, None)
 
 

@@ -77,6 +77,4 @@ def phi_shift(x: NCElement, s: int) -> NCElement:
     """The algebra map phi^[s]: letters via shift_S, coefficients re-indexed."""
     if s == 0:
         return x
-    return apply_letters(
-        x.map_coefficients(lambda c: coeff_shift(c, s)), lambda k: shift_S(k, s)
-    )
+    return apply_letters(x.map_coefficients(lambda c: coeff_shift(c, s)), shift_S, args=(s,))

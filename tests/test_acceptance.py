@@ -257,6 +257,20 @@ def test_criterion_04_product_example_lines_corrected():
     _assert_cases(rep, ids, label="criterion 4 (corrected lines, informational)")
 
 
+def test_criterion_04_macmahon_at_degree_7():
+    """The MacMahon suite one degree past its default: the three printed
+    example lines stay refuted, and every other case holds."""
+    rep = run_suite("macmahon", degree=7)
+    printed = {
+        "example-lambda-lambda-printed",
+        "example-lambda-s-printed",
+        "example-s-s-printed",
+    }
+    _assert_refuted(rep, printed, label="macmahon at degree 7: printed lines")
+    others = {c.id for c in rep.cases} - printed
+    _assert_cases(rep, others, label="macmahon at degree 7: every other case")
+
+
 def test_criterion_05_duality_involution():
     rep = run_suite("duality", degree=6)
     _assert_cases(rep, {"omega-involution"}, label="criterion 5: omega involution")

@@ -15,8 +15,9 @@ import pytest
 from ncshift.algebra import NCElement, apply_letters
 from ncshift.families import lambda_in_S, psi
 from ncshift.hopf import TensorElement, convolution_defect, coproduct
-from ncshift.params import ParamPoly
+from ncshift.params import SEQ_A, ParamPoly
 from ncshift.ribbon import Composition, RibbonElement, from_ribbon_basis
+from ncshift.series import TruncatedTSeries, reexpand_values
 from ncshift.shifts import shift_S
 from tests_support import (
     assert_normal_form,
@@ -26,6 +27,8 @@ from tests_support import (
     ref_coproduct,
     ref_from_ribbon_basis,
     ref_nested_product,
+    ref_reexpand_values,
+    ref_series_multiply,
 )
 
 a = ParamPoly.gen
@@ -103,6 +106,62 @@ def test_coproduct_and_convolution_defect_match_nested_reference():
         assert got == ref_convolution_defect(x)
         for side in got:
             assert_normal_form(side)
+
+
+def _series(seed, count, order):
+    """Plain-basis series with random coefficients, one order left out of each."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        gap = rng.randint(1, order)
+        coeffs = {
+            k: random_element(rng, 3, terms=3, monomials=3) for k in range(1, order + 1) if k != gap
+        }
+        out.append(TruncatedTSeries(order, random_element(rng, 2, 2, 2), coeffs, None))
+    return out
+
+
+def _assert_series_normal_form(s):
+    assert_normal_form(s.constant)
+    for c in s.coeffs.values():
+        assert not c.is_zero()
+        assert_normal_form(c)
+
+
+def test_series_products_match_nested_reference():
+    xs = _series(2107, 8, 4)
+    for s, t in zip(xs, xs[1:]):
+        got = s.multiply(t)
+        assert got == ref_series_multiply(s, t)
+        assert got.coeffs == ref_series_multiply(s, t).coeffs
+        _assert_series_normal_form(got)
+    # (1 + x/t)(1 - x/t) = 1 - x^2/t^2: the order-1 coefficient cancels
+    x = NCElement.word((1,)).scale(a(1) * Fraction(1, 2))
+    s = TruncatedTSeries(2, NCElement.one(), {1: x}, None)
+    t = TruncatedTSeries(2, NCElement.one(), {1: -x}, None)
+    got = s.multiply(t)
+    assert list(got.coeffs) == [2] and got.coeffs[2] == -(x * x)
+    assert (x * x).terms[(1, 1)].terms[(1, 1)] == Fraction(1, 4)
+
+
+def test_series_reexpansion_matches_nested_reference():
+    rng = random.Random(2108)
+    order = 4
+    value_lists = [
+        SEQ_A.values(order),
+        [a(rng.randint(-2, 2)).scale(Fraction(rng.randint(1, 5), 3)) for _ in range(order)],
+    ]
+    for values in value_lists:
+        for s in _series(2109, 4, order):
+            got = reexpand_values(order, s.constant, s.coeffs, values)
+            want = ref_reexpand_values(order, s.constant, s.coeffs, values)
+            assert got == want and got.coeffs == want.coeffs
+            _assert_series_normal_form(got)
+    # 3/t - 3 a_1/t^2 ... over (t - a_1): the order-2 terms cancel to no entry
+    y = NCElement.word((1,)).scale(3)
+    got = reexpand_values(2, NCElement.one(), {1: y, 2: y.scale(-a(1))}, [a(1), a(2)])
+    assert got.coeffs == {1: y}
+    assert_normal_form(got.coeffs[1])
 
 
 def test_cancelled_coefficient_is_not_stored():

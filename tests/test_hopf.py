@@ -3,10 +3,11 @@
 import random
 from fractions import Fraction
 
-from ncshift.algebra import NCElement
+from ncshift.algebra import NCElement, word_image
 from ncshift.families import all_words, psi
 from ncshift.hopf import TensorElement, antipode, convolution_defect, coproduct, counit
 from ncshift.params import ParamPoly, ParamSubstitution
+from tests_support import ref_apply_letters
 
 a = ParamPoly.gen
 S = NCElement.gen
@@ -139,10 +140,9 @@ def test_tensor_json():
 
 
 def test_cached_leg_expansion_matches_direct():
-    from ncshift.families import psi_words_to_s
-    from ncshift.hopf import _psi_word_in_s
-
+    # the coproduct reads each leg from word_image(psi, w); the reference
+    # multiplies the letter images of w afresh
     for w in all_words(4):
-        direct = psi_words_to_s(NCElement.word(w))
-        assert _psi_word_in_s(w) == direct
-        assert _psi_word_in_s(w) == direct  # served from the cache
+        direct = ref_apply_letters(NCElement.word(w), psi)
+        assert word_image(psi, w) == direct
+        assert word_image(psi, w) == direct  # served from the cache

@@ -1,6 +1,7 @@
 """The package source holds only what the package runs."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import ncshift
@@ -125,10 +126,21 @@ def test_only_the_duality_layer_takes_a_sequence():
     ]
 
 
+#: the sums that still add one product at a time, each with its reason
+PER_PAIR_SUMS = {
+    # commuting ParamPoly values, one polynomial product per step of the recurrence
+    "algebra.complete_homogeneous": 1,
+    # generic over its entries: MatValue blocks at numeric points, elements symbolically
+    "quasidet.hessenberg_quasidet": 1,
+    # sums ParamPoly scalars, one product per term of the bracket recursion
+    "shifts.a_binomial": 1,
+}
+
+
 def test_one_monomial_join_and_no_per_pair_products():
     # every sum of products over Q[a] writes into one accumulator; the
     # monomial join lives in its one loop, and no call site adds a product
-    # built per pair
+    # built per pair, neither through accumulate nor as x = x + a * b
     def joins_monomials(node):
         return (
             isinstance(node, ast.Call)
@@ -143,5 +155,83 @@ def test_one_monomial_join_and_no_per_pair_products():
             and any(isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.Mult) for arg in node.args)
         )
 
+    def adds_a_product_to_itself(node):
+        # x = x + a * b, x = x - a * b, x += a * b and x -= a * b
+        if isinstance(node, ast.AugAssign):
+            target, op, left, right = node.target, node.op, node.target, node.value
+        elif isinstance(node, ast.Assign) and isinstance(node.value, ast.BinOp):
+            target, op, left, right = node.targets[0], node.value.op, node.value.left, node.value.right
+        else:
+            return False
+        return (
+            isinstance(op, (ast.Add, ast.Sub))
+            and ast.unparse(left) == ast.unparse(target)
+            and isinstance(right, ast.BinOp)
+            and isinstance(right.op, ast.Mult)
+            and not isinstance(right.left, ast.List)  # a repeated list is no product
+        )
+
     assert _scopes(SRC, joins_monomials) == ["params._add_monomial_products"]
     assert _scopes(SRC, accumulates_a_product) == []
+    assert Counter(_scopes(SRC, adds_a_product_to_itself)) == PER_PAIR_SUMS
+
+
+def _letter_maps(src: Path) -> list[tuple[str, str, bool]]:
+    """(module, source, stable) for each letter map that src passes to
+    apply_letters or word_image; stable means a module-level function or
+    import, or a parameter of an enclosing function passed on."""
+    found = []
+
+    def visit(node, module, names):
+        if isinstance(node, ast.FunctionDef):
+            names = names | {arg.arg for arg in node.args.args}
+        if isinstance(node, ast.Call) and (
+            _names(node.func, "apply_letters") or _names(node.func, "word_image")
+        ):
+            position = 1 if _names(node.func, "apply_letters") else 0
+            maps = node.args[position : position + 1]
+            maps += [kw.value for kw in node.keywords if kw.arg == "image"]
+            for m in maps:
+                stable = isinstance(m, ast.Name) and m.id in names
+                found.append((module, ast.unparse(m), stable))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, names)
+
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        top = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+        top |= {
+            alias.asname or alias.name
+            for node in tree.body
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+        visit(tree, path.stem, top)
+    return found
+
+
+def test_every_letter_map_is_a_module_level_function():
+    # word_image keys its table on the letter map: a lambda, a partial or a
+    # nested def made per call would never be read back, and would be kept
+    maps = _letter_maps(SRC)
+    assert [(module, m) for module, m, stable in maps if not stable] == []
+    assert {module for module, _, _ in maps} >= {"families", "hopf", "shifts"}
+
+
+def test_hopf_keeps_no_memo_table_of_its_own():
+    # the legs and the antipode read algebra.word_image
+    tree = ast.parse((SRC / "hopf.py").read_text())
+    memo = {"cache", "lru_cache", "cached_property"}
+    assert not [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id in memo)
+        or (isinstance(node, ast.Attribute) and node.attr in memo)
+        or (isinstance(node, ast.alias) and node.name in memo)
+    ]
+    assert not [
+        node.lineno
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        and isinstance(node.value, (ast.Dict, ast.Call))
+    ]

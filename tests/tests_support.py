@@ -5,7 +5,7 @@ from fractions import Fraction
 from operator import add
 
 from ncshift.algebra import NCElement, complete_homogeneous
-from ncshift.families import psi_words_to_s, s_to_psi
+from ncshift.families import psi, psi_words_to_s, s_to_psi
 from ncshift.hopf import TensorElement, antipode, counit
 from ncshift.params import SEQ_A, ParamPoly, ParamSequence, accumulate
 from ncshift.ribbon import Composition, RibbonElement, ribbon_shifted
@@ -209,6 +209,39 @@ def ref_apply_letters(x: NCElement, image, reverse=False) -> NCElement:
             p = ref_nested_product(p, image(k), add)
         triples += [(u, c, d) for u, d in p.terms.items()]
     return NCElement._of(ref_sum_of_products(triples))
+
+
+def ref_antipode(x: NCElement) -> NCElement:
+    """The word-reversing extension of Psi_n -> -Psi_n, letter by letter."""
+    return ref_apply_letters(s_to_psi(x), lambda k: -psi(k), reverse=True)
+
+
+def ref_series_multiply(s: TruncatedTSeries, t: TruncatedTSeries) -> TruncatedTSeries:
+    """The product of two plain-basis series, each coefficient the running sum
+    of its nested products."""
+    n = min(s.order, t.order)
+    out: dict[int, NCElement] = {}
+    for k in range(1, n + 1):
+        acc = NCElement.zero()
+        for i in range(k + 1):
+            acc = acc + ref_nested_product(s.coeff(i), t.coeff(k - i), add)
+        if not acc.is_zero():
+            out[k] = acc
+    return TruncatedTSeries(n, ref_nested_product(s.constant, t.constant, add), out, None)
+
+
+def ref_reexpand_values(order, constant, coeffs, values) -> TruncatedTSeries:
+    """Plain-basis form of sum_k coeffs[k]/((t-v_1)...(t-v_k)), each scaled
+    coefficient added to its order on its own."""
+    out: dict[int, NCElement] = {}
+    for k, c in coeffs.items():
+        if k > order:
+            continue
+        hs = complete_homogeneous(values[:k], order - k)
+        for i in range(order - k + 1):
+            scaled = ref_sum_of_products((w, d, hs[i]) for w, d in c.terms.items())
+            accumulate(out, k + i, NCElement._of(scaled))
+    return TruncatedTSeries(order, constant, out, None)
 
 
 def ref_from_ribbon_basis(x: RibbonElement) -> NCElement:
