@@ -90,7 +90,9 @@ def s_in_lambda(n: int) -> NCElement:
 
 def lambda_words_to_s(x: NCElement) -> NCElement:
     """Interpret words of x as Lambda-monomials and expand in the S-basis."""
-    return apply_letters(x, lambda_in_S)
+    # a passed as omega(x, SEQ_AHAT) passes it, so that both read the same
+    # word_image entry of each word
+    return apply_letters(x, lambda_in_S, args=(SEQ_A,))
 
 
 def s_to_lambda(x: NCElement) -> NCElement:

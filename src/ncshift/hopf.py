@@ -2,27 +2,30 @@
 
 The coproduct is defined on the free generating set Psi_n by
 Delta(Psi_n) = Psi_n x 1 + 1 x Psi_n, the counit kills every Psi_n, and the
-antipode is the anti-algebra extension of Psi_n -> -Psi_n.  All three are
-computed by rewriting into the power-sum generating set, acting there, and
-rewriting back into the S-basis: the coproduct splits each Psi-word over its
-subsets and merges the tensor terms in the Psi basis; then, per left part, it
-sums the expanded right legs and multiplies the expanded left leg into that
-sum once.  The antipode sends each Psi-word w to (-1)^len(w) times the psi
-image of w reversed.  Every leg, every psi_words_to_s and every antipode
-reads the S-expansion of a Psi-word from the one table algebra.word_image,
-and the Psi-words of an S-word from the same table under s_in_psi_table, so
-each is computed once per process.  Like every sum of products over Q[a] in
-the package, the coproduct and the convolution defects write each
-coefficient product into one accumulator (params.add_product) and normalize
-once.  Tensors are LinComb combinations keyed by pairs of words.
+antipode is the anti-algebra extension of Psi_n -> -Psi_n.
+
+Delta is linear over one per-process table of Delta(w) for S-words w
+(word_coproduct, a functools.cache): an entry splits each Psi-word of w over
+its subsets, merges the tensor terms in the Psi basis, and then, per left
+part, sums the expanded right legs and multiplies the expanded left leg into
+that sum once.  No entry is a product of other entries, so the hopf suite's
+algebra-morphism case compares two computations.  The antipode is the
+anti-algebra map fixed by the antipode of each S_k (each Psi-word w of S_k
+sent to (-1)^len(w) times the psi image of w reversed), so the antipode of a
+word is read from algebra.word_image, as are the Psi-expansion of a word
+(whose constant term is its counit) and the S-expansion of each leg.  Every
+sum of products over Q[a] writes each coefficient product into one
+accumulator (params.add_product) and normalizes once.  Tensors are LinComb
+combinations keyed by pairs of words.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from operator import add
 
-from .algebra import NCElement, apply_letters, word_image
-from .families import psi, s_to_psi
+from .algebra import NCElement, Word, apply_letters, word_image
+from .families import psi, s_in_psi_table
 from .params import LinComb, ParamPoly, accumulate, add_product, add_products
 
 
@@ -64,17 +67,19 @@ class TensorElement(LinComb):
     __repr__ = __str__
 
 
-def coproduct(x: NCElement) -> TensorElement:
-    """Delta(x), computed through the primitive power-sum generators."""
+@cache
+def word_coproduct(w: Word) -> TensorElement:
+    """Delta of the S-word w, by splitting the Psi-words of its Psi-expansion;
+    memoized per process."""
     # rights[left][right]: the coefficient of left x right over the splits of
     # each Psi-word; the right legs of one left part are summed in the S-basis
     # first, so that each left leg enters one product
     rights: dict = {}
-    for w, c in s_to_psi(x).terms.items():
-        m = len(w)
+    for v, c in word_image(s_in_psi_table, w).terms.items():
+        m = len(v)
         for mask in range(1 << m):
-            left = tuple(w[i] for i in range(m) if mask >> i & 1)
-            right = tuple(w[i] for i in range(m) if not mask >> i & 1)
+            left = tuple(v[i] for i in range(m) if mask >> i & 1)
+            right = tuple(v[i] for i in range(m) if not mask >> i & 1)
             accumulate(rights.setdefault(left, {}), right, c)
     acc: dict = {}
     for left, terms in rights.items():
@@ -87,22 +92,40 @@ def coproduct(x: NCElement) -> TensorElement:
     return TensorElement._summed(acc)
 
 
+def coproduct(x: NCElement) -> TensorElement:
+    """Delta(x): the sum of c_w Delta(w) over the terms c_w w of x."""
+    acc: dict = {}
+    for w, c in x.terms.items():
+        for k, d in word_coproduct(w).terms.items():
+            add_product(acc, k, c, d)
+    return TensorElement._summed(acc)
+
+
 def counit(x: NCElement) -> ParamPoly:
     """The constant term of x in the power-sum generating set."""
-    return s_to_psi(x).constant_term()
+    acc: dict = {}
+    for w, c in x.terms.items():
+        add_product(acc, (), c, word_image(s_in_psi_table, w).constant_term())
+    return NCElement._summed(acc).constant_term()
+
+
+def _antipode_letter(k: int) -> NCElement:
+    """The antipode of S_k: each Psi-word w of S_k goes to (-1)^len(w) times
+    the psi image of w reversed."""
+    signed = {w: -c if len(w) % 2 else c for w, c in s_in_psi_table(k).terms.items()}
+    return apply_letters(NCElement._of(signed), psi, reverse=True)
 
 
 def antipode(x: NCElement) -> NCElement:
-    """Word-reversing extension of Psi_n -> -Psi_n, back in the S-basis: each
-    Psi-word w goes to (-1)^len(w) times the psi image of w reversed."""
-    signed = {w: -c if len(w) % 2 else c for w, c in s_to_psi(x).terms.items()}
-    return apply_letters(NCElement._of(signed), psi, reverse=True)
+    """The anti-algebra extension of Psi_n -> -Psi_n, in the S-basis."""
+    return apply_letters(x, _antipode_letter, reverse=True)
 
 
 def convolution_defect(x: NCElement) -> tuple[NCElement, NCElement]:
     """m(S x id)Delta(x) - eps(x) 1 and m(id x S)Delta(x) - eps(x) 1."""
     # group the terms of Delta(x) by the leg the antipode acts on, so that
-    # each antipode is computed once and multiplies the sum of its partners
+    # each leg's antipode (the image of the reversed word) multiplies the sum
+    # of its partners once
     by_left: dict = {}
     by_right: dict = {}
     for (w1, w2), c in coproduct(x).terms.items():
@@ -111,8 +134,8 @@ def convolution_defect(x: NCElement) -> tuple[NCElement, NCElement]:
     left: dict = {}
     right: dict = {}
     for w1, terms in by_left.items():
-        add_products(left, antipode(NCElement.word(w1)).terms, terms, add)
+        add_products(left, word_image(_antipode_letter, w1[::-1]).terms, terms, add)
     for w2, terms in by_right.items():
-        add_products(right, terms, antipode(NCElement.word(w2)).terms, add)
+        add_products(right, terms, word_image(_antipode_letter, w2[::-1]).terms, add)
     eps = NCElement.scalar(counit(x))
     return NCElement._summed(left) - eps, NCElement._summed(right) - eps

@@ -370,6 +370,16 @@ def test_criterion_08_hopf_structure():
     assert elapsed < 60.0, f"took {elapsed:.1f}s"
 
 
+def test_criterion_08_hopf_at_degree_6():
+    """The Hopf suite one degree past its default: the printed Delta(S_3)
+    stays refuted symbolically, and every other case holds."""
+    rep = run_suite("hopf", degree=6)
+    printed = {"delta-s3-printed-symbolic"}
+    _assert_refuted(rep, printed, label="hopf at degree 6: printed Delta(S_3)")
+    others = {c.id for c in rep.cases} - printed
+    _assert_cases(rep, others, label="hopf at degree 6: every other case")
+
+
 def test_criterion_08_delta_s3_printed_symbolic():
     """Delta(S_3) with the displayed (4/3)(a_0 - a_1) term, symbolically.
 

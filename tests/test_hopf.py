@@ -3,11 +3,27 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from ncshift.algebra import NCElement, word_image
-from ncshift.families import all_words, psi
-from ncshift.hopf import TensorElement, antipode, convolution_defect, coproduct, counit
+from ncshift.families import all_words, psi, s_to_psi
+from ncshift.hopf import (
+    TensorElement,
+    antipode,
+    convolution_defect,
+    coproduct,
+    counit,
+    word_coproduct,
+)
 from ncshift.params import ParamPoly, ParamSubstitution
-from tests_support import ref_apply_letters
+from tests_support import (
+    assert_normal_form,
+    random_element,
+    ref_antipode,
+    ref_apply_letters,
+    ref_convolution_defect,
+    ref_coproduct,
+)
 
 a = ParamPoly.gen
 S = NCElement.gen
@@ -146,3 +162,59 @@ def test_cached_leg_expansion_matches_direct():
         direct = ref_apply_letters(NCElement.word(w), psi)
         assert word_image(psi, w) == direct
         assert word_image(psi, w) == direct  # served from the cache
+
+
+def _clear_tables():
+    word_coproduct.cache_clear()
+    word_image.cache_clear()
+
+
+def _elements():
+    """The zero, one and a scalar element, one word entered twice, and random
+    elements whose coefficients are two-monomial polynomials over (1/6)Z."""
+    rng = random.Random(2301)
+    w = NCElement.word((2, 1, 2))
+    return [
+        NCElement.zero(),
+        NCElement.one(),
+        NCElement.scalar(a(1) + Fraction(1, 3)),
+        w.scale(Fraction(1, 2)) + w.scale(a(2)),
+    ] + [random_element(rng, 5, terms=4, monomials=2) for _ in range(8)]
+
+
+def test_elements_have_fractional_coefficients():
+    rationals = [r for x in _elements() for c in x.terms.values() for r in c.terms.values()]
+    assert any(type(r) is Fraction for r in rationals)
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_hopf_maps_match_their_references(warm):
+    # cold: each element starts from empty tables; warm: the tables hold
+    # every word of degree <= 4 and whatever earlier elements left
+    _clear_tables()
+    if warm:
+        for w in all_words(4):
+            convolution_defect(NCElement.word(w))
+    for x in _elements():
+        if not warm:
+            _clear_tables()
+        d = coproduct(x)
+        assert d == ref_coproduct(x)
+        assert_normal_form(d)
+        s = antipode(x)
+        assert s == ref_antipode(x)
+        assert_normal_form(s)
+        assert counit(x) == s_to_psi(x).constant_term()
+        defect = convolution_defect(x)
+        assert defect == ref_convolution_defect(x)
+        assert all(side.is_zero() for side in defect)
+
+
+def test_a_repeated_word_costs_one_coproduct():
+    _clear_tables()
+    w = NCElement.word((2, 1, 2))
+    coproduct(w.scale(Fraction(1, 2)) + NCElement.gen(3))
+    coproduct(w.scale(a(1)) - NCElement.gen(1))
+    convolution_defect(w)
+    info = word_coproduct.cache_info()
+    assert (info.misses, info.hits) == (3, 2)

@@ -218,20 +218,39 @@ def test_every_letter_map_is_a_module_level_function():
     assert {module for module, _, _ in maps} >= {"families", "hopf", "shifts"}
 
 
-def test_hopf_keeps_no_memo_table_of_its_own():
-    # the legs and the antipode read algebra.word_image
+def test_hopf_memoizes_only_the_coproduct_of_a_word():
+    # Delta of an S-word is one table, filled by splitting the word's
+    # Psi-words; the legs, the counit and the antipode read algebra.word_image.
+    # An entry built from the coproduct of other words, or as a product of
+    # tensors, would make the algebra-morphism case check the definition
+    # against itself.
     tree = ast.parse((SRC / "hopf.py").read_text())
     memo = {"cache", "lru_cache", "cached_property"}
-    assert not [
-        node.lineno
+    uses = [
+        node
         for node in ast.walk(tree)
-        if (isinstance(node, ast.Name) and node.id in memo)
-        or (isinstance(node, ast.Attribute) and node.attr in memo)
+        if any(_names(node, name) for name in memo)
         or (isinstance(node, ast.alias) and node.name in memo)
     ]
+    tables = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and any(_names(d, name) for d in node.decorator_list for name in memo)
+    ]
+    assert [node.name for node in tables] == ["word_coproduct"]
+    # the import and the one decorator
+    assert len(uses) == 2
     assert not [
         node.lineno
         for node in tree.body
         if isinstance(node, (ast.Assign, ast.AnnAssign))
         and isinstance(node.value, (ast.Dict, ast.Call))
+    ]
+    banned = {"coproduct", "word_coproduct", "_product", "__mul__"}
+    assert not [
+        node.lineno
+        for node in ast.walk(tables[0])
+        if (isinstance(node, ast.Call) and any(_names(node.func, name) for name in banned))
+        or (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Mult))
     ]

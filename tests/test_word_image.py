@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from ncshift.algebra import NCElement, apply_letters, word_image
-from ncshift.families import lambda_in_S, omega, psi, s_in_psi_table
+from ncshift.families import lambda_in_S, lambda_words_to_s, omega, psi, s_in_psi_table
 from ncshift.hopf import antipode
 from ncshift.params import SEQ_A, SEQ_AHAT, ParamPoly
 from ncshift.shifts import coeff_shift, phi_shift, shift_S
@@ -102,6 +102,19 @@ def test_maps_built_on_apply_letters_match_their_references():
         got = antipode(x)
         assert got == ref_antipode(x)
         assert_normal_form(got)
+
+
+def test_lambda_words_read_the_images_omega_over_ahat_reads():
+    # omega over the dual sequence reads each reversed word's Lambda-letters
+    # over a; lambda_words_to_s of the reversed words reads the same entries
+    x = W((2, 1, 1)).scale(Fraction(1, 2)) + W((1, 3)) + W((3, 1, 2))
+    reversed_x = NCElement({w[::-1]: c for w, c in x.terms.items()})
+    word_image.cache_clear()
+    want = omega(x, SEQ_AHAT)
+    before = word_image.cache_info()
+    assert lambda_words_to_s(reversed_x) == want
+    after = word_image.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (0, 3)
 
 
 def test_long_word_stays_within_the_recursion_limit():

@@ -6,7 +6,7 @@ from operator import add
 
 from ncshift.algebra import NCElement, complete_homogeneous
 from ncshift.families import psi, psi_words_to_s, s_to_psi
-from ncshift.hopf import TensorElement, antipode, counit
+from ncshift.hopf import TensorElement
 from ncshift.params import SEQ_A, ParamPoly, ParamSequence, accumulate
 from ncshift.ribbon import Composition, RibbonElement, ribbon_shifted
 from ncshift.series import TruncatedTSeries
@@ -280,9 +280,9 @@ def ref_convolution_defect(x: NCElement) -> tuple[NCElement, NCElement]:
     coproduct term at a time."""
     left, right = [], []
     for (w1, w2), c in ref_coproduct(x).terms.items():
-        left += [(u + w2, c, d) for u, d in antipode(NCElement.word(w1)).terms.items()]
-        right += [(w1 + u, c, d) for u, d in antipode(NCElement.word(w2)).terms.items()]
-    eps = NCElement.scalar(counit(x))
+        left += [(u + w2, c, d) for u, d in ref_antipode(NCElement.word(w1)).terms.items()]
+        right += [(w1 + u, c, d) for u, d in ref_antipode(NCElement.word(w2)).terms.items()]
+    eps = NCElement.scalar(s_to_psi(x).constant_term())
     return (
         NCElement._of(ref_sum_of_products(left)) - eps,
         NCElement._of(ref_sum_of_products(right)) - eps,
