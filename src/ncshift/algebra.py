@@ -200,17 +200,18 @@ def word_image(image: Callable[..., NCElement], w: Word, *args) -> NCElement:
     """image(w_1, *args)...image(w_m, *args), memoized per process.
 
     The image of a one-letter word is the letter's image itself; that of a
-    longer word w is the cached image of its prefix w[:-1] times the image
-    of its last letter: one product per word not seen before.  The table
-    keys on the letter map itself, so it must be a pure function of
-    (letter, *args) and the same object on every call (a module-level
-    function, not a closure made per call).
+    longer word w is the cached image of its prefix w[:-1] times the cached
+    image of its last letter: one product per word not seen before, and one
+    call of the letter map per letter.  The table keys on the letter map
+    itself, so it must be a pure function of (letter, *args) and the same
+    object on every call (a module-level function, not a closure made per
+    call).
     """
     if len(w) < 2:
         return image(w[0], *args) if w else NCElement.one()
     for i in range(_PREFIX_STRIDE, len(w) - 1, _PREFIX_STRIDE):
         word_image(image, w[:i], *args)
-    return word_image(image, w[:-1], *args) * image(w[-1], *args)
+    return word_image(image, w[:-1], *args) * word_image(image, w[-1:], *args)
 
 
 # -- commutative symmetric polynomials of parameter values -------------------

@@ -23,7 +23,11 @@ Two evaluators cover everything in scope:
 A MatValue is integer numerators over one positive denominator, in lowest
 terms; every operation works on the integers (inverses and solves by Bareiss
 elimination), lifts blocks to the lcm of their denominators and reduces its
-result once.
+result once.  Only values that are returned are reduced: a flattened minor,
+row or column is integer rows over the lcm of its block denominators, passed
+unreduced to the elimination and the product, and the shifted-power step
+(times_shifted) and the scaled sum (combination) are each one integer
+computation with one reduction.
 
 Randomized checks evaluate at seeded random points and redraw a point whose
 quasiminor is singular.  first_nonsingular is the one draw loop: it spends
@@ -202,9 +206,16 @@ class MatValue:
 
     __rmul__ = scale
 
+    def times_shifted(self, z: "MatValue", p: int, q: int) -> "MatValue":
+        """self (z - p/q Id) for q > 0: one integer product, one reduction."""
+        s = p * z.den
+        shifted = [[x * q - s * (i == j) for j, x in enumerate(row)] for i, row in enumerate(z.num)]
+        return _lowest(_product(self.num, shifted), self.den * z.den * q)
+
     def inverse(self) -> "MatValue":
         """den num^{-1} by Bareiss elimination; raises SingularMinor if singular."""
-        p, _, right = _bareiss(self.num, MatValue.identity(self.n).num)
+        n = self.n
+        p, _, right = _bareiss(self.num, [[int(i == j) for j in range(n)] for i in range(n)])
         if not p:
             raise SingularMinor("singular matrix")
         return _lowest([[self.den * x for x in row] for row in right], p)
@@ -230,6 +241,20 @@ def _lowest(num: Sequence[Sequence[int]], den: int) -> MatValue:
     out.den = den // g
     out.n = len(num)
     return out
+
+
+def combination(n: int, terms: Iterable[tuple[Fraction | int, MatValue]]) -> MatValue:
+    """The n x n sum of c m over the (c, m) terms: the integer numerators are
+    summed over the lcm of the denominators and reduced once."""
+    scaled = []
+    for c, m in terms:
+        p, q = c.as_integer_ratio()
+        scaled.append((p, q * m.den, m.num))
+    den = math.lcm(*(q for _, q, _ in scaled))
+    lifts = [(p * (den // q), num) for p, q, num in scaled]
+    return _lowest(
+        [[sum(f * num[i][j] for f, num in lifts) for j in range(n)] for i in range(n)], den
+    )
 
 
 def _combine(num1, den1: int, num2, den2: int, sign: int) -> MatValue:
@@ -272,14 +297,15 @@ def _bareiss(num: Sequence[Sequence[int]], rhs: Sequence[Sequence[int]]) -> tupl
     return prev, sign, [row[n:] for row in m]
 
 
-def _flatten(blocks: Sequence[Sequence[MatValue]], d: int) -> MatValue:
-    """The matrix of d x d blocks as one matrix, over the lcm of the block denominators."""
+def _flatten(blocks: Sequence[Sequence[MatValue]], d: int) -> tuple[list, int]:
+    """The matrix of d x d blocks as one matrix: (integer rows, den), over the
+    lcm of the block denominators and not reduced."""
     den = math.lcm(*(blk.den for brow in blocks for blk in brow))
     rows = []
     for brow in blocks:
         lifts = [(blk.num, den // blk.den) for blk in brow]
         rows += ([x * f for num, f in lifts for x in num[r]] for r in range(d))
-    return _lowest(rows, den)
+    return rows, den
 
 
 def solve_minor(minor: Sequence[Sequence[MatValue]], col: Sequence[MatValue]) -> tuple:
@@ -294,12 +320,12 @@ def solve_minor(minor: Sequence[Sequence[MatValue]], col: Sequence[MatValue]) ->
     """
     if not col:
         return ()
-    m = _flatten(minor, col[0].n)
-    c = _flatten([[blk] for blk in col], col[0].n)
-    p, _, right = _bareiss(m.num, c.num)
+    m, m_den = _flatten(minor, col[0].n)
+    c, c_den = _flatten([[blk] for blk in col], col[0].n)
+    p, _, right = _bareiss(m, c)
     if not p:
         raise SingularMinor("singular matrix")
-    return [[m.den * x for x in row] for row in right], p * c.den
+    return [[m_den * x for x in row] for row in right], p * c_den
 
 
 def schur_complement(corner: MatValue, row: Sequence[MatValue], solved: tuple) -> MatValue:
@@ -308,8 +334,8 @@ def schur_complement(corner: MatValue, row: Sequence[MatValue], solved: tuple) -
     if not solved:
         return corner
     rows, den = solved
-    flat = _flatten([row], corner.n)
-    return _combine(corner.num, corner.den, _product(flat.num, rows), flat.den * den, -1)
+    flat, flat_den = _flatten([row], corner.n)
+    return _combine(corner.num, corner.den, _product(flat, rows), flat_den * den, -1)
 
 
 def block_quasidet(

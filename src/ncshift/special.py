@@ -13,14 +13,19 @@ with bounded resampling when a quasiminor happens to be singular.
 
 Values are memoized per assignment: a VariableAssignment keeps its shifted-power
 chains, minor solves, inverted denominators, S/Lambda values and quasi-Schur
-values for as long as it lives, so each point is evaluated once.  Every grid is
-boxed at its last column, so a quasideterminant is a solve of its minor rows
-against that column plus one Schur complement for the boxed row; the solve is
-keyed by the minor's exponents and shared by every row boxed against it (the S_k
-numerators, Lambda_1 and the S denominator share one, each Lambda_k shares its
-own with its denominator).  Shifted or swapped assignments start empty, and a
-singular minor, denominator or quasi-Schur value is never stored: it is raised
-again on every call.
+values for as long as it lives, so each point is evaluated once.  The chain of
+x_j starts from z = x_j - a_{1+t}; since a_{i+t} = a_{1+t} + (i-1) c, each
+further power is one fused step P_i = P_{i-1} (z - (i-1) c)
+(MatValue.times_shifted), with c read once.  Every grid is boxed at its last
+column, so a quasideterminant is a solve of its minor rows against that column
+plus one Schur complement for the boxed row; the solve is keyed by the minor's
+exponents and shared by every row boxed against it (the S_k numerators,
+Lambda_1 and the S denominator share one, each Lambda_k shares its own with its
+denominator).  Shifted or swapped assignments start empty, and a singular
+minor, denominator or quasi-Schur value is never stored: it is raised again on
+every call.  evaluate_nc sums c value(w) over the words of an element in one
+integer accumulator (quasidet.combination), the numeric twin of
+params.add_product, and reduces once.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from .quasidet import (
     MatValue,
     SingularMinor,
     block_quasidet,
+    combination,
     hessenberg_quasidet,
     random_mat,
     schur_complement,
@@ -145,12 +151,18 @@ def shifted_power(x: MatValue, sub: ParamSubstitution, k: int) -> MatValue:
 
 
 def _power(assignment: VariableAssignment, j: int, t: int, m: int) -> MatValue:
-    """<x_j | tau^t a>^m, read from a chain extended by P_{i} = P_{i-1} (x_j - a_{i+t})."""
-    x = assignment.vars[j]
-    chain = assignment._memo.get(("power", j, t)) or [MatValue.identity(x.n)]
-    assignment._memo["power", j, t] = chain
-    while len(chain) <= m:
-        chain.append(chain[-1] * (x - assignment.a(len(chain) + t)))
+    """<x_j | tau^t a>^m, read from the chain Id, z, ... of P_i = P_{i-1} (z - (i-1) c)
+    for z = x_j - a_{1+t}."""
+    memo = assignment._memo
+    chain = memo.get(("power", j, t))
+    if chain is None:
+        x = assignment.vars[j]
+        chain = memo["power", j, t] = [MatValue.identity(x.n), x - assignment.a(1 + t)]
+    if len(chain) <= m:
+        z = chain[1]
+        p, q = assignment.c.as_integer_ratio()
+        while len(chain) <= m:
+            chain.append(chain[-1].times_shifted(z, (len(chain) - 1) * p, q))
     return chain[m]
 
 
@@ -239,13 +251,13 @@ def spec_value(family: str, k: int, assignment: VariableAssignment) -> MatValue:
 def evaluate_nc(x: NCElement, assignment: VariableAssignment) -> MatValue:
     """Evaluate an S-basis element: letters via s_spec, coefficients numerically."""
     d = assignment.d
-    out = MatValue.zeros(d)
+    terms = []
     for w, c in x.substitute(assignment.sub).items():
-        acc = MatValue.scalar(d, c)
-        for k in w:
-            acc = acc * s_spec(k, assignment)
-        out = out + acc
-    return out
+        value = s_spec(w[0], assignment) if w else MatValue.identity(d)
+        for k in w[1:]:
+            value = value * s_spec(k, assignment)
+        terms.append((c, value))
+    return combination(d, terms)
 
 
 def variable_shift_defect(k: int, assignment: VariableAssignment) -> MatValue:

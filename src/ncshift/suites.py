@@ -33,7 +33,7 @@ from .families import (
     verify_translations,
     verify_wronski_newton,
 )
-from .hopf import TensorElement, convolution_defect, coproduct, counit
+from .hopf import TensorElement, convolution_defect, coproduct, counit, word_coproduct
 from .params import (
     SEQ_A,
     SEQ_AHAT,
@@ -469,14 +469,14 @@ def suite_hopf(degree: int = 5, seed: int = 0) -> Report:
     words = [w for w in all_words(degree) if w]
 
     def coassociative(w) -> bool:
-        d = coproduct(NCElement.word(w))
+        d = word_coproduct(w)
         return _tensor3(d, True) == _tensor3(d, False)
 
     def counital(w) -> bool:
         x = NCElement.word(w)
         l: dict = {}
         r: dict = {}
-        for (w1, w2), c in coproduct(x).terms.items():
+        for (w1, w2), c in word_coproduct(w).terms.items():
             add_product(l, w2, counit(NCElement.word(w1)), c)
             add_product(r, w1, counit(NCElement.word(w2)), c)
         return NCElement._summed(l) == x and NCElement._summed(r) == x
@@ -520,7 +520,7 @@ def _tensor3(d: TensorElement, left: bool) -> LinComb:
         split.setdefault(w, {})[partner] = c
     acc: dict = {}
     for w, partners in split.items():
-        delta = coproduct(NCElement.word(w)).terms
+        delta = word_coproduct(w).terms
         if left:
             add_products(acc, delta, partners, lambda k, u: (*k, u))
         else:

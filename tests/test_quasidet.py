@@ -18,6 +18,7 @@ from ncshift.quasidet import (
     SingularMinor,
     _flatten,
     block_quasidet,
+    combination,
     first_nonsingular,
     hessenberg_quasidet,
     random_mat,
@@ -28,6 +29,7 @@ from ncshift.special import ZeroDenominator
 from tests_support import (
     ref_block_quasidet,
     ref_det,
+    ref_flatten,
     ref_inverse,
     ref_product,
     ref_scalar,
@@ -203,6 +205,25 @@ def test_matvalue_ops_match_fraction_reference():
     assert 0 < singular < 400
 
 
+def test_fused_step_and_combination_match_fraction_reference():
+    rng = random.Random(71)
+    for d in (1, 2, 3):
+        for _ in range(40):
+            a, b, c = _mixed(rng, d), _mixed(rng, d), rng.choice(MIXED_POOL)
+            A, B = MatValue(a), MatValue(b)
+            # the shifted-power step A (B - s Id) at a zero, a negative, a
+            # non-integral and a drawn shift
+            for s in (Fraction(0), Fraction(-3), Fraction(5, 6), c):
+                want = ref_product(a, ref_sum(b, ref_scalar(d, s), -1))
+                assert _agrees(A.times_shifted(B, s.numerator, s.denominator), want)
+            terms = [(c, A), (Fraction(-2, 3), B), (3, MatValue.identity(d))]
+            want = ref_sum(ref_product(ref_scalar(d, c), a), ref_scalar(d, 3))
+            want = ref_sum(want, ref_product(ref_scalar(d, Fraction(2, 3)), b), -1)
+            assert _agrees(combination(d, terms), want)
+            assert _agrees(combination(d, [(c, A), (-c, A)]), ref_scalar(d, 0))
+        assert _agrees(combination(d, []), ref_scalar(d, 0))
+
+
 def test_block_quasidet_matches_fraction_reference():
     rng = random.Random(59)
     singular = 0
@@ -219,6 +240,19 @@ def test_block_quasidet_matches_fraction_reference():
         else:
             assert _agrees(block_quasidet(mats, p, q), want)
     assert 0 < singular < 150
+
+
+def test_flatten_is_unreduced_integer_rows_over_the_lcm():
+    # the minors, rows and columns handed to the elimination are not reduced
+    rng = random.Random(67)
+    for _ in range(60):
+        n, m, d = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)
+        blocks = [[_mixed(rng, d) for _ in range(m)] for _ in range(n)]
+        mats = [[MatValue(blk) for blk in row] for row in blocks]
+        rows, den = _flatten(mats, d)
+        assert den == math.lcm(*(blk.den for row in mats for blk in row))
+        assert all(type(x) is int for row in rows for x in row)
+        assert [[Fraction(x, den) for x in row] for row in rows] == ref_flatten(blocks)
 
 
 def test_matvalue_equal_values_by_different_routes_are_equal():
@@ -300,7 +334,7 @@ def test_block_quasidet_commutative_det_ratio():
     for _ in range(20):
         n = rng.choice([2, 3, 4])
         blocks = [[random_mat(rng, 1) for _ in range(n)] for _ in range(n)]
-        full = _flatten(blocks, 1)
+        full = MatValue(ref_flatten([[blk.data for blk in row] for row in blocks]))
         p = rng.randint(1, n)
         q = rng.randint(1, n)
         minor = MatValue(
@@ -322,7 +356,7 @@ def test_block_quasidet_inverse_block_property():
     for n, d in [(3, 2)] * 10 + [(4, 2)] * 4:
         blocks = [[random_mat(rng, d) for _ in range(n)] for _ in range(n)]
         try:
-            inv = _flatten(blocks, d).inverse()
+            inv = MatValue(ref_flatten([[blk.data for blk in row] for row in blocks])).inverse()
         except SingularMinor:
             continue
         for p in range(1, n + 1):

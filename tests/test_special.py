@@ -1,5 +1,6 @@
 """Matrix specialization: printed formulas, symmetries, recovery, quasi-Schur."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import chain
@@ -7,7 +8,8 @@ from itertools import chain
 import pytest
 
 from ncshift import quasidet
-from ncshift.params import ParamSubstitution
+from ncshift.algebra import NCElement
+from ncshift.params import ParamPoly, ParamSubstitution
 from ncshift.quasidet import (
     MatValue,
     SingularMinor,
@@ -37,7 +39,7 @@ from ncshift.special import (
     variable_shift_defect,
 )
 
-from tests_support import phi_psi_relation_defect
+from tests_support import phi_psi_relation_defect, random_element, ref_evaluate_nc
 
 STAR = ParamSubstitution.equidistant(1, -1)  # a_i = i - 1
 
@@ -565,6 +567,45 @@ def test_memo_is_not_shared_with_derived_assignments():
                 assert _power(B, j, j - 2, m) == want
     shifted = A.shift_all(1)
     assert all(s_spec(k, shifted) != s_spec(k, A) for k in (1, 2, 3))
+
+
+@pytest.mark.parametrize(
+    "c, base", [(0, 0), (1, -1), (-1, 2), (Fraction(1, 2), Fraction(-1, 3)), (Fraction(-2, 3), 1)]
+)
+def test_power_chains_match_shifted_power(c, base):
+    # the chain of fused steps from z = x_j - a_{1+t}, at zero, negative and
+    # non-integral spacings
+    from ncshift.special import _power
+
+    sub = ParamSubstitution.equidistant(c, base)
+    rng = random.Random(630)
+    for d in (1, 2, 3):
+        A = VariableAssignment(tuple(random_mat(rng, d) for _ in range(2)), sub)
+        for j, t in ((0, -1), (1, 0), (1, 2)):
+            for m in (6, 0, 3):
+                want = shifted_power(A.vars[j], _tau(sub, t), m)
+                got = _power(A, j, t, m)
+                assert got == want and math.gcd(got.den, *chain(*got.num)) == 1
+
+
+def test_evaluate_nc_matches_the_per_word_sum():
+    W = NCElement.word
+    a = ParamPoly.gen
+    fixed = [
+        NCElement.zero(),
+        NCElement.one(),
+        W(()).scale(Fraction(-5, 6)),
+        W((2, 1)).scale(Fraction(7, 3)) + W((1,)).scale(a(1) * Fraction(-1, 2)) + W(()),
+        W((3,)).scale(Fraction(1, 4)) - W((1, 2)).scale(Fraction(1, 4)),
+    ]
+    rng = random.Random(640)
+    for d in (1, 2, 3):
+        for sub in (STAR, ParamSubstitution.equidistant(Fraction(1, 2), Fraction(-1, 3))):
+            A = assignment(2, d, 650 + d, sub)
+            for x in fixed + [random_element(rng, 4, terms=4, monomials=2) for _ in range(6)]:
+                got = evaluate_nc(x, A)
+                assert got == ref_evaluate_nc(x, A)
+                assert got.den > 0 and math.gcd(got.den, *chain(*got.num)) == 1
 
 
 def test_memo_is_not_part_of_identity():

@@ -8,12 +8,14 @@ one that other calls have filled.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from ncshift import hopf
 from ncshift.algebra import NCElement, apply_letters, word_image
-from ncshift.families import lambda_in_S, lambda_words_to_s, omega, psi, s_in_psi_table
+from ncshift.families import all_words, lambda_in_S, lambda_words_to_s, omega, psi, s_in_psi_table
 from ncshift.hopf import antipode
 from ncshift.params import SEQ_A, SEQ_AHAT, ParamPoly
 from ncshift.shifts import coeff_shift, phi_shift, shift_S
@@ -84,12 +86,30 @@ def test_a_new_word_costs_one_product_on_its_cached_prefix(name):
     image, args = LETTER_MAPS[name]
     word_image.cache_clear()
     word_image(image, (2, 1, 1), *args)
-    image(3, *args)  # a letter image may itself read the table
+    word_image(image, (3,), *args)  # a letter image may itself read the table
     before = word_image.cache_info()
     got = word_image(image, (2, 1, 1, 3), *args)
     after = word_image.cache_info()
-    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+    # the new word, then its prefix and its last letter read back
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 2)
     assert got == word_image(image, (2, 1, 1), *args) * image(3, *args)
+
+
+def test_each_letter_map_runs_once_per_letter(monkeypatch):
+    # a word's last letter is read from the table like its prefix, so the
+    # antipodes of all words of degree <= 5 call the letter map once a letter
+    calls = Counter()
+    letter = hopf._antipode_letter
+
+    def counted(k):
+        calls[k] += 1
+        return letter(k)
+
+    monkeypatch.setattr(hopf, "_antipode_letter", counted)
+    word_image.cache_clear()
+    for w in all_words(5):
+        assert antipode(W(w)) == ref_antipode(W(w))
+    assert calls == Counter(range(1, 6))
 
 
 def test_maps_built_on_apply_letters_match_their_references():

@@ -8,6 +8,7 @@ from ncshift.algebra import NCElement, complete_homogeneous
 from ncshift.families import psi, psi_words_to_s, s_to_psi
 from ncshift.hopf import TensorElement
 from ncshift.params import SEQ_A, ParamPoly, ParamSequence, accumulate
+from ncshift.quasidet import MatValue
 from ncshift.ribbon import Composition, RibbonElement, ribbon_shifted
 from ncshift.series import TruncatedTSeries
 from ncshift.special import VariableAssignment, evaluate_nc, s_spec
@@ -147,13 +148,18 @@ def ref_det(a):
     return det
 
 
+def ref_flatten(blocks):
+    """The matrix of square Fraction blocks as one matrix, row by row."""
+    return [[x for blk in brow for x in blk[r]] for brow in blocks for r in range(len(brow[0]))]
+
+
 def ref_block_quasidet(blocks, p, q):
     """|A|_{pq} of a matrix of square Fraction blocks, from the defining formula
     a_pq - row (minor^{-1} col) on the flattened blocks; None if the minor is singular."""
-    n, d = len(blocks), len(blocks[0][0])
+    n = len(blocks)
 
     def flat(rows, cols):
-        return [[x for j in cols for x in blocks[i][j][r]] for i in rows for r in range(d)]
+        return ref_flatten([[blocks[i][j] for j in cols] for i in rows])
 
     rows = [i for i in range(n) if i != p - 1]
     cols = [j for j in range(n) if j != q - 1]
@@ -165,6 +171,19 @@ def ref_block_quasidet(blocks, p, q):
         return None
     solved = ref_product(inv, flat(rows, [q - 1]))
     return ref_sum(corner, ref_product(flat([p - 1], cols), solved), -1)
+
+
+def ref_evaluate_nc(x: NCElement, assignment: VariableAssignment) -> MatValue:
+    """special.evaluate_nc term by term: each word's value starts from its
+    coefficient times the identity, and each is added to the running sum."""
+    d = assignment.d
+    out = MatValue.zeros(d)
+    for w, c in x.substitute(assignment.sub).items():
+        acc = MatValue.scalar(d, c)
+        for k in w:
+            acc = acc * s_spec(k, assignment)
+        out = out + acc
+    return out
 
 
 # -- nested-product reference for sums of products over Q[a] -------------------
