@@ -31,7 +31,7 @@ from functools import cache
 from operator import add
 from typing import Callable, Iterable, Mapping
 
-from .params import LinComb, ParamPoly, ParamSubstitution, add_product, json_ints, signed
+from .params import LinComb, ParamPoly, ParamSubstitution, json_ints, signed
 
 Word = tuple[int, ...]
 
@@ -183,11 +183,7 @@ def apply_letters(
     Each word's image is read from word_image(), so image must be a pure
     function of (letter, *args); a reversed word reads the image of w[::-1].
     """
-    acc: dict = {}
-    for w, c in x.terms.items():
-        for u, d in word_image(image, w[::-1] if reverse else w, *args).terms.items():
-            add_product(acc, u, c, d)
-    return NCElement._summed(acc)
+    return NCElement.linear(x, lambda w: word_image(image, w[::-1] if reverse else w, *args))
 
 
 #: word_image() caches every this-many-th prefix of a longer word first, so

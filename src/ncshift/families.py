@@ -40,7 +40,7 @@ from itertools import combinations, pairwise
 from operator import add
 
 from .algebra import NCElement, Word, apply_letters, complete_homogeneous
-from .params import SEQ_A, SEQ_AHAT, ParamSequence, add_products
+from .params import SEQ_A, SEQ_AHAT, ParamSequence
 from .quasidet import hessenberg_quasidet
 from .shifts import shift_S
 
@@ -53,11 +53,13 @@ def lambda_in_S(n: int, base: ParamSequence = SEQ_A) -> NCElement:
     if n == 0:
         return NCElement.one()
     # Lambda_n = (-1)^{n+1} sum_{j=0}^{n-1} (-1)^j S_{n-j}^[n-1] Lambda_j
-    out = NCElement.zero()
-    for j in range(n):
-        term = shift_S(n - j, n - 1, base) * lambda_in_S(j, base)
-        out = out + (term if j % 2 == 0 else -term)
-    return out if (n + 1) % 2 == 0 else -out
+    return NCElement.sum_of_products(
+        (
+            (shift_S(n - j, n - 1, base).scale((-1) ** (n + 1 + j)), lambda_in_S(j, base))
+            for j in range(n)
+        ),
+        add,
+    )
 
 
 @cache
@@ -122,12 +124,13 @@ def psi_shifted(n: int, s: int) -> NCElement:
     """Psi_n^[s]; coincides with phi_shift(psi(n), s)."""
     if n < 1:
         raise ValueError("power sums start at n = 1")
-    out = NCElement.zero()
-    for k in range(n):
-        term = shift_Lambda(k, n - k + s) * shift_S(n - k, n - k - 1 + s)
-        term = term.scale(Fraction(n - k))
-        out = out + (term if k % 2 == 0 else -term)
-    return out
+    return NCElement.sum_of_products(
+        (
+            (shift_Lambda(k, n - k + s), shift_S(n - k, n - k - 1 + s).scale((-1) ** k * (n - k)))
+            for k in range(n)
+        ),
+        add,
+    )
 
 
 @cache
@@ -139,11 +142,14 @@ def s_in_psi_table(n: int) -> NCElement:
     """
     if n == 0:
         return NCElement.one()
-    terms: dict = {}
-    for k in range(1, n):
-        image = apply_letters(shift_S(k, n - 1), s_in_psi_table)
-        add_products(terms, image.terms, NCElement.gen(n - k).terms, add)
-    acc = NCElement.gen(n) + NCElement._summed(terms)  # plus the Psi_n letter
+    # the k = 0 term S_0^[n-1] Psi_n is the Psi_n letter
+    acc = NCElement.sum_of_products(
+        (
+            (apply_letters(shift_S(k, n - 1), s_in_psi_table), NCElement.gen(n - k))
+            for k in range(n)
+        ),
+        add,
+    )
     # acc / n = S_n^[n-1] over Psi-letters: S_n plus lower single-letter
     # terms, whose images are subtracted
     lower = shift_S(n, n - 1) - NCElement.gen(n)
@@ -165,10 +171,9 @@ def s_to_psi(x: NCElement) -> NCElement:
 
 def check_lineareq(n: int) -> NCElement:
     """The defect of sum_{i+j=n} (-1)^j S_i^[n-1] Lambda_j (zero iff it holds)."""
-    acc = NCElement.zero()
-    for j in range(n + 1):
-        term = shift_S(n - j, n - 1) * lambda_in_S(j)
-        acc = acc + (term if j % 2 == 0 else -term)
+    acc = NCElement.sum_of_products(
+        ((shift_S(n - j, n - 1).scale((-1) ** j), lambda_in_S(j)) for j in range(n + 1)), add
+    )
     if n == 0:
         acc = acc - NCElement.one()
     return acc
@@ -178,25 +183,25 @@ def verify_wronski_newton(n: int) -> tuple[bool, str]:
     """Check the fundamental, Wronski and Newton identities at degree n."""
     # S_n^[n-1] = sum_{k=1}^{n} (-1)^{k-1} Lambda_k^[n-k] S_{n-k}^[n-1-k]
     lhs = shift_S(n, n - 1)
-    rhs = NCElement.zero()
-    for k in range(1, n + 1):
-        term = shift_Lambda(k, n - k) * shift_S(n - k, n - 1 - k)
-        rhs = rhs + (term if (k - 1) % 2 == 0 else -term)
+    rhs = NCElement.sum_of_products(
+        (
+            (shift_Lambda(k, n - k), shift_S(n - k, n - 1 - k).scale((-1) ** (k - 1)))
+            for k in range(1, n + 1)
+        ),
+        add,
+    )
     if lhs != rhs:
         return False, f"fundamental identity fails at n={n}"
     # n S_n^[n-1] = sum_{k=0}^{n-1} S_k^[n-1] Psi_{n-k}
     lhs = shift_S(n, n - 1).scale(Fraction(n))
-    acc: dict = {}
-    for k in range(n):
-        add_products(acc, shift_S(k, n - 1).terms, psi(n - k).terms, add)
-    if lhs != NCElement._summed(acc):
+    rhs = NCElement.sum_of_products(((shift_S(k, n - 1), psi(n - k)) for k in range(n)), add)
+    if lhs != rhs:
         return False, f"Wronski identity fails at n={n}"
     # n Lambda_n = sum_{k=0}^{n-1} (-1)^{n-k-1} Psi_{n-k}^[k] Lambda_k
     lhs = lambda_in_S(n).scale(Fraction(n))
-    rhs = NCElement.zero()
-    for k in range(n):
-        term = psi_shifted(n - k, k) * lambda_in_S(k)
-        rhs = rhs + (term if (n - k - 1) % 2 == 0 else -term)
+    rhs = NCElement.sum_of_products(
+        ((psi_shifted(n - k, k).scale((-1) ** (n - k - 1)), lambda_in_S(k)) for k in range(n)), add
+    )
     if lhs != rhs:
         return False, f"Newton identity fails at n={n}"
     return True, ""
@@ -267,11 +272,9 @@ def embed_unshifted(n: int) -> NCElement:
     """
     if n == 0:
         return NCElement.one()
-    out = NCElement.zero()
-    for k in range(1, n + 1):
-        h = complete_homogeneous(SEQ_A.values(k), n - k)[n - k]
-        out = out + NCElement.gen(k).scale(h)
-    return out
+    return NCElement(
+        {(k,): complete_homogeneous(SEQ_A.values(k), n - k)[n - k] for k in range(1, n + 1)}
+    )
 
 
 @cache

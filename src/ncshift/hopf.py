@@ -14,9 +14,9 @@ anti-algebra map fixed by the antipode of each S_k (each Psi-word w of S_k
 sent to (-1)^len(w) times the psi image of w reversed), so the antipode of a
 word is read from algebra.word_image, as are the Psi-expansion of a word
 (whose constant term is its counit) and the S-expansion of each leg.  Every
-sum of products over Q[a] writes each coefficient product into one
-accumulator (params.add_product) and normalizes once.  Tensors are LinComb
-combinations keyed by pairs of words.
+sum of products over Q[a] is one LinComb.sum_of_products or LinComb.linear
+call, which writes each coefficient product into one accumulator and
+normalizes once.  Tensors are LinComb combinations keyed by pairs of words.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from operator import add
 
 from .algebra import NCElement, Word, apply_letters, word_image
 from .families import psi, s_in_psi_table
-from .params import LinComb, ParamPoly, accumulate, add_product, add_products
+from .params import LinComb, ParamPoly, accumulate
 
 
 class TensorElement(LinComb):
@@ -81,32 +81,22 @@ def word_coproduct(w: Word) -> TensorElement:
             left = tuple(v[i] for i in range(m) if mask >> i & 1)
             right = tuple(v[i] for i in range(m) if not mask >> i & 1)
             accumulate(rights.setdefault(left, {}), right, c)
-    acc: dict = {}
-    for left, terms in rights.items():
-        rights_in_s: dict = {}
-        for right, c in terms.items():
-            for u, d in word_image(psi, right).terms.items():
-                add_product(rights_in_s, u, c, d)
-        right_sum = NCElement._summed(rights_in_s).terms
-        add_products(acc, word_image(psi, left).terms, right_sum, lambda u, v: (u, v))
-    return TensorElement._summed(acc)
+    return TensorElement.sum_of_products(
+        ((word_image(psi, u), apply_letters(NCElement._of(t), psi)) for u, t in rights.items()),
+        lambda u, v: (u, v),
+    )
 
 
 def coproduct(x: NCElement) -> TensorElement:
     """Delta(x): the sum of c_w Delta(w) over the terms c_w w of x."""
-    acc: dict = {}
-    for w, c in x.terms.items():
-        for k, d in word_coproduct(w).terms.items():
-            add_product(acc, k, c, d)
-    return TensorElement._summed(acc)
+    return TensorElement.linear(x, word_coproduct)
 
 
 def counit(x: NCElement) -> ParamPoly:
     """The constant term of x in the power-sum generating set."""
-    acc: dict = {}
-    for w, c in x.terms.items():
-        add_product(acc, (), c, word_image(s_in_psi_table, w).constant_term())
-    return NCElement._summed(acc).constant_term()
+    return NCElement.linear(
+        x, lambda w: NCElement.scalar(word_image(s_in_psi_table, w).constant_term())
+    ).constant_term()
 
 
 def _antipode_letter(k: int) -> NCElement:
@@ -131,11 +121,13 @@ def convolution_defect(x: NCElement) -> tuple[NCElement, NCElement]:
     for (w1, w2), c in coproduct(x).terms.items():
         by_left.setdefault(w1, {})[w2] = c
         by_right.setdefault(w2, {})[w1] = c
-    left: dict = {}
-    right: dict = {}
-    for w1, terms in by_left.items():
-        add_products(left, word_image(_antipode_letter, w1[::-1]).terms, terms, add)
-    for w2, terms in by_right.items():
-        add_products(right, terms, word_image(_antipode_letter, w2[::-1]).terms, add)
+    left = NCElement.sum_of_products(
+        ((word_image(_antipode_letter, w[::-1]), NCElement._of(t)) for w, t in by_left.items()),
+        add,
+    )
+    right = NCElement.sum_of_products(
+        ((NCElement._of(t), word_image(_antipode_letter, w[::-1])) for w, t in by_right.items()),
+        add,
+    )
     eps = NCElement.scalar(counit(x))
-    return NCElement._summed(left) - eps, NCElement._summed(right) - eps
+    return left - eps, right - eps

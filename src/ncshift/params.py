@@ -15,11 +15,13 @@ the product of two monomials is their sorted concatenation, and the
 (index, exponent) form exists only in the printers and the JSON form.
 
 Every sum of products over Q[a] -- element products, letter substitutions,
-ribbon and coproduct expansions -- writes into one accumulator: a dict from
-output key to a raw monomial -> coefficient dict.  add_product() adds each
-coefficient product a*b at its joined monomial, add_products() does so over
-all term pairs of two combinations, and LinComb._summed() drops zeros, turns
-integral Fractions into ints and drops vanished keys once, at the end.
+ribbon and coproduct expansions, the signed sums of the generator families --
+is one call of LinComb.sum_of_products() (the sum of x*y over pairs of
+combinations) or LinComb.linear() (the sum of c_k image(k) over the terms of
+a combination).  Both write each coefficient product straight into one
+accumulator, a dict from output key to a raw monomial -> coefficient dict,
+and normalize it once at the end: zeros dropped, integral Fractions turned
+into ints, vanished keys dropped.  The accumulator never leaves this module.
 ParamPoly's own product runs through the same monomial loop, so the monomial
 join is written once.
 
@@ -117,14 +119,6 @@ def add_product(acc: dict, key, p: "ParamPoly", q: "ParamPoly") -> None:
     _add_monomial_products(t, p.terms, q.terms)
 
 
-def add_products(acc: dict, x: dict, y: dict, join: Callable) -> None:
-    """add_product() of c1 and c2 at join(k1, k2), over all pairs of terms
-    k1: c1 of x and k2: c2 of y (term maps with ParamPoly coefficients)."""
-    for k1, c1 in x.items():
-        for k2, c2 in y.items():
-            add_product(acc, join(k1, k2), c1, c2)
-
-
 def signed(coeff: str, body: str, scaled: str) -> str:
     """A printed term: body under the coefficient text "1", -body under "-1",
     else the caller's scaled form."""
@@ -162,6 +156,28 @@ class LinComb:
             if t:
                 out[key] = ParamPoly._of(t)
         return cls._of(out)
+
+    @classmethod
+    def sum_of_products(cls, pairs: Iterable, join: Callable):
+        """The sum of x*y over the pairs (x, y) of combinations with ParamPoly
+        coefficients, where the product of the terms c1 k1 of x and c2 k2 of y
+        is c1*c2 at join(k1, k2)."""
+        acc: dict = {}
+        for x, y in pairs:
+            for k1, c1 in x.terms.items():
+                for k2, c2 in y.terms.items():
+                    add_product(acc, join(k1, k2), c1, c2)
+        return cls._summed(acc)
+
+    @classmethod
+    def linear(cls, x: "LinComb", image: Callable):
+        """The sum of c_k image(k) over the terms c_k k of x, where image(k) is
+        a combination of cls and every coefficient is a ParamPoly."""
+        acc: dict = {}
+        for k, c in x.terms.items():
+            for u, d in image(k).terms.items():
+                add_product(acc, u, c, d)
+        return cls._summed(acc)
 
     @classmethod
     def zero(cls):
@@ -203,11 +219,7 @@ class LinComb:
     def _product(self, other, join: Callable):
         """The bilinear product of two combinations with ParamPoly coefficients:
         c1*c2 summed at join(k1, k2) over all term pairs."""
-        # one accumulator for the whole product: each c1*c2 goes straight into
-        # the raw monomial dict of its key, and is normalized once at the end
-        acc: dict = {}
-        add_products(acc, self.terms, other.terms, join)
-        return self._summed(acc)
+        return self.sum_of_products(((self, other),), join)
 
     def sorted_terms(self) -> list:
         terms = self.terms

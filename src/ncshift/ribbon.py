@@ -21,7 +21,7 @@ from functools import cache
 from itertools import accumulate
 
 from .algebra import NCElement
-from .params import SEQ_A, LinComb, ParamPoly, ParamSequence, add_product, json_ints
+from .params import SEQ_A, LinComb, ParamPoly, ParamSequence, json_ints
 from .quasidet import hessenberg_quasidet
 from .shifts import shift_S
 from .families import compositions_of, omega, shift_Lambda  # omega: re-exported
@@ -165,11 +165,7 @@ class RibbonElement(LinComb):
 
 
 def from_ribbon_basis(x: RibbonElement) -> NCElement:
-    acc: dict = {}
-    for (comp, K), c in x.terms.items():
-        for u, d in ribbon_shifted(Composition(comp), K).terms.items():
-            add_product(acc, u, c, d)
-    return NCElement._summed(acc)
+    return NCElement.linear(x, lambda key: ribbon_shifted(Composition(key[0]), key[1]))
 
 
 def to_ribbon_basis(x: NCElement) -> RibbonElement:

@@ -9,12 +9,12 @@ geometric series
     1/((t-b_1)...(t-b_k)) = sum_{i>=0} h_i(b_1,...,b_k) / t^{k+i},
 
 and products are taken in the plain basis.  Like every sum of products over
-Q[a] in the package, each coefficient of a product or of a re-expansion sums
-its coefficient products into one accumulator (params.add_product) and is
-normalized once.  The defining relation of the algebra is the statement that
-the complete homogeneous series over a and the elementary series over the
-dual sequence, evaluated at -t, are mutually inverse; it is checked
-coefficientwise in the plain basis.
+Q[a] in the package, each coefficient of a product or of a re-expansion is
+one LinComb.sum_of_products call, which sums its coefficient products into
+one accumulator and normalizes once.  The defining relation of the algebra
+is the statement that the complete homogeneous series over a and the
+elementary series over the dual sequence, evaluated at -t, are mutually
+inverse; it is checked coefficientwise in the plain basis.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from operator import add
 
 from .algebra import NCElement, complete_homogeneous
 from .families import lambda_in_S
-from .params import SEQ_A, SEQ_AHAT, ParamPoly, ParamSequence, add_product, add_products
+from .params import SEQ_A, SEQ_AHAT, ParamPoly, ParamSequence
 
 
 @dataclass
@@ -62,11 +62,8 @@ class TruncatedTSeries:
         n = min(self.order, other.order)
         out: dict[int, NCElement] = {}
         for k in range(1, n + 1):
-            acc: dict = {}
-            for i in range(k + 1):
-                add_products(acc, self.coeff(i).terms, other.coeff(k - i).terms, add)
-            c = NCElement._summed(acc)
-            if c:
+            pairs = ((self.coeff(i), other.coeff(k - i)) for i in range(k + 1))
+            if c := NCElement.sum_of_products(pairs, add):
                 out[k] = c
         return TruncatedTSeries(n, self.constant * other.constant, out, None)
 
@@ -78,15 +75,13 @@ def reexpand_values(
     values: list[ParamPoly],
 ) -> TruncatedTSeries:
     """Plain-basis form of sum_k coeffs[k]/((t-v_1)...(t-v_k))."""
-    accs: dict[int, dict] = {}
-    for k, c in coeffs.items():
-        if k > order:
-            continue
-        for i, h in enumerate(complete_homogeneous(values[:k], order - k)):
-            acc = accs.setdefault(k + i, {})
-            for w, d in c.terms.items():
-                add_product(acc, w, d, h)
-    out = {k: c for k, acc in accs.items() if (c := NCElement._summed(acc))}
+    # hs[k][i] = h_i(v_1, ..., v_k) multiplies coeffs[k] into the coefficient k + i
+    hs = {k: complete_homogeneous(values[:k], order - k) for k in coeffs if k <= order}
+    out = {}
+    for n in range(1, order + 1):
+        pairs = ((coeffs[k], NCElement.scalar(h[n - k])) for k, h in hs.items() if k <= n)
+        if c := NCElement.sum_of_products(pairs, add):
+            out[n] = c
     return TruncatedTSeries(order, constant, out, None)
 
 

@@ -65,16 +65,9 @@ def shift_S(k: int, s: int, base: ParamSequence = SEQ_A) -> NCElement:
     return NCElement({(k - nu,): c for nu, c in enumerate(coeffs)})
 
 
-def coeff_shift(c: ParamPoly, s: int) -> ParamPoly:
-    """Action of phi^[s] on a coefficient polynomial.
-
-    Induced by the sequence move a -> tau^{-s} a read on the indices of a.
-    """
-    return c.tau(-s)
-
-
 def phi_shift(x: NCElement, s: int) -> NCElement:
     """The algebra map phi^[s]: letters via shift_S, coefficients re-indexed."""
     if s == 0:
         return x
-    return apply_letters(x.map_coefficients(lambda c: coeff_shift(c, s)), shift_S, args=(s,))
+    # on coefficients phi^[s] is the sequence move a -> tau^{-s} a read on the indices of a
+    return apply_letters(x.map_coefficients(lambda c: c.tau(-s)), shift_S, args=(s,))

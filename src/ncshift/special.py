@@ -25,7 +25,7 @@ denominator).  Shifted or swapped assignments start empty, and a singular
 minor, denominator or quasi-Schur value is never stored: it is raised again on
 every call.  evaluate_nc sums c value(w) over the words of an element in one
 integer accumulator (quasidet.combination), the numeric twin of
-params.add_product, and reduces once.
+LinComb.linear, and reduces once.
 """
 
 from __future__ import annotations

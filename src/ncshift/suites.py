@@ -34,15 +34,7 @@ from .families import (
     verify_wronski_newton,
 )
 from .hopf import TensorElement, convolution_defect, coproduct, counit, word_coproduct
-from .params import (
-    SEQ_A,
-    SEQ_AHAT,
-    LinComb,
-    ParamPoly,
-    ParamSubstitution,
-    add_product,
-    add_products,
-)
+from .params import SEQ_A, SEQ_AHAT, LinComb, ParamPoly, ParamSubstitution
 from .quasidet import (
     ExhaustedRetries,
     MatValue,
@@ -473,13 +465,11 @@ def suite_hopf(degree: int = 5, seed: int = 0) -> Report:
         return _tensor3(d, True) == _tensor3(d, False)
 
     def counital(w) -> bool:
-        x = NCElement.word(w)
-        l: dict = {}
-        r: dict = {}
-        for (w1, w2), c in word_coproduct(w).terms.items():
-            add_product(l, w2, counit(NCElement.word(w1)), c)
-            add_product(r, w1, counit(NCElement.word(w2)), c)
-        return NCElement._summed(l) == x and NCElement._summed(r) == x
+        # (eps x id) and (id x eps) of Delta(w), each leg's counit at the other leg
+        d, x = word_coproduct(w), NCElement.word(w)
+        l = NCElement.linear(d, lambda k: NCElement({k[1]: counit(NCElement.word(k[0]))}))
+        r = NCElement.linear(d, lambda k: NCElement({k[0]: counit(NCElement.word(k[1]))}))
+        return l == x and r == x
 
     rng = rep.rng("algebra-morphism")
     degs = [w for w in words if sum(w) <= max(1, degree - 1)]
@@ -518,14 +508,9 @@ def _tensor3(d: TensorElement, left: bool) -> LinComb:
     for (w1, w2), c in d.terms.items():
         w, partner = (w1, w2) if left else (w2, w1)
         split.setdefault(w, {})[partner] = c
-    acc: dict = {}
-    for w, partners in split.items():
-        delta = word_coproduct(w).terms
-        if left:
-            add_products(acc, delta, partners, lambda k, u: (*k, u))
-        else:
-            add_products(acc, partners, delta, lambda u, k: (u, *k))
-    return LinComb._summed(acc)
+    join = (lambda k, u: (*k, u)) if left else (lambda k, u: (u, *k))
+    pairs = ((word_coproduct(w), LinComb._of(partners)) for w, partners in split.items())
+    return LinComb.sum_of_products(pairs, join)
 
 
 def _draws(n: int, d: int, check) -> tuple:

@@ -83,6 +83,33 @@ def test_apply_letters_matches_nested_reference(reverse):
             assert_normal_form(got)
 
 
+def test_sum_of_products_and_linear_match_nested_reference():
+    xs = _elements(2110, 12, 3)
+    pairs = list(zip(xs, reversed(xs)))
+    got = NCElement.sum_of_products(pairs, add)
+    want = NCElement.zero()
+    for x, y in pairs:
+        want = want + ref_nested_product(x, y, add)
+    assert got == want
+    assert_normal_form(got)
+    # one pair and its negation cancel at every key; no pair is the zero sum
+    x, y = xs[0], xs[1]
+    assert NCElement.sum_of_products([(x, y), (x.scale(-1), y)], add).terms == {}
+    assert NCElement.sum_of_products([], add).terms == {}
+
+    def image(w):
+        return NCElement.word(w[::-1]) * S(1) + S(2).scale(a(len(w)) * Fraction(1, 3))
+
+    for x in xs:
+        got = NCElement.linear(x, image)
+        want = NCElement.zero()
+        for w, c in x.terms.items():
+            want = want + image(w).scale(c)
+        assert got == want
+        assert_normal_form(got)
+    assert NCElement.linear(NCElement.zero(), image).terms == {}
+
+
 def test_from_ribbon_basis_matches_nested_reference():
     rng = random.Random(2105)
     for x in _elements(2105, 12, 4):

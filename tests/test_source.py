@@ -126,6 +126,29 @@ def test_only_the_duality_layer_takes_a_sequence():
     ]
 
 
+def _added_to_itself(node):
+    """What node adds to or subtracts from its own target: e in x += e,
+    x -= e, x = x + e or x = x - e; None for any other node."""
+    if isinstance(node, ast.AugAssign):
+        target, op, left, right = node.target, node.op, node.target, node.value
+    elif isinstance(node, ast.Assign) and isinstance(node.value, ast.BinOp):
+        target, op, left, right = node.targets[0], node.value.op, node.value.left, node.value.right
+    else:
+        return None
+    if isinstance(op, (ast.Add, ast.Sub)) and ast.unparse(left) == ast.unparse(target):
+        return right
+    return None
+
+
+def _is_product(node) -> bool:
+    """Whether node is a * b; a repeated list is no product."""
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Mult)
+        and not isinstance(node.left, ast.List)
+    )
+
+
 #: the sums that still add one product at a time, each with its reason
 PER_PAIR_SUMS = {
     # commuting ParamPoly values, one polynomial product per step of the recurrence
@@ -156,20 +179,24 @@ def test_one_monomial_join_and_no_per_pair_products():
         )
 
     def adds_a_product_to_itself(node):
-        # x = x + a * b, x = x - a * b, x += a * b and x -= a * b
-        if isinstance(node, ast.AugAssign):
-            target, op, left, right = node.target, node.op, node.target, node.value
-        elif isinstance(node, ast.Assign) and isinstance(node.value, ast.BinOp):
-            target, op, left, right = node.targets[0], node.value.op, node.value.left, node.value.right
-        else:
+        # x = x + a * b, x = x - a * b, x += a * b and x -= a * b; and a loop
+        # whose body binds term = a * b and later adds it, as in
+        # x = x + (term if ... else -term)
+        added = _added_to_itself(node)
+        if added is not None:
+            return _is_product(added)
+        if not isinstance(node, (ast.For, ast.While)):
             return False
-        return (
-            isinstance(op, (ast.Add, ast.Sub))
-            and ast.unparse(left) == ast.unparse(target)
-            and isinstance(right, ast.BinOp)
-            and isinstance(right.op, ast.Mult)
-            and not isinstance(right.left, ast.List)  # a repeated list is no product
-        )
+        products = set()
+        for stmt in node.body:
+            added = _added_to_itself(stmt)
+            if added is not None and any(
+                isinstance(n, ast.Name) and n.id in products for n in ast.walk(added)
+            ):
+                return True
+            if isinstance(stmt, ast.Assign) and _is_product(stmt.value):
+                products.update(t.id for t in stmt.targets if isinstance(t, ast.Name))
+        return False
 
     assert _scopes(SRC, joins_monomials) == ["params._add_monomial_products"]
     assert _scopes(SRC, accumulates_a_product) == []
@@ -254,3 +281,17 @@ def test_hopf_memoizes_only_the_coproduct_of_a_word():
         if (isinstance(node, ast.Call) and any(_names(node.func, name) for name in banned))
         or (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Mult))
     ]
+
+
+def test_the_accumulator_stays_inside_params():
+    # a sum of products over Q[a] is one LinComb.sum_of_products or
+    # LinComb.linear call; the raw accumulator and its helpers are private
+    # to params
+    accumulator = {"add_product", "add_products", "_summed"}
+
+    def refers(node):
+        return any(_names(node, name) for name in accumulator) or (
+            isinstance(node, ast.alias) and node.name in accumulator
+        )
+
+    assert {scope.split(".")[0] for scope in _scopes(SRC, refers)} == {"params"}
