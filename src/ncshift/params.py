@@ -213,7 +213,9 @@ class LinComb:
         return self._of(out)
 
     def scale(self, c):
-        """Multiply every coefficient by c, which is used as given."""
+        """Multiply every coefficient by c, used as given; the int 1 returns self."""
+        if type(c) is int and c == 1:
+            return self
         return self._of({k: _integral(c * v) for k, v in self.terms.items()} if c else {})
 
     def _product(self, other, join: Callable):
@@ -315,7 +317,7 @@ class ParamPoly(LinComb):
 
     def __mul__(self, other) -> "ParamPoly":
         if not isinstance(other, ParamPoly):
-            return self.scale(_integral(as_fraction(other)))
+            return self.scale(other if type(other) is int else _integral(as_fraction(other)))
         t: dict = {}
         _add_monomial_products(t, self.terms, other.terms)
         return ParamPoly._of(_normal_terms(t))

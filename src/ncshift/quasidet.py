@@ -10,7 +10,10 @@ Two evaluators cover everything in scope:
   unit subdiagonal it is
 
       (-1)^(n-1) |A|_{1n} = sum over 1 <= l_1 < ... < l_k < n of
-                 (-1)^(n-1+k)  a_{1,l_1} a_{l_1+1,l_2} ... a_{l_k+1,n};
+                 (-1)^(n-1+k)  a_{1,l_1} a_{l_1+1,l_2} ... a_{l_k+1,n}.
+
+  Its entries are NCElements only, and each row of its recursion is one
+  LinComb.sum_of_products call;
 
 * an exact numeric evaluator for matrices whose entries are square rational
   matrices, using the defining formula
@@ -45,7 +48,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import chain, count, islice
-from operator import mul
+from operator import add, mul
 from typing import Callable, Iterable, Sequence
 
 from .algebra import NCElement
@@ -84,17 +87,15 @@ def first_nonsingular(points: Iterable, check: Callable):
 
 def hessenberg_quasidet(
     n: int,
-    entry: Callable[[int, int], NCElement | MatValue],
+    entry: Callable[[int, int], NCElement],
     subdiag: Sequence[Fraction | int] | None = None,
-) -> NCElement | MatValue:
+) -> NCElement:
     """(-1)^(n-1) |A|_{1n} for an n x n almost-upper-triangular matrix A.
 
     entry(i, j) is the NCElement at the 1-indexed position (i, j) for
     i <= j; the expansion asks for each of these n(n+1)/2 entries exactly
     once.  subdiag gives the scalar entries at positions (i+1, i), default
-    all 1; every entry below the subdiagonal is zero.  The expansion only
-    multiplies, subtracts, negates and scales entries, so they may also be
-    MatValue blocks, the subdiagonal then holding multiples of the identity.
+    all 1; every entry below the subdiagonal is zero.
     """
     if n < 1:
         raise ShapeError(f"need n >= 1, got {n}")
@@ -105,17 +106,15 @@ def hessenberg_quasidet(
     # row i is divided by the subdiagonal entry to its left
     scale = [Fraction(1), Fraction(1)] + [Fraction(1) / as_fraction(c) for c in subdiag]
 
-    def scaled(i: int, j: int) -> NCElement | MatValue:
+    def scaled(i: int, j: int) -> NCElement:
         e = entry(i, j)
         return e.scale(scale[i]) if scale[i] != 1 else e
 
-    # tail[i] accumulates the expansion over rows i..n
+    # tail[i] is the expansion over rows i..n
     tail = {}
     for i in range(n, 0, -1):
-        acc = scaled(i, n)
-        for m in range(i, n):
-            acc = acc - scaled(i, m) * tail[m + 1]
-        tail[i] = acc
+        pairs = ((scaled(i, m), tail[m + 1]) for m in range(i, n))
+        tail[i] = scaled(i, n) - NCElement.sum_of_products(pairs, add)
     return tail[1] if n % 2 else -tail[1]
 
 

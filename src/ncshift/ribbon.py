@@ -170,7 +170,7 @@ def from_ribbon_basis(x: RibbonElement) -> NCElement:
 
 def to_ribbon_basis(x: NCElement) -> RibbonElement:
     """Triangular elimination against leading words in the elimination order."""
-    out = RibbonElement()
+    out = {}
     rest = x
     while not rest.is_zero():
         w = rest.leading_word()
@@ -178,9 +178,10 @@ def to_ribbon_basis(x: NCElement) -> RibbonElement:
             raise ValueError("element has a constant term; not in the ribbon span")
         I = Composition(w)
         c = rest.terms[w]
-        out = out + RibbonElement.single(I, coeff=c)
+        # each leading word is strictly smaller than the last, so no key repeats
+        out[I.parts, I.row_shifts()] = c
         rest = rest - ribbon(I).scale(c)
-    return out
+    return RibbonElement._of(out)
 
 
 # -- product and duality formulas ----------------------------------------------

@@ -25,7 +25,9 @@ denominator).  Shifted or swapped assignments start empty, and a singular
 minor, denominator or quasi-Schur value is never stored: it is raised again on
 every call.  evaluate_nc sums c value(w) over the words of an element in one
 integer accumulator (quasidet.combination), the numeric twin of
-LinComb.linear, and reduces once.
+LinComb.linear, and reduces once.  The conjugate quasi-Schur form evaluates
+the symbolic hessenberg_quasidet expansion, so solve_minor, schur_complement
+and block_quasidet are the one numeric quasideterminant path.
 """
 
 from __future__ import annotations
@@ -390,16 +392,15 @@ def quasi_schur_spec(shape: tuple[int, ...], assignment: VariableAssignment) -> 
 def quasi_schur_lambda_form(shape: tuple[int, ...], assignment: VariableAssignment) -> MatValue:
     """The conjugate elementary-generator form of the quasi-Schur value.
 
-    For lambda = (l_1 <= ... <= l_n) this evaluates the matrix whose (p,q)
-    entry is Lambda over the reversed partial sums with column shifts [1-q];
-    it equals the quasi-Schur value of the conjugate shape.  The matrix is
-    Hessenberg with identity blocks on its subdiagonal.
+    For lambda = (l_1 <= ... <= l_n) the matrix whose (p,q) entry is Lambda
+    over the reversed partial sums with column shifts [1-q] is Hessenberg with
+    unit subdiagonal; its symbolic quasideterminant, evaluated (an algebra
+    map), equals the quasi-Schur value of the conjugate shape.
     """
     lam = tuple(shape)
     n = len(lam)
-    return hessenberg_quasidet(
-        n, lambda p, q: evaluate_nc(shift_Lambda(sum(lam[n - q : n - p + 1]), 1 - q), assignment)
-    )
+    x = hessenberg_quasidet(n, lambda p, q: shift_Lambda(sum(lam[n - q : n - p + 1]), 1 - q))
+    return evaluate_nc(x, assignment)
 
 
 def frobenius_form(shape: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -12,6 +12,7 @@ from operator import add
 
 import pytest
 
+from ncshift import params
 from ncshift.algebra import NCElement, apply_letters
 from ncshift.families import lambda_in_S, psi
 from ncshift.hopf import TensorElement, convolution_defect, coproduct
@@ -210,3 +211,23 @@ def test_integral_product_is_stored_as_int():
     u = TensorElement({((), (1,)): ParamPoly.const(2) * a(0)})
     c = (t * u).terms[((1,), (1,))].terms[(0,)]
     assert type(c) is int and c == 1
+
+
+def test_int_scalars_skip_the_fraction_coercion(monkeypatch):
+    # scale(1) is the element itself, and no int scalar passes through
+    # as_fraction; the values agree with the Fraction path
+    xs = _elements(2601, 12, 4)
+    real, calls = params.as_fraction, []
+    monkeypatch.setattr(params, "as_fraction", lambda c: calls.append(c) or real(c))
+    scaled = {k: [x.scale(k) for x in xs] for k in (1, -1, 2)}
+    assert calls == []
+    assert all(y is x for x, y in zip(xs, scaled[1]))
+    for k in (-1, 2):
+        for x, got in zip(xs, scaled[k]):
+            assert got == x.scale(Fraction(k)) == x.scale(str(k))
+            assert got == x.scale(ParamPoly.const(k))
+            assert_normal_form(got)
+    assert calls
+    for bad in (1.0, 2.5, True):
+        with pytest.raises(TypeError):
+            xs[0].scale(bad)

@@ -27,9 +27,12 @@ from ncshift.quasidet import (
 from ncshift.shifts import shift_S
 from ncshift.special import ZeroDenominator
 from tests_support import (
+    assert_normal_form,
+    random_element,
     ref_block_quasidet,
     ref_det,
     ref_flatten,
+    ref_hessenberg_quasidet,
     ref_inverse,
     ref_product,
     ref_scalar,
@@ -90,6 +93,28 @@ def test_hessenberg_scalar_subdiagonal():
         3, lambda i, j: e(i, j).scale(row_scale[i - 1]), subdiag=[-2, Fraction(1, 3)]
     )
     assert q == plain
+
+
+def test_hessenberg_matches_per_pair_reference():
+    # one accumulator call per row against the one-product-at-a-time loop,
+    # at unit, integer and rational subdiagonals
+    rng = random.Random(26)
+    subdiagonals = (None, [-3, -1, 2, 5], [-3, 2, Fraction(1, 2), Fraction(-2, 3), Fraction(7, 4)])
+    for n in range(1, 7):
+        for pool in subdiagonals:
+            subdiag = None if pool is None else [rng.choice(pool) for _ in range(n - 1)]
+            entries = {
+                (i, j): random_element(rng, max_degree=3, terms=3, monomials=2)
+                for i in range(1, n + 1)
+                for j in range(i, n + 1)
+            }
+
+            def entry(i, j):
+                return entries[i, j]
+
+            got = hessenberg_quasidet(n, entry, subdiag)
+            assert got == ref_hessenberg_quasidet(n, entry, subdiag)
+            assert_normal_form(got)
 
 
 def test_hessenberg_shape_errors():

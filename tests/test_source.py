@@ -153,8 +153,6 @@ def _is_product(node) -> bool:
 PER_PAIR_SUMS = {
     # commuting ParamPoly values, one polynomial product per step of the recurrence
     "algebra.complete_homogeneous": 1,
-    # generic over its entries: MatValue blocks at numeric points, elements symbolically
-    "quasidet.hessenberg_quasidet": 1,
     # sums ParamPoly scalars, one product per term of the bracket recursion
     "shifts.a_binomial": 1,
 }

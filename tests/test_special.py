@@ -9,6 +9,7 @@ import pytest
 
 from ncshift import quasidet
 from ncshift.algebra import NCElement
+from ncshift.families import shift_Lambda
 from ncshift.params import ParamPoly, ParamSubstitution
 from ncshift.quasidet import (
     MatValue,
@@ -39,7 +40,12 @@ from ncshift.special import (
     variable_shift_defect,
 )
 
-from tests_support import phi_psi_relation_defect, random_element, ref_evaluate_nc
+from tests_support import (
+    phi_psi_relation_defect,
+    random_element,
+    ref_evaluate_nc,
+    ref_hessenberg_quasidet,
+)
 
 STAR = ParamSubstitution.equidistant(1, -1)  # a_i = i - 1
 
@@ -234,6 +240,35 @@ def test_quasi_schur_conjugate_identity():
     A = assignment(4, 2, 310)
     assert quasi_schur_spec((1, 1, 2), A) == quasi_schur_lambda_form((1, 3), A)
     assert quasi_schur_spec((1, 3), A) == quasi_schur_lambda_form((1, 1, 2), A)
+
+
+def test_quasi_schur_lambda_form_matches_evaluated_blocks():
+    # the evaluated symbolic expansion against the per-pair expansion over the
+    # evaluated MatValue blocks, each on its own memo; x_2 = x_1 + c makes the
+    # shared S denominator singular, and then both raise SingularMinor
+    rng = random.Random(26)
+    checked = singular = 0
+    for shape in ((1, 3), (1, 1, 2), (2, 2), (1, 2, 3)):
+        n = len(shape)
+        for d in (1, 2):
+            x = random_mat(rng, d)
+            points = [tuple(random_mat(rng, d) for _ in range(k)) for k in (2, 3, 4)]
+            for vars in points + [(x, x + STAR.c), (x, x + STAR.c, random_mat(rng, d))]:
+                A, B = VariableAssignment(vars, STAR), VariableAssignment(vars, STAR)
+
+                def block(p, q):
+                    return evaluate_nc(shift_Lambda(sum(shape[n - q : n - p + 1]), 1 - q), B)
+
+                try:
+                    want = ref_hessenberg_quasidet(n, block)
+                except SingularMinor:
+                    singular += 1
+                    with pytest.raises(SingularMinor):
+                        quasi_schur_lambda_form(shape, A)
+                    continue
+                checked += 1
+                assert quasi_schur_lambda_form(shape, A) == want
+    assert checked >= 16 and singular >= 16
 
 
 def test_quasi_schur_requires_partition():

@@ -186,6 +186,26 @@ def ref_evaluate_nc(x: NCElement, assignment: VariableAssignment) -> MatValue:
     return out
 
 
+def ref_hessenberg_quasidet(n, entry, subdiag=None):
+    """quasidet.hessenberg_quasidet one product at a time, generic over its
+    entries: NCElements, or MatValue blocks over a subdiagonal of multiples
+    of the identity.  Each row's sum copies the running sum once per pair."""
+    subdiag = [1] * (n - 1) if subdiag is None else subdiag
+    scale = [Fraction(1), Fraction(1)] + [1 / Fraction(c) for c in subdiag]
+
+    def scaled(i, j):
+        e = entry(i, j)
+        return e.scale(scale[i]) if scale[i] != 1 else e
+
+    tail = {}
+    for i in range(n, 0, -1):
+        acc = scaled(i, n)
+        for m in range(i, n):
+            acc = acc - scaled(i, m) * tail[m + 1]
+        tail[i] = acc
+    return tail[1] if n % 2 else -tail[1]
+
+
 # -- nested-product reference for sums of products over Q[a] -------------------
 #
 # Each product of two coefficients is a fresh ParamPoly, built one monomial
