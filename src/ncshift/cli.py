@@ -83,9 +83,10 @@ def _param_value(name: str, value) -> Fraction:
         raise ValueError(f"--params entry {name} is not an exact rational: {e!r}") from None
 
 
-def _parse_params(text: str) -> ParamSubstitution:
+def _parse_params(text: str) -> ParamSubstitution | None:
+    """The substitution a --params value names; None for symbolic parameters."""
     if text == "symbolic":
-        return ParamSubstitution.symbolic()
+        return None
     if text.startswith("equidistant:"):
         parts = text.split(":", 1)[1].split(",")
         if len(parts) != 2:
@@ -154,7 +155,7 @@ def cmd_convert(args) -> int:
         print(out.latex() if out_basis == "R" else out.latex(letter))
         return 0
     payload = out.to_json() if out_basis == "R" else out.to_json(out_basis)
-    if out_basis == "R" and sub.is_whole_distant():
+    if out_basis == "R" and sub is not None and sub.is_whole_distant():
         payload["whole_distant"] = True
         try:
             payload["integer_coefficients"] = out.integer_coefficients(sub)

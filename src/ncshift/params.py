@@ -351,8 +351,8 @@ class ParamPoly(LinComb):
         )
 
     def substitute(self, sub: "ParamSubstitution") -> Fraction:
-        """Numeric evaluation under a non-symbolic substitution; the value of
-        each index is read from sub once per call, as an int where integral."""
+        """Numeric evaluation under a substitution; the value of each index
+        is read from sub once per call, as an int where integral."""
         values: dict[int, int | Fraction] = {}
         total = 0
         for m, c in self.terms.items():
@@ -452,18 +452,14 @@ SEQ_AHAT = ParamSequence(True, 0)
 class ParamSubstitution:
     """Assignment of rational values to the indices of the sequence a.
 
-    kind is one of 'symbolic', 'equidistant', 'explicit'.  The equidistant
-    assignment is a_i = base + i*c for every integer i.
+    kind is 'equidistant', a_i = base + i*c for every integer i, or
+    'explicit', a table of finitely many a_i; symbolic parameters have none.
     """
 
     kind: str
     c: Fraction | None = None
     base: Fraction | None = None
     table: tuple[tuple[int, Fraction], ...] | None = None
-
-    @staticmethod
-    def symbolic() -> "ParamSubstitution":
-        return ParamSubstitution("symbolic")
 
     @staticmethod
     def equidistant(c, base=0) -> "ParamSubstitution":
@@ -479,20 +475,16 @@ class ParamSubstitution:
     def index_value(self, i: int) -> Fraction:
         if self.kind == "equidistant":
             return self.base + i * self.c
-        if self.kind == "explicit":
-            for j, v in self.table:
-                if j == i:
-                    return v
-            raise MissingIndex(i)
-        raise ValueError("symbolic substitution has no numeric values")
+        for j, v in self.table:
+            if j == i:
+                return v
+        raise MissingIndex(i)
 
     def is_whole_distant(self) -> bool:
         """Whether a_i - a_j is an integer for all covered i, j."""
         if self.kind == "equidistant":
             return self.c.denominator == 1
-        if self.kind == "explicit":
-            if not self.table:
-                return True
-            v0 = self.table[0][1]
-            return all((v - v0).denominator == 1 for _, v in self.table)
-        return False
+        if not self.table:
+            return True
+        v0 = self.table[0][1]
+        return all((v - v0).denominator == 1 for _, v in self.table)

@@ -95,7 +95,8 @@ def hessenberg_quasidet(
     entry(i, j) is the NCElement at the 1-indexed position (i, j) for
     i <= j; the expansion asks for each of these n(n+1)/2 entries exactly
     once.  subdiag gives the scalar entries at positions (i+1, i), default
-    all 1; every entry below the subdiagonal is zero.
+    all 1; a zero one is a ShapeError.  Every entry below the subdiagonal
+    is zero.
     """
     if n < 1:
         raise ShapeError(f"need n >= 1, got {n}")
@@ -104,7 +105,11 @@ def hessenberg_quasidet(
     if len(subdiag) != n - 1:
         raise ShapeError("need exactly n-1 subdiagonal entries")
     # row i is divided by the subdiagonal entry to its left
-    scale = [Fraction(1), Fraction(1)] + [Fraction(1) / as_fraction(c) for c in subdiag]
+    scale = [Fraction(1), Fraction(1)]
+    for i, c in enumerate(map(as_fraction, subdiag), 2):
+        if not c:
+            raise ShapeError(f"zero subdiagonal entry at ({i}, {i - 1})")
+        scale.append(1 / c)
 
     def scaled(i: int, j: int) -> NCElement:
         e = entry(i, j)
@@ -340,11 +345,13 @@ def schur_complement(corner: MatValue, row: Sequence[MatValue], solved: tuple) -
 def block_quasidet(
     blocks: Sequence[Sequence[MatValue]], p: int, q: int
 ) -> MatValue:
-    """|A|_{pq} for an n x n matrix of d x d rational blocks (1-indexed p, q)."""
+    """|A|_{pq} for an n x n matrix of d x d rational blocks, 1 <= p, q <= n."""
     n = len(blocks)
     for brow in blocks:
         if len(brow) != n:
             raise ValueError("block matrix must be square")
+    if not (1 <= p <= n and 1 <= q <= n):
+        raise ValueError(f"need 1 <= p, q <= {n}, got ({p}, {q})")
     rows = [i for i in range(n) if i != p - 1]
     cols = [j for j in range(n) if j != q - 1]
     solved = solve_minor(

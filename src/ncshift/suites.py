@@ -206,7 +206,7 @@ def suite_defining_relation(degree: int = 8, seed: int = 0) -> Report:
     # mutation control: perturbing Lambda_2 must break the 1/t^2 coefficient
     lam = lambda_series_at_minus_t(4)
     lam.coeffs[2] = lam.coeffs.get(2, NCElement.zero()) + NCElement.gen(1)
-    bad = lam.multiply(sigma_series(4).to_plain())
+    bad = lam.multiply(sigma_series(4))
     mutated_fails = any(
         not bad.coeff(k).is_zero() for k in range(1, 5)
     ) or not (bad.constant - NCElement.one()).is_zero()

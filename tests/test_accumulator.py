@@ -137,7 +137,7 @@ def test_coproduct_and_convolution_defect_match_nested_reference():
 
 
 def _series(seed, count, order):
-    """Plain-basis series with random coefficients, one order left out of each."""
+    """Series with random coefficients, one order left out of each."""
     rng = random.Random(seed)
     out = []
     for _ in range(count):
@@ -145,7 +145,7 @@ def _series(seed, count, order):
         coeffs = {
             k: random_element(rng, 3, terms=3, monomials=3) for k in range(1, order + 1) if k != gap
         }
-        out.append(TruncatedTSeries(order, random_element(rng, 2, 2, 2), coeffs, None))
+        out.append(TruncatedTSeries(order, random_element(rng, 2, 2, 2), coeffs))
     return out
 
 
@@ -165,8 +165,8 @@ def test_series_products_match_nested_reference():
         _assert_series_normal_form(got)
     # (1 + x/t)(1 - x/t) = 1 - x^2/t^2: the order-1 coefficient cancels
     x = NCElement.word((1,)).scale(a(1) * Fraction(1, 2))
-    s = TruncatedTSeries(2, NCElement.one(), {1: x}, None)
-    t = TruncatedTSeries(2, NCElement.one(), {1: -x}, None)
+    s = TruncatedTSeries(2, NCElement.one(), {1: x})
+    t = TruncatedTSeries(2, NCElement.one(), {1: -x})
     got = s.multiply(t)
     assert list(got.coeffs) == [2] and got.coeffs[2] == -(x * x)
     assert (x * x).terms[(1, 1)].terms[(1, 1)] == Fraction(1, 4)

@@ -181,6 +181,18 @@ def test_convert_whole_distant_labeling(tmp_path, capsys):
     data = json.loads(out)
     assert data["whole_distant"] is True
     assert data["integer_coefficients"] is True
+    # no substitution, symbolic parameters and a non-whole-distant one all
+    # print the bare R-expansion: the same stdout, with no whole_distant key
+    outs = []
+    for params in ([], ["--params", "symbolic"], ["--params", "equidistant:1/2,0"]):
+        code, out, _ = run_cli(["convert", "--to", "R", "--input", str(src), *params], capsys)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1] == outs[2]
+    labels = ("whole_distant", "integer_coefficients")
+    bare = json.loads(outs[0])
+    assert not any(key in bare for key in labels)
+    assert bare == {k: v for k, v in data.items() if k not in labels}
 
 
 def test_convert_psi_and_lambda_targets(tmp_path, capsys):

@@ -206,11 +206,6 @@ def test_explicit_substitution_rejects_non_integer_indices(key):
         ParamSubstitution.explicit({key: "1", 2: "2"})
 
 
-def test_symbolic_substitution_rejected():
-    with pytest.raises(ValueError):
-        a(1).substitute(ParamSubstitution.symbolic())
-
-
 def test_equidistant_difference_is_linear():
     sub = ParamSubstitution.equidistant(Fraction(2, 3), 5)
     for n in range(-3, 4):
@@ -223,7 +218,6 @@ def test_whole_distant_predicate():
     assert not ParamSubstitution.equidistant(Fraction(1, 2), 0).is_whole_distant()
     assert ParamSubstitution.explicit({0: Fraction(1, 3), 5: Fraction(7, 3)}).is_whole_distant()
     assert not ParamSubstitution.explicit({0: 0, 1: Fraction(1, 2)}).is_whole_distant()
-    assert not ParamSubstitution.symbolic().is_whole_distant()
 
 
 def test_sequences():

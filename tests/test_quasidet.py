@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import count, permutations
@@ -122,6 +123,15 @@ def test_hessenberg_shape_errors():
         hessenberg_quasidet(0, lambda i, j: S(1))
     with pytest.raises(ShapeError):
         hessenberg_quasidet(3, lambda i, j: S(1), subdiag=[1])
+
+
+@pytest.mark.parametrize(
+    "subdiag, position",
+    [([0], "(2, 1)"), ([1, Fraction(0)], "(3, 2)"), (["1/2", "0", 3], "(3, 2)"), ([0, 0], "(2, 1)")],
+)
+def test_hessenberg_zero_subdiagonal_names_its_position(subdiag, position):
+    with pytest.raises(ShapeError, match=f"zero subdiagonal entry at {re.escape(position)}"):
+        hessenberg_quasidet(len(subdiag) + 1, lambda i, j: S(1), subdiag)
 
 
 def test_matvalue_inverse_and_det():
@@ -323,6 +333,15 @@ def test_block_quasidet_base_cases():
     got = block_quasidet(blocks, 1, 1)
     want = blocks[0][0] - blocks[0][1] * blocks[1][1].inverse() * blocks[1][0]
     assert got == want
+
+
+@pytest.mark.parametrize("p, q", [(1, 0), (0, 1), (0, 0), (3, 1), (1, 3), (-1, 1), (2, -2)])
+def test_block_quasidet_rejects_indices_outside_the_matrix(p, q):
+    # 0 and -1 would wrap to the last row or column, 3 would index past it
+    rng = random.Random(12)
+    blocks = [[random_mat(rng, 2) for _ in range(2)] for _ in range(2)]
+    with pytest.raises(ValueError, match=r"need 1 <= p, q <= 2"):
+        block_quasidet(blocks, p, q)
 
 
 def test_block_quasidet_row_permutation_invariance():

@@ -5,9 +5,9 @@ from fractions import Fraction
 from ncshift.algebra import NCElement
 from ncshift.params import ParamPoly, SEQ_A, SEQ_AHAT
 from ncshift.series import (
-    TruncatedTSeries,
     defining_relation_defect,
     lambda_series_at_minus_t,
+    reexpand_values,
     sigma_series,
 )
 
@@ -37,11 +37,15 @@ def geometric_plain_coeffs(values, order):
     return coeffs
 
 
+def inverse_shifted_power(order, k, seq):
+    """1/((t-b_1)...(t-b_k)) over the sequence b = seq, in plain powers."""
+    return reexpand_values(order, NCElement.zero(), {k: NCElement.one()}, seq.values(order))
+
+
 def test_single_shifted_power_geometric_series():
     # 1/<t|a>^1 = 1/t + a_1/t^2 + a_1^2/t^3 + ...
     N = 6
-    s = TruncatedTSeries(N, NCElement.zero(), {1: NCElement.one()}, SEQ_A)
-    plain = s.to_plain()
+    plain = inverse_shifted_power(N, 1, SEQ_A)
     expected = geometric_plain_coeffs([a(1)], N)
     for k in range(1, N + 1):
         assert plain.coeff(k) == NCElement.scalar(expected.get(k, ParamPoly.zero()))
@@ -51,8 +55,7 @@ def test_general_reexpansion_matches_geometric_oracle():
     N = 6
     for seq in (SEQ_A, SEQ_AHAT.tau(-1)):
         for k in (2, 3):
-            s = TruncatedTSeries(N, NCElement.zero(), {k: NCElement.one()}, seq)
-            plain = s.to_plain()
+            plain = inverse_shifted_power(N, k, seq)
             expected = geometric_plain_coeffs(seq.values(k), N)
             for m in range(1, N + 1):
                 assert plain.coeff(m) == NCElement.scalar(
@@ -62,9 +65,7 @@ def test_general_reexpansion_matches_geometric_oracle():
 
 def test_zero_parameters_shifted_equals_plain():
     N = 5
-    coeffs = {k: NCElement.gen(k) for k in range(1, N + 1)}
-    s = TruncatedTSeries(N, NCElement.one(), coeffs, SEQ_A)
-    plain = s.to_plain()
+    plain = sigma_series(N)
     from ncshift.params import ParamSubstitution
 
     zero = ParamSubstitution.equidistant(0, 0)
@@ -77,20 +78,19 @@ def test_zero_parameters_shifted_equals_plain():
 def test_tau_recursion_between_bases():
     # 1/<t|tau a>^k = 1/<t|a>^k + (a_{k+1} - a_1)/<t|a>^{k+1}, exactly
     for k in (1, 2, 4):
-        s = TruncatedTSeries(k + 3, NCElement.zero(), {k: NCElement.one()}, SEQ_A.tau(1))
-        r = reexpand(s, SEQ_A)
-        assert r.coeff(k) == NCElement.one()
-        assert r.coeff(k + 1) == NCElement.scalar(a(k + 1) - a(1))
-        for m in (k + 2, k + 3):
-            assert r.coeff(m).is_zero()
+        r = reexpand(inverse_shifted_power(k + 3, k, SEQ_A.tau(1)), SEQ_A)
+        assert r == {k: NCElement.one(), k + 1: NCElement.scalar(a(k + 1) - a(1))}
 
 
 def test_round_trip_shifted_plain_shifted():
     N = 6
     s = sigma_series(N)
-    assert reexpand(s.to_plain(), SEQ_A) == s
-    other = reexpand(s, SEQ_AHAT.tau(2))
-    assert reexpand(other, SEQ_A) == s
+    assert reexpand(s, SEQ_A) == {k: NCElement.gen(k) for k in range(1, N + 1)}
+    b = SEQ_AHAT.tau(2)
+    other = reexpand(s, b)
+    back = reexpand_values(N, s.constant, other, b.values(N))
+    assert back == s
+    assert reexpand(back, SEQ_A) == reexpand(s, SEQ_A)
 
 
 def test_defining_relation_small_orders():
@@ -102,5 +102,5 @@ def test_defining_relation_small_orders():
 def test_defining_relation_detects_perturbation():
     lam = lambda_series_at_minus_t(4)
     lam.coeffs[2] = lam.coeffs.get(2, NCElement.zero()) + NCElement.gen(1)
-    prod = lam.multiply(sigma_series(4).to_plain())
+    prod = lam.multiply(sigma_series(4))
     assert any(not prod.coeff(k).is_zero() for k in range(1, 5))

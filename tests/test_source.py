@@ -11,19 +11,45 @@ SRC = Path(ncshift.__file__).parent
 ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
 
 
+#: top-level definitions that no module of the package uses, each kept for
+#: the callers outside it that the reason names
+EXTERNAL_ONLY = {
+    "families.project_shifted": "public inverse of embed_unshifted; tests hold it "
+    "to the printed elementary closed form",
+    "hopf.antipode": "public antipode map of demos/03, held by tests to the "
+    "letter-by-letter reference; the hopf suite reads it through algebra.word_image",
+    "quasidet.verify_bazin": "the numeric bench's Bazin op, with its own "
+    "Random(seed + a) draws; the bazin suite draws through Report.sampled",
+    "shifts.phi_shift": "public map phi^[s] of demos/01 and the shift-law tests; as "
+    "a verify case the phi/psi relation would change the pinned digest",
+    "special.shifted_power": "the generic product reference of the fused chain "
+    "MatValue.times_shifted, traced as a layer by the bench",
+}
+
+
 def _unreferenced(src: Path) -> list[str]:
     """Top-level functions and classes whose name no module of src mentions
-    as a name, an attribute or an import alias."""
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    as a name, an attribute or an import alias outside the definition
+    itself: a re-export in __init__ and a call of itself are no use."""
+    trees = {
+        path.stem: ast.parse(path.read_text())
+        for path in sorted(src.glob("*.py"))
+        if path.stem != "__init__"
+    }
     used = set()
     for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.alias):
-                used.update({node.name, node.asname})
+        for stmt in tree.body:
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.update({node.name, node.asname})
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names.discard(stmt.name)
+            used |= names
     return [
         f"{module}.{node.name}"
         for module, tree in trees.items()
@@ -34,7 +60,7 @@ def _unreferenced(src: Path) -> list[str]:
 
 def test_every_top_level_definition_is_used_by_the_package():
     # a reference formula only tests call belongs in tests/tests_support.py
-    assert _unreferenced(SRC) == []
+    assert sorted(_unreferenced(SRC)) == sorted(EXTERNAL_ONLY)
 
 
 def _environment_reads(src: Path) -> list[str]:

@@ -304,7 +304,7 @@ def test_assignment_json_round_trip():
 
 def test_assignment_validation():
     with pytest.raises(ValueError):
-        VariableAssignment((MatValue([[1]]),), ParamSubstitution.symbolic())
+        VariableAssignment((MatValue([[1]]),), ParamSubstitution.explicit({1: 1}))
     with pytest.raises(ValueError):
         VariableAssignment(
             (MatValue([[1]]), MatValue.identity(2)), STAR

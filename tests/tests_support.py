@@ -75,25 +75,20 @@ def phi_psi_relation_defect(k: int, assignment: VariableAssignment):
     return lhs - phi - s_spec(k - 1, assignment).scale(n * c)
 
 
-def reexpand(series: TruncatedTSeries, target: ParamSequence | None) -> TruncatedTSeries:
-    """The same series over another denominator basis, up to the order."""
-    plain = series.to_plain()
-    if target is None:
-        return plain
+def reexpand(series: TruncatedTSeries, target: ParamSequence) -> dict[int, NCElement]:
+    """The nonzero coefficients c_k of the series over the shifted powers of
+    target b: series = constant + sum_k c_k/((t-b_1)...(t-b_k)) up to its order."""
     # triangular solve: c_k = p_k - sum_{m<k} c_m h_{k-m}(b_1..b_m)
     values = target.values(series.order)
     out: dict[int, NCElement] = {}
     for k in range(1, series.order + 1):
-        acc = plain.coeff(k)
-        for m in range(1, k):
-            prev = out.get(m)
-            if prev is None:
-                continue
+        acc = series.coeff(k)
+        for m, prev in out.items():
             h = complete_homogeneous(values[:m], k - m)[k - m]
             acc = acc - prev.scale(h)
         if not acc.is_zero():
             out[k] = acc
-    return TruncatedTSeries(series.order, plain.constant, out, target)
+    return out
 
 
 # -- plain-Fraction reference for MatValue: lists of lists of Fractions --------
@@ -256,8 +251,8 @@ def ref_antipode(x: NCElement) -> NCElement:
 
 
 def ref_series_multiply(s: TruncatedTSeries, t: TruncatedTSeries) -> TruncatedTSeries:
-    """The product of two plain-basis series, each coefficient the running sum
-    of its nested products."""
+    """The product of two series, each coefficient the running sum of its
+    nested products."""
     n = min(s.order, t.order)
     out: dict[int, NCElement] = {}
     for k in range(1, n + 1):
@@ -266,12 +261,12 @@ def ref_series_multiply(s: TruncatedTSeries, t: TruncatedTSeries) -> TruncatedTS
             acc = acc + ref_nested_product(s.coeff(i), t.coeff(k - i), add)
         if not acc.is_zero():
             out[k] = acc
-    return TruncatedTSeries(n, ref_nested_product(s.constant, t.constant, add), out, None)
+    return TruncatedTSeries(n, ref_nested_product(s.constant, t.constant, add), out)
 
 
 def ref_reexpand_values(order, constant, coeffs, values) -> TruncatedTSeries:
-    """Plain-basis form of sum_k coeffs[k]/((t-v_1)...(t-v_k)), each scaled
-    coefficient added to its order on its own."""
+    """constant + sum_k coeffs[k]/((t-v_1)...(t-v_k)) in plain powers, each
+    scaled coefficient added to its order on its own."""
     out: dict[int, NCElement] = {}
     for k, c in coeffs.items():
         if k > order:
@@ -280,7 +275,7 @@ def ref_reexpand_values(order, constant, coeffs, values) -> TruncatedTSeries:
         for i in range(order - k + 1):
             scaled = ref_sum_of_products((w, d, hs[i]) for w, d in c.terms.items())
             accumulate(out, k + i, NCElement._of(scaled))
-    return TruncatedTSeries(order, constant, out, None)
+    return TruncatedTSeries(order, constant, out)
 
 
 def ref_from_ribbon_basis(x: RibbonElement) -> NCElement:
