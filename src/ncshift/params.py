@@ -10,9 +10,12 @@ its own term, most through signed(), which writes coefficient 1 or -1 as the
 bare or negated term.  ParamPoly is the LinComb of monomials with rational
 coefficients, each an int where it is integral and a Fraction otherwise; the
 element classes downstream are LinCombs with ParamPoly coefficients.  A
-monomial is the sorted tuple of its factor indices: a_1^2 a_3 is (1, 1, 3),
-the product of two monomials is their sorted concatenation, and the
-(index, exponent) form exists only in the printers and the JSON form.
+monomial is a positive int, the product of one prime per factor: each index
+gets the next unused prime the first time it is seen (a per-process table),
+so a_1^2 a_3 is p(1)^2 p(3), the constant monomial is 1, and the product of
+two monomials is their integer product, exact by unique factorization.  Only
+the serialization order, the printers, the JSON form, tau, substitute and
+degree read a monomial's factors, through one cached decoder.
 
 Every sum of products over Q[a] -- element products, letter substitutions,
 ribbon and coproduct expansions, the signed sums of the generator families --
@@ -28,7 +31,7 @@ join is written once.
 Three structure maps act on the index lattice:
 
 * the shift tau, sending a_i to a_{i+1};
-* the dual map, sending a_i to -a_{-i+1} (an involution);
+* the dual map, sending a_i to -a_{-i+1} (an involution of the sequences);
 * numeric substitution, assigning a rational value to every index.
 
 Coefficients are exact rationals throughout so that every identity check in
@@ -40,10 +43,16 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from itertools import takewhile
+from math import prod
 from typing import Callable, Iterable, Mapping
 
-Monomial = tuple[int, ...]  # factor indices in increasing order: a_1^2 a_3 is (1, 1, 3)
-MAX_JSON_EXPONENT = 10_000  # a monomial stores one entry per factor
+Monomial = int  # a product of index primes: a_1^2 a_3 is p(1)^2 p(3), and 1 is constant
+MAX_JSON_EXPONENT = 10_000  # the decoded form holds one entry per factor
+
+_PRIME_OF: dict[int, int] = {}  # index -> its prime
+_INDEX_OF: dict[int, int] = {}  # prime -> its index, in increasing prime order
 
 
 class MissingIndex(KeyError):
@@ -78,6 +87,47 @@ def canonical_int(text: str) -> int:
     return i
 
 
+def _prime(i: int) -> int:
+    """The prime of index i: the smallest prime no index holds yet, the first
+    time i is seen.  The primes handed out are the first primes, in order."""
+    p = _PRIME_OF.get(i)
+    if p is None:
+        p = next(reversed(_INDEX_OF), 1) + 1
+        while not all(p % q for q in takewhile(lambda q: q * q <= p, _INDEX_OF)):
+            p += 1
+        _PRIME_OF[i], _INDEX_OF[p] = p, i
+    return p
+
+
+def monomial(exponents: Iterable[tuple[int, int]]) -> Monomial:
+    """The monomial of (index, exponent) pairs: prod a_i^e."""
+    return prod(_prime(i) ** e for i, e in exponents)
+
+
+def _split_power(m: int, p: int) -> tuple[int, int]:
+    """(e, m / p^e) for the largest e with p^e | m, in O(log e) divisions:
+    the power of p^2 in m / p, found the same way, gives e up to one."""
+    if m % p:
+        return 0, m
+    e, rest = _split_power(m // p, p * p)
+    if rest % p:
+        return 2 * e + 1, rest
+    return 2 * e + 2, rest // p
+
+
+@cache
+def factors(m: Monomial) -> tuple[int, ...]:
+    """The factor indices of m in increasing order: (1, 1, 3) for a_1^2 a_3."""
+    out = []
+    for p, i in _INDEX_OF.items():
+        if m == 1:
+            break
+        if m % p == 0:
+            e, m = _split_power(m, p)
+            out += [i] * e
+    return tuple(sorted(out))
+
+
 def _integral(c):
     """An integral Fraction as its int numerator; anything else unchanged."""
     return c.numerator if type(c) is Fraction and c.denominator == 1 else c
@@ -97,12 +147,8 @@ def _add_monomial_products(t: dict, p: dict, q: dict) -> None:
     """t[m1 m2] += a*b over the terms a m1 of p and b m2 of q, with no pruning:
     t may hold zeros and integral Fractions until _normal_terms() reads it."""
     for m1, a in p.items():
-        if not m1:
-            for m2, b in q.items():
-                t[m2] = t.get(m2, 0) + a * b
-            continue
         for m2, b in q.items():
-            m = tuple(sorted(m1 + m2)) if m2 else m1
+            m = m1 * m2
             t[m] = t.get(m, 0) + a * b
 
 
@@ -256,7 +302,8 @@ class LinComb:
 def _monomial_sort_key(m: Monomial):
     # Graded order, then lex on the factor indices, which is lex on the
     # (index, -exponent) pairs.  Smaller key = earlier in the serialized form.
-    return (-len(m), m)
+    f = factors(m)
+    return (-len(f), f)
 
 
 class ParamPoly(LinComb):
@@ -277,7 +324,7 @@ class ParamPoly(LinComb):
     @staticmethod
     def const(c) -> "ParamPoly":
         c = _integral(as_fraction(c))
-        return ParamPoly._of({(): c} if c else {})
+        return ParamPoly._of({1: c} if c else {})
 
     @staticmethod
     def one() -> "ParamPoly":
@@ -286,7 +333,7 @@ class ParamPoly(LinComb):
     @staticmethod
     def gen(i: int) -> "ParamPoly":
         """The indeterminate a_i."""
-        return ParamPoly._of({(i,): 1})
+        return ParamPoly._of({_prime(i): 1})
 
     @staticmethod
     def coerce(x) -> "ParamPoly":
@@ -297,12 +344,15 @@ class ParamPoly(LinComb):
     # -- ring structure ----------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if type(other) is int or isinstance(other, Fraction):
             other = ParamPoly.const(other)
         return super().__eq__(other)
 
-    # defining __eq__ drops the inherited hash
-    __hash__ = LinComb.__hash__
+    def __hash__(self):
+        # a constant hashes as the number it equals, the zero polynomial as 0
+        if self.terms.keys() <= {1}:
+            return hash(self.terms.get(1, 0))
+        return super().__hash__()
 
     def __add__(self, other) -> "ParamPoly":
         return super().__add__(ParamPoly.coerce(other))
@@ -334,7 +384,7 @@ class ParamPoly(LinComb):
 
     def degree(self) -> int:
         """Total degree; the zero polynomial has degree -1 by convention."""
-        return max(map(len, self.terms), default=-1)
+        return max((len(factors(m)) for m in self.terms), default=-1)
 
     # -- structure maps ----------------------------------------------------
 
@@ -342,12 +392,11 @@ class ParamPoly(LinComb):
         """Shift every index by s: a_i -> a_{i+s}.  A ring homomorphism."""
         if s == 0:
             return self
-        return ParamPoly._of({tuple(i + s for i in m): c for m, c in self.terms.items()})
-
-    def hat(self) -> "ParamPoly":
-        """The dual-parameter map a_i -> -a_{-i+1}; an involution."""
         return ParamPoly._of(
-            {tuple(1 - i for i in reversed(m)): (-1) ** len(m) * c for m, c in self.terms.items()}
+            {
+                monomial((i + s, e) for i, e in Counter(factors(m)).items()): c
+                for m, c in self.terms.items()
+            }
         )
 
     def substitute(self, sub: "ParamSubstitution") -> Fraction:
@@ -357,7 +406,7 @@ class ParamPoly(LinComb):
         total = 0
         for m, c in self.terms.items():
             v = c
-            for i in m:
+            for i in factors(m):
                 x = values.get(i)
                 if x is None:
                     x = values[i] = _integral(sub.index_value(i))
@@ -369,7 +418,7 @@ class ParamPoly(LinComb):
 
     def to_json(self) -> list:
         return [
-            {"c": str(c), "e": {str(i): e for i, e in Counter(m).items()}}
+            {"c": str(c), "e": {str(i): e for i, e in Counter(factors(m)).items()}}
             for m, c in self.sorted_terms()
         ]
 
@@ -377,18 +426,18 @@ class ParamPoly(LinComb):
     def from_json(data: Iterable) -> "ParamPoly":
         out: dict[Monomial, int | Fraction] = {}
         for item in data:
-            m = []
+            exponents = []
             for key, e in item["e"].items():
                 if type(e) is not int or not 0 <= e <= MAX_JSON_EXPONENT:
                     raise ValueError(f"exponent not in 0..{MAX_JSON_EXPONENT} in {item!r}")
-                m += [canonical_int(key)] * e
-            accumulate(out, tuple(sorted(m)), as_fraction(item["c"]))
+                exponents.append((canonical_int(key), e))
+            accumulate(out, monomial(exponents), as_fraction(item["c"]))
         return ParamPoly._of(out)
 
     def __str__(self) -> str:
         def term(m, c):
             body = "*".join(
-                f"a[{i}]" + (f"^{e}" if e > 1 else "") for i, e in Counter(m).items()
+                f"a[{i}]" + (f"^{e}" if e > 1 else "") for i, e in Counter(factors(m)).items()
             )
             return signed(str(c), body, f"{c}*{body}") if body else str(c)
 
@@ -399,7 +448,8 @@ class ParamPoly(LinComb):
     def latex(self) -> str:
         def term(m, c):
             body = " ".join(
-                f"a_{{{i}}}" + (f"^{{{e}}}" if e > 1 else "") for i, e in Counter(m).items()
+                f"a_{{{i}}}" + (f"^{{{e}}}" if e > 1 else "")
+                for i, e in Counter(factors(m)).items()
             )
             cl = _latex_fraction(c)
             return signed(cl, body, f"{cl} {body}") if body else cl

@@ -341,6 +341,18 @@ def test_criterion_05_duality_corrected():
     _assert_cases(rep, ids, label="criterion 5 (corrected duality, informational)")
 
 
+def test_criterion_05_duality_at_degree_7():
+    """The duality suite one degree past its default: the printed shift and
+    worked example stay refuted, and the involution and both corrected forms
+    hold."""
+    rep = run_suite("duality", degree=7)
+    printed = {"corollary-shift-printed", "example-2232-printed"}
+    _assert_refuted(rep, printed, label="duality at degree 7: printed shift and example")
+    others = {"omega-involution", "corollary-shift-corrected", "example-2232-corrected"}
+    assert {c.id for c in rep.cases} == printed | others
+    _assert_cases(rep, others, label="duality at degree 7: involution and corrected forms")
+
+
 def test_criterion_06_nagelsbach():
     rep = run_suite("nagelsbach", degree=6)
     _assert_cases(rep, label="criterion 6: dual Jacobi-Trudi, d_I <= 6, both examples")

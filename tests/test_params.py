@@ -1,5 +1,8 @@
 """Coefficient ring: shift, dual map, substitution, serialization."""
 
+import json
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,11 +10,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncshift.params import (
+    MAX_JSON_EXPONENT,
     MissingIndex,
     ParamPoly,
     ParamSubstitution,
     SEQ_A,
     SEQ_AHAT,
+    factors,
+)
+from tests_support import (
+    factor_terms,
+    random_element,
+    ref_degree,
+    ref_from_json,
+    ref_hat,
+    ref_latex,
+    ref_monomial_product,
+    ref_poly_sum,
+    ref_sorted_terms,
+    ref_str,
+    ref_substitute,
+    ref_tau,
+    ref_to_json,
 )
 
 a = ParamPoly.gen
@@ -68,7 +88,7 @@ def _to_sympy(terms, sp):
     st.lists(st.fractions(-3, 3, max_denominator=4), min_size=11, max_size=11),
 )
 def test_ring_matches_sympy(p_terms, q_terms, s, values):
-    """+, -, *, tau, hat, substitute and the JSON form, each against sympy."""
+    """+, -, *, tau, ref_hat, substitute and the JSON form, each against sympy."""
     sp = pytest.importorskip("sympy")
     a_ = {i: sp.Symbol(f"a{i}") for i in range(-5, 6)}  # poly_terms() uses these indices
 
@@ -84,7 +104,7 @@ def test_ring_matches_sympy(p_terms, q_terms, s, values):
     shifted = {x: sp.Symbol(f"a{i + s}") for i, x in a_.items()}
     assert same(p.tau(s), P.subs(shifted, simultaneous=True))
     dual = {x: -sp.Symbol(f"a{1 - i}") for i, x in a_.items()}
-    assert same(p.hat(), P.subs(dual, simultaneous=True))
+    assert same(ref_hat(p), P.subs(dual, simultaneous=True))
     table = dict(zip(a_, values))
     got = p.substitute(ParamSubstitution.explicit(table))
     point = {x: sp.Rational(table[i].numerator, table[i].denominator) for i, x in a_.items()}
@@ -104,7 +124,7 @@ def _graded_lex_key(term):
 @settings(max_examples=60, deadline=None)
 @given(polys(), polys(), st.integers(-4, 4))
 def test_json_term_order(p, q, s):
-    for r in (p, q, p * q, p.tau(s), p.hat(), (p * q).tau(s).hat()):
+    for r in (p, q, p * q, p.tau(s), ref_hat(p), ref_hat((p * q).tau(s))):
         data = r.to_json()
         assert data == sorted(data, key=_graded_lex_key)
         assert all(list(t["e"]) == sorted(t["e"], key=int) for t in data)
@@ -129,7 +149,7 @@ def test_coefficients_are_ints_where_integral(p, q, n, f, e):
     results = [
         p + q, p - q, p * q, p + n, n - p, p - f,
         p.scale(n), p.scale(f), n * p, p * f, f * p, p ** e,
-        p.tau(n), p.hat(), -p,
+        p.tau(n), ref_hat(p), -p,
         ParamPoly.const(n), ParamPoly.const(f), ParamPoly.gen(n),
         ParamPoly.from_json(p.to_json()),
         ParamPoly.from_json([{"c": "6/3", "e": {"1": 1}}, {"c": "1/2", "e": {}}]),
@@ -153,21 +173,21 @@ def test_tau_shift_examples():
 
 
 def test_hat_dual_examples():
-    assert a(1).hat() == -a(0)
+    assert ref_hat(a(1)) == -a(0)
     # sign cancels on even powers
-    assert (a(2) * a(2)).hat() == a(-1) * a(-1)
+    assert ref_hat(a(2) * a(2)) == a(-1) * a(-1)
 
 
 @settings(max_examples=60, deadline=None)
 @given(polys())
 def test_hat_is_involution(p):
-    assert p.hat().hat() == p
+    assert ref_hat(ref_hat(p)) == p
 
 
 @settings(max_examples=60, deadline=None)
 @given(polys(), st.integers(-4, 4))
 def test_hat_conjugates_tau(p, s):
-    assert p.tau(s).hat() == p.hat().tau(-s)
+    assert ref_hat(p.tau(s)) == ref_hat(p).tau(-s)
 
 
 @settings(max_examples=60, deadline=None)
@@ -250,3 +270,77 @@ def test_zero_is_canonical():
     assert (p * a(5)).is_zero()
     q = ParamPoly.const(Fraction(1, 2)) * ParamPoly.const(2)
     assert q == ParamPoly.one()
+
+
+def test_constants_hash_as_the_numbers_they_equal():
+    for c in (0, 1, -3, 10**30, Fraction(1, 2), Fraction(-7, 3)):
+        p = ParamPoly.const(c)
+        assert p == c and hash(p) == hash(c)
+    assert hash(ParamPoly.zero()) == 0
+    assert len({ParamPoly.one(), 1, Fraction(1)}) == 1
+    # a bool is no number: == declines instead of raising
+    assert ParamPoly.one().__eq__(True) is NotImplemented
+    assert not ParamPoly.gen(1) == True  # noqa: E712
+    assert ParamPoly.one() != True  # noqa: E712
+
+
+#: indices the monomial encoding must place, far ones included
+INDICES = list(range(-12, 13)) + [10**9, -(10**12)]
+
+
+def _random_poly(rng: random.Random) -> ParamPoly:
+    """A sum of up to four terms c a_i^e a_j^f ... over INDICES."""
+    out = ParamPoly.zero()
+    for _ in range(rng.randint(1, 4)):
+        term = ParamPoly.const(Fraction(rng.randint(-5, 5), rng.choice([1, 2, 3])))
+        for _ in range(rng.randint(0, 3)):
+            term = term * a(rng.choice(INDICES)) ** rng.randint(1, 3)
+        out = out + term
+    return out
+
+
+def _differential_polys() -> list[ParamPoly]:
+    rng = random.Random(2801)
+    coeffs = [c for _ in range(20) for c in random_element(rng, monomials=3).terms.values()]
+    return coeffs + [_random_poly(rng) for _ in range(40)] + [
+        ParamPoly.zero(),
+        ParamPoly.one(),
+        ParamPoly.const(Fraction(-2, 3)),
+        a(10**9),
+        Fraction(5, 2) * a(-(10**12)) ** 2,
+    ]
+
+
+def test_ring_matches_the_tuple_monomial_reference():
+    """Every operation that builds or reads a monomial, against the
+    sorted-factor-tuple loop of tests_support."""
+    polys = _differential_polys()
+    sub = ParamSubstitution.equidistant(Fraction(2, 3), Fraction(-1, 5))
+    for p, q in zip(polys, polys[1:] + polys[:1]):
+        f, g = factor_terms(p), factor_terms(q)
+        assert factor_terms(p * q) == ref_monomial_product(f, g)
+        assert factor_terms(p + q) == ref_poly_sum(f, g)
+        for s in (-3, 0, 5):
+            assert factor_terms(p.tau(s)) == ref_tau(f, s)
+        assert p.substitute(sub) == ref_substitute(f, sub)
+        assert p.degree() == ref_degree(f)
+        assert p.to_json() == ref_to_json(f)
+        assert factor_terms(ParamPoly.from_json(p.to_json())) == ref_from_json(p.to_json()) == f
+        assert (str(p), p.latex()) == (ref_str(f), ref_latex(f))
+        assert [(factors(m), c) for m, c in p.sorted_terms()] == ref_sorted_terms(f)
+
+
+def test_round_trip_at_the_largest_json_exponent():
+    # p(3)^20000 p(-5)^20000 is an int of over 15,000 digits; the decoder
+    # reads each exponent back with O(log e) divisions
+    start = time.perf_counter()
+    data = [{"c": "-1/2", "e": {"-5": MAX_JSON_EXPONENT, "3": MAX_JSON_EXPONENT}}]
+    p = ParamPoly.from_json(data)
+    assert p.to_json() == data and ParamPoly.from_json(p.to_json()) == p
+    sq = p * p
+    e = 2 * MAX_JSON_EXPONENT
+    assert str(sq) == f"1/4*a[-5]^{e}*a[3]^{e}" == ref_str(factor_terms(sq))
+    assert sq.latex() == f"\\tfrac{{1}}{{4}} a_{{-5}}^{{{e}}} a_{{3}}^{{{e}}}"
+    assert sq.degree() == 2 * e
+    assert json.dumps(sq.to_json()) == json.dumps([{"c": "1/4", "e": {"-5": e, "3": e}}])
+    assert time.perf_counter() - start < 1

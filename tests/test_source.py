@@ -189,6 +189,28 @@ def test_one_monomial_join_and_no_per_pair_products():
     # monomial join lives in its one loop, and no call site adds a product
     # built per pair, neither through accumulate nor as x = x + a * b
     def joins_monomials(node):
+        # a function that multiplies two term keys, each bound by a loop or
+        # comprehension over the items of a term map
+        if not isinstance(node, ast.FunctionDef):
+            return False
+        keys = {
+            loop.target.elts[0].id
+            for loop in ast.walk(node)
+            if isinstance(loop, (ast.For, ast.comprehension))
+            and isinstance(loop.target, ast.Tuple)
+            and isinstance(loop.target.elts[0], ast.Name)
+            and isinstance(loop.iter, ast.Call)
+            and _names(loop.iter.func, "items")
+        }
+        return any(
+            isinstance(n, ast.BinOp)
+            and isinstance(n.op, ast.Mult)
+            and all(isinstance(side, ast.Name) and side.id in keys for side in (n.left, n.right))
+            for n in ast.walk(node)
+        )
+
+    def sorts_a_concatenation(node):
+        # the tuple-monomial join tuple(sorted(m1 + m2))
         return (
             isinstance(node, ast.Call)
             and _names(node.func, "sorted")
@@ -223,6 +245,7 @@ def test_one_monomial_join_and_no_per_pair_products():
         return False
 
     assert _scopes(SRC, joins_monomials) == ["params._add_monomial_products"]
+    assert _scopes(SRC, sorts_a_concatenation) == []
     assert _scopes(SRC, accumulates_a_product) == []
     assert Counter(_scopes(SRC, adds_a_product_to_itself)) == PER_PAIR_SUMS
 

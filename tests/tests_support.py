@@ -1,13 +1,23 @@
 """Shared helpers for the test suite, and the reference formulas only tests use."""
 
 import random
+from collections import Counter
 from fractions import Fraction
+from math import prod
 from operator import add
 
 from ncshift.algebra import NCElement, complete_homogeneous
 from ncshift.families import psi, psi_words_to_s, s_to_psi
 from ncshift.hopf import TensorElement
-from ncshift.params import SEQ_A, ParamPoly, ParamSequence, accumulate
+from ncshift.params import (
+    SEQ_A,
+    ParamPoly,
+    ParamSequence,
+    accumulate,
+    factors,
+    monomial,
+    signed,
+)
 from ncshift.quasidet import MatValue
 from ncshift.ribbon import Composition, RibbonElement, ribbon_shifted
 from ncshift.series import TruncatedTSeries
@@ -201,6 +211,105 @@ def ref_hessenberg_quasidet(n, entry, subdiag=None):
     return tail[1] if n % 2 else -tail[1]
 
 
+# -- tuple-monomial reference for ParamPoly --------------------------------------
+#
+# A polynomial as a dict from the sorted tuple of a monomial's factor indices
+# (a_1^2 a_3 is (1, 1, 3)) to its coefficient: the product of two monomials is
+# their sorted concatenation, and the (index, exponent) form is read off the
+# tuple only to print it.
+
+
+def factor_terms(p: ParamPoly) -> dict:
+    """The terms of p keyed by the decoded factor tuple of each monomial."""
+    return {factors(m): c for m, c in p.terms.items()}
+
+
+def from_factor_terms(terms: dict) -> ParamPoly:
+    """The ParamPoly of a dict keyed by sorted factor tuples."""
+    return ParamPoly({monomial(Counter(f).items()): c for f, c in terms.items()})
+
+
+def ref_poly_sum(p: dict, q: dict) -> dict:
+    """p + q on factor-tuple dicts."""
+    out = dict(p)
+    for f, c in q.items():
+        accumulate(out, f, c)
+    return out
+
+
+def ref_monomial_product(p: dict, q: dict) -> dict:
+    """p*q on factor-tuple dicts, each monomial product summed through accumulate."""
+    out: dict = {}
+    for m1, a in p.items():
+        for m2, b in q.items():
+            accumulate(out, tuple(sorted(m1 + m2)), a * b)
+    return out
+
+
+def ref_tau(p: dict, s: int) -> dict:
+    """a_i -> a_{i+s} on a factor-tuple dict."""
+    return {tuple(i + s for i in f): c for f, c in p.items()}
+
+
+def ref_hat(p: ParamPoly) -> ParamPoly:
+    """The dual-parameter map a_i -> -a_{-i+1}; an involution."""
+    return from_factor_terms(
+        {tuple(1 - i for i in reversed(f)): (-1) ** len(f) * c for f, c in factor_terms(p).items()}
+    )
+
+
+def ref_substitute(p: dict, sub) -> Fraction:
+    """The value of a factor-tuple dict under a substitution, factor by factor."""
+    return sum((c * prod(sub.index_value(i) for i in f) for f, c in p.items()), Fraction(0))
+
+
+def ref_degree(p: dict) -> int:
+    return max(map(len, p), default=-1)
+
+
+def ref_sorted_terms(p: dict) -> list:
+    """The terms in serialization order: graded, then lex on the factor tuples."""
+    return sorted(p.items(), key=lambda t: (-len(t[0]), t[0]))
+
+
+def ref_to_json(p: dict) -> list:
+    return [{"c": str(c), "e": {str(i): e for i, e in Counter(f).items()}} for f, c in ref_sorted_terms(p)]
+
+
+def ref_from_json(data) -> dict:
+    """The factor-tuple dict of a JSON term list."""
+    out: dict = {}
+    for item in data:
+        f = tuple(sorted(int(i) for i, e in item["e"].items() for _ in range(e)))
+        accumulate(out, f, Fraction(item["c"]))
+    return out
+
+
+def _ref_show(p: dict, term) -> str:
+    """The printed signed sum of term(f, c) over a factor-tuple dict in
+    serialization order."""
+    return " + ".join(term(f, c) for f, c in ref_sorted_terms(p)).replace("+ -", "- ") or "0"
+
+
+def ref_str(p: dict) -> str:
+    def term(f, c):
+        body = "*".join(f"a[{i}]" + (f"^{e}" if e > 1 else "") for i, e in Counter(f).items())
+        return signed(str(c), body, f"{c}*{body}") if body else str(c)
+
+    return _ref_show(p, term)
+
+
+def ref_latex(p: dict) -> str:
+    def term(f, c):
+        body = " ".join(f"a_{{{i}}}" + (f"^{{{e}}}" if e > 1 else "") for i, e in Counter(f).items())
+        cl = str(c.numerator) if c.denominator == 1 else (
+            f"{'-' if c < 0 else ''}\\tfrac{{{abs(c.numerator)}}}{{{c.denominator}}}"
+        )
+        return signed(cl, body, f"{cl} {body}") if body else cl
+
+    return _ref_show(p, term)
+
+
 # -- nested-product reference for sums of products over Q[a] -------------------
 #
 # Each product of two coefficients is a fresh ParamPoly, built one monomial
@@ -210,11 +319,7 @@ def ref_hessenberg_quasidet(n, entry, subdiag=None):
 
 def ref_poly_product(p: ParamPoly, q: ParamPoly) -> ParamPoly:
     """p*q, each monomial product summed through accumulate."""
-    out: dict = {}
-    for m1, a in p.terms.items():
-        for m2, b in q.terms.items():
-            accumulate(out, tuple(sorted(m1 + m2)), a * b)
-    return ParamPoly._of(out)
+    return from_factor_terms(ref_monomial_product(factor_terms(p), factor_terms(q)))
 
 
 def ref_sum_of_products(triples) -> dict:
