@@ -21,8 +21,8 @@ from .families import (
     s_to_lambda,
     s_to_psi,
     shift_Lambda,
-    verify_translations,
-    verify_wronski_newton,
+    translation_failures,
+    wronski_newton_failures,
 )
 from .hopf import TensorElement, antipode, coproduct, counit
 from .params import (

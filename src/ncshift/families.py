@@ -34,6 +34,7 @@ readers: a consistent map is observed, at worst a value is computed twice.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, pairwise
@@ -179,10 +180,11 @@ def check_lineareq(n: int) -> NCElement:
     return acc
 
 
-def verify_wronski_newton(n: int) -> tuple[bool, str]:
-    """Check the fundamental, Wronski and Newton identities at degree n."""
+def wronski_newton_failures(n: int) -> Iterator[str]:
+    """Witnesses of the fundamental, Wronski and Newton identities failing at
+    degree n, lazily: a reader that stops at the first witness expands no
+    identity past it."""
     # S_n^[n-1] = sum_{k=1}^{n} (-1)^{k-1} Lambda_k^[n-k] S_{n-k}^[n-1-k]
-    lhs = shift_S(n, n - 1)
     rhs = NCElement.sum_of_products(
         (
             (shift_Lambda(k, n - k), shift_S(n - k, n - 1 - k).scale((-1) ** (k - 1)))
@@ -190,21 +192,18 @@ def verify_wronski_newton(n: int) -> tuple[bool, str]:
         ),
         add,
     )
-    if lhs != rhs:
-        return False, f"fundamental identity fails at n={n}"
+    if shift_S(n, n - 1) != rhs:
+        yield f"fundamental identity fails at n={n}"
     # n S_n^[n-1] = sum_{k=0}^{n-1} S_k^[n-1] Psi_{n-k}
-    lhs = shift_S(n, n - 1).scale(Fraction(n))
     rhs = NCElement.sum_of_products(((shift_S(k, n - 1), psi(n - k)) for k in range(n)), add)
-    if lhs != rhs:
-        return False, f"Wronski identity fails at n={n}"
+    if shift_S(n, n - 1).scale(Fraction(n)) != rhs:
+        yield f"Wronski identity fails at n={n}"
     # n Lambda_n = sum_{k=0}^{n-1} (-1)^{n-k-1} Psi_{n-k}^[k] Lambda_k
-    lhs = lambda_in_S(n).scale(Fraction(n))
     rhs = NCElement.sum_of_products(
         ((psi_shifted(n - k, k).scale((-1) ** (n - k - 1)), lambda_in_S(k)) for k in range(n)), add
     )
-    if lhs != rhs:
-        return False, f"Newton identity fails at n={n}"
-    return True, ""
+    if lambda_in_S(n).scale(Fraction(n)) != rhs:
+        yield f"Newton identity fails at n={n}"
 
 
 def translation_psi_from_s(n: int) -> NCElement:
@@ -246,18 +245,19 @@ def translation_lambda_from_psi(n: int) -> NCElement:
     )
 
 
-def verify_translations(n: int) -> tuple[bool, str]:
-    """All four translation quasideterminants at degree n."""
+def translation_failures(n: int) -> Iterator[str]:
+    """Witnesses of the four translation quasideterminants failing at degree
+    n, lazily: a reader that stops at the first witness expands no
+    quasideterminant past it."""
     p = psi(n)
     if translation_psi_from_s(n) != p:
-        return False, f"Psi-from-S quasideterminant fails at n={n}"
+        yield f"Psi-from-S quasideterminant fails at n={n}"
     if translation_psi_from_lambda(n) != p:
-        return False, f"Psi-from-Lambda quasideterminant fails at n={n}"
+        yield f"Psi-from-Lambda quasideterminant fails at n={n}"
     if translation_s_from_psi(n) != shift_S(n, n - 1).scale(Fraction(n)):
-        return False, f"S-from-Psi quasideterminant fails at n={n}"
+        yield f"S-from-Psi quasideterminant fails at n={n}"
     if translation_lambda_from_psi(n) != lambda_in_S(n).scale(Fraction(n)):
-        return False, f"Lambda-from-Psi quasideterminant fails at n={n}"
-    return True, ""
+        yield f"Lambda-from-Psi quasideterminant fails at n={n}"
 
 
 # -- the finite-variable embedding --------------------------------------------

@@ -15,7 +15,8 @@ gets the next unused prime the first time it is seen (a per-process table),
 so a_1^2 a_3 is p(1)^2 p(3), the constant monomial is 1, and the product of
 two monomials is their integer product, exact by unique factorization.  Only
 the serialization order, the printers, the JSON form, tau, substitute and
-degree read a monomial's factors, through one cached decoder.
+degree read a monomial's factors, each through the one cached decoder to
+(index, exponent) pairs.
 
 Every sum of products over Q[a] -- element products, letter substitutions,
 ribbon and coproduct expansions, the signed sums of the generator families --
@@ -40,7 +41,6 @@ the package is a zero-tolerance equality test.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -116,15 +116,16 @@ def _split_power(m: int, p: int) -> tuple[int, int]:
 
 
 @cache
-def factors(m: Monomial) -> tuple[int, ...]:
-    """The factor indices of m in increasing order: (1, 1, 3) for a_1^2 a_3."""
+def exponents(m: Monomial) -> tuple[tuple[int, int], ...]:
+    """The (index, exponent) pairs of m in increasing index order: ((1, 2),
+    (3, 1)) for a_1^2 a_3."""
     out = []
     for p, i in _INDEX_OF.items():
         if m == 1:
             break
         if m % p == 0:
             e, m = _split_power(m, p)
-            out += [i] * e
+            out.append((i, e))
     return tuple(sorted(out))
 
 
@@ -300,10 +301,10 @@ class LinComb:
 
 
 def _monomial_sort_key(m: Monomial):
-    # Graded order, then lex on the factor indices, which is lex on the
-    # (index, -exponent) pairs.  Smaller key = earlier in the serialized form.
-    f = factors(m)
-    return (-len(f), f)
+    # Graded order, then lex on the (index, -exponent) pairs, which is lex on
+    # the sorted factor indices.  Smaller key = earlier in the serialized form.
+    ex = exponents(m)
+    return (-sum(e for _, e in ex), tuple((i, -e) for i, e in ex))
 
 
 class ParamPoly(LinComb):
@@ -384,7 +385,7 @@ class ParamPoly(LinComb):
 
     def degree(self) -> int:
         """Total degree; the zero polynomial has degree -1 by convention."""
-        return max((len(factors(m)) for m in self.terms), default=-1)
+        return max((sum(e for _, e in exponents(m)) for m in self.terms), default=-1)
 
     # -- structure maps ----------------------------------------------------
 
@@ -393,10 +394,7 @@ class ParamPoly(LinComb):
         if s == 0:
             return self
         return ParamPoly._of(
-            {
-                monomial((i + s, e) for i, e in Counter(factors(m)).items()): c
-                for m, c in self.terms.items()
-            }
+            {monomial((i + s, e) for i, e in exponents(m)): c for m, c in self.terms.items()}
         )
 
     def substitute(self, sub: "ParamSubstitution") -> Fraction:
@@ -406,11 +404,11 @@ class ParamPoly(LinComb):
         total = 0
         for m, c in self.terms.items():
             v = c
-            for i in factors(m):
+            for i, e in exponents(m):
                 x = values.get(i)
                 if x is None:
                     x = values[i] = _integral(sub.index_value(i))
-                v *= x
+                v *= x**e
             total += v
         return Fraction(total)
 
@@ -418,7 +416,7 @@ class ParamPoly(LinComb):
 
     def to_json(self) -> list:
         return [
-            {"c": str(c), "e": {str(i): e for i, e in Counter(factors(m)).items()}}
+            {"c": str(c), "e": {str(i): e for i, e in exponents(m)}}
             for m, c in self.sorted_terms()
         ]
 
@@ -436,9 +434,7 @@ class ParamPoly(LinComb):
 
     def __str__(self) -> str:
         def term(m, c):
-            body = "*".join(
-                f"a[{i}]" + (f"^{e}" if e > 1 else "") for i, e in Counter(factors(m)).items()
-            )
+            body = "*".join(f"a[{i}]" + (f"^{e}" if e > 1 else "") for i, e in exponents(m))
             return signed(str(c), body, f"{c}*{body}") if body else str(c)
 
         return self._show(term)
@@ -448,8 +444,7 @@ class ParamPoly(LinComb):
     def latex(self) -> str:
         def term(m, c):
             body = " ".join(
-                f"a_{{{i}}}" + (f"^{{{e}}}" if e > 1 else "")
-                for i, e in Counter(factors(m)).items()
+                f"a_{{{i}}}" + (f"^{{{e}}}" if e > 1 else "") for i, e in exponents(m)
             )
             cl = _latex_fraction(c)
             return signed(cl, body, f"{cl} {body}") if body else cl

@@ -1,19 +1,21 @@
 """Truncated generating series in 1/t and the defining relation.
 
-A series is stored to a finite order N as a constant plus coefficients of
-the plain powers 1/t^k, k = 1..N; the package multiplies and compares series
-in this one form.  The paper writes its series over shifted powers
-(t - b_1)...(t - b_k) of a parameter sequence b, and each is re-expanded into
-plain powers once, where it is built, by the geometric series
+A series is stored to a finite order N as its coefficients of the plain
+powers 1/t^k, k = 0..N, the constant being the coefficient of 1/t^0; the
+package multiplies and compares series in this one form.  The paper writes
+its series over shifted powers (t - b_1)...(t - b_k) of a parameter sequence
+b, and each is re-expanded into plain powers once, where it is built, by the
+geometric series
 
-    1/((t-b_1)...(t-b_k)) = sum_{i>=0} h_i(b_1,...,b_k) / t^{k+i}.
+    1/((t-b_1)...(t-b_k)) = sum_{i>=0} h_i(b_1,...,b_k) / t^{k+i},
 
-Like every sum of products over Q[a] in the package, each coefficient of a
-product or of a re-expansion is one LinComb.sum_of_products call, which sums
-its coefficient products into one accumulator and normalizes once.  The
-defining relation of the algebra is the statement that the complete
-homogeneous series over a and the elementary series over the dual sequence,
-evaluated at -t, are mutually inverse; it is checked coefficientwise.
+which for k = 0 is the constant 1.  Like every sum of products over Q[a] in
+the package, each coefficient of a product or of a re-expansion is one
+LinComb.sum_of_products call, which sums its coefficient products into one
+accumulator and normalizes once.  The defining relation of the algebra is
+the statement that the complete homogeneous series over a and the elementary
+series over the dual sequence, evaluated at -t, are mutually inverse; it is
+checked coefficientwise against the unit series.
 """
 
 from __future__ import annotations
@@ -28,49 +30,43 @@ from .params import SEQ_A, SEQ_AHAT, ParamPoly
 
 @dataclass
 class TruncatedTSeries:
-    """Constant + sum_k coeffs[k] / t^k up to order N; no coeffs entry is zero."""
+    """sum_k coeffs[k] / t^k for k = 0..order; no coeffs entry is zero."""
 
     order: int
-    constant: NCElement
     coeffs: dict[int, NCElement]
 
     def coeff(self, k: int) -> NCElement:
-        if k == 0:
-            return self.constant
         return self.coeffs.get(k, NCElement.zero())
 
     def multiply(self, other: "TruncatedTSeries") -> "TruncatedTSeries":
         """Product of two series, truncated at the smaller order."""
         n = min(self.order, other.order)
         out: dict[int, NCElement] = {}
-        for k in range(1, n + 1):
+        for k in range(n + 1):
             pairs = ((self.coeff(i), other.coeff(k - i)) for i in range(k + 1))
             if c := NCElement.sum_of_products(pairs, add):
                 out[k] = c
-        return TruncatedTSeries(n, self.constant * other.constant, out)
+        return TruncatedTSeries(n, out)
 
 
 def reexpand_values(
-    order: int,
-    constant: NCElement,
-    coeffs: dict[int, NCElement],
-    values: list[ParamPoly],
+    order: int, coeffs: dict[int, NCElement], values: list[ParamPoly]
 ) -> TruncatedTSeries:
-    """The series constant + sum_k coeffs[k]/((t-v_1)...(t-v_k)) in plain powers."""
+    """The series sum_k coeffs[k]/((t-v_1)...(t-v_k)) in plain powers."""
     # hs[k][i] = h_i(v_1, ..., v_k) multiplies coeffs[k] into the coefficient k + i
     hs = {k: complete_homogeneous(values[:k], order - k) for k in coeffs if k <= order}
     out = {}
-    for n in range(1, order + 1):
+    for n in range(order + 1):
         pairs = ((coeffs[k], NCElement.scalar(h[n - k])) for k, h in hs.items() if k <= n)
         if c := NCElement.sum_of_products(pairs, add):
             out[n] = c
-    return TruncatedTSeries(order, constant, out)
+    return TruncatedTSeries(order, out)
 
 
 def sigma_series(order: int) -> TruncatedTSeries:
     """The complete homogeneous series sum_k S_k/((t-a_1)...(t-a_k)), truncated."""
-    coeffs = {k: NCElement.gen(k) for k in range(1, order + 1)}
-    return reexpand_values(order, NCElement.one(), coeffs, SEQ_A.values(order))
+    coeffs = {k: NCElement.gen(k) for k in range(order + 1)}
+    return reexpand_values(order, coeffs, SEQ_A.values(order))
 
 
 def lambda_series_at_minus_t(order: int) -> TruncatedTSeries:
@@ -82,27 +78,27 @@ def lambda_series_at_minus_t(order: int) -> TruncatedTSeries:
     neg_values = [-v for v in SEQ_AHAT.values(order)]
     coeffs = {
         k: lambda_in_S(k).scale(ParamPoly.const((-1) ** k))
-        for k in range(1, order + 1)
+        for k in range(order + 1)
     }
-    return reexpand_values(order, NCElement.one(), coeffs, neg_values)
+    return reexpand_values(order, coeffs, neg_values)
 
 
-def defining_relation_defect(order: int) -> dict[int, NCElement]:
+def unit_defect(s: TruncatedTSeries) -> dict[int, NCElement]:
+    """The nonzero coefficients of s - 1, keyed by the power k of 1/t."""
+    unit = TruncatedTSeries(s.order, {0: NCElement.one()})
+    return {k: c for k in range(s.order + 1) if (c := s.coeff(k) - unit.coeff(k))}
+
+
+def defining_relation_defect(order: int) -> dict[tuple[int, int], NCElement]:
     """Nonzero coefficients of lambda(-t) sigma(t) - 1 and of sigma(t) lambda(-t) - 1.
 
-    Key k is coefficient k (of 1/t^k) of the first product and key 1000 + k
-    that of the second; keys 0 and 1000 are their constant terms.
+    Key (0, k) is coefficient k (of 1/t^k) of the first product and (1, k)
+    that of the second; k = 0 is the constant term.
     """
     sig = sigma_series(order)
     lam = lambda_series_at_minus_t(order)
-    defects: dict[int, NCElement] = {}
-    for left, right, tag in ((lam, sig, 0), (sig, lam, 1)):
-        prod = left.multiply(right)
-        if not (prod.constant - NCElement.one()).is_zero():
-            defects[tag * 1000] = prod.constant - NCElement.one()
-        for k in range(1, order + 1):
-            c = prod.coeff(k)
-            if not c.is_zero():
-                defects[tag * 1000 + k] = c
-    return defects
-
+    return {
+        (product, k): c
+        for product, (left, right) in enumerate(((lam, sig), (sig, lam)))
+        for k, c in unit_defect(left.multiply(right)).items()
+    }

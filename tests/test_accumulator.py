@@ -138,20 +138,20 @@ def test_coproduct_and_convolution_defect_match_nested_reference():
 
 
 def _series(seed, count, order):
-    """Series with random coefficients, one order left out of each."""
+    """Series with random coefficients at k = 0..order, one order (the
+    constant included) left out of each."""
     rng = random.Random(seed)
     out = []
     for _ in range(count):
-        gap = rng.randint(1, order)
+        gap = rng.randint(0, order)
         coeffs = {
-            k: random_element(rng, 3, terms=3, monomials=3) for k in range(1, order + 1) if k != gap
+            k: random_element(rng, 3, terms=3, monomials=3) for k in range(order + 1) if k != gap
         }
-        out.append(TruncatedTSeries(order, random_element(rng, 2, 2, 2), coeffs))
+        out.append(TruncatedTSeries(order, {k: c for k, c in coeffs.items() if c}))
     return out
 
 
 def _assert_series_normal_form(s):
-    assert_normal_form(s.constant)
     for c in s.coeffs.values():
         assert not c.is_zero()
         assert_normal_form(c)
@@ -166,10 +166,10 @@ def test_series_products_match_nested_reference():
         _assert_series_normal_form(got)
     # (1 + x/t)(1 - x/t) = 1 - x^2/t^2: the order-1 coefficient cancels
     x = NCElement.word((1,)).scale(a(1) * Fraction(1, 2))
-    s = TruncatedTSeries(2, NCElement.one(), {1: x})
-    t = TruncatedTSeries(2, NCElement.one(), {1: -x})
+    s = TruncatedTSeries(2, {0: NCElement.one(), 1: x})
+    t = TruncatedTSeries(2, {0: NCElement.one(), 1: -x})
     got = s.multiply(t)
-    assert list(got.coeffs) == [2] and got.coeffs[2] == -(x * x)
+    assert list(got.coeffs) == [0, 2] and got.coeffs[2] == -(x * x)
     assert factor_terms((x * x).terms[(1, 1)])[(1, 1)] == Fraction(1, 4)
 
 
@@ -182,15 +182,30 @@ def test_series_reexpansion_matches_nested_reference():
     ]
     for values in value_lists:
         for s in _series(2109, 4, order):
-            got = reexpand_values(order, s.constant, s.coeffs, values)
-            want = ref_reexpand_values(order, s.constant, s.coeffs, values)
+            got = reexpand_values(order, s.coeffs, values)
+            want = ref_reexpand_values(order, s.coeffs, values)
             assert got == want and got.coeffs == want.coeffs
             _assert_series_normal_form(got)
     # 3/t - 3 a_1/t^2 ... over (t - a_1): the order-2 terms cancel to no entry
     y = NCElement.word((1,)).scale(3)
-    got = reexpand_values(2, NCElement.one(), {1: y, 2: y.scale(-a(1))}, [a(1), a(2)])
-    assert got.coeffs == {1: y}
+    got = reexpand_values(2, {0: NCElement.one(), 1: y, 2: y.scale(-a(1))}, [a(1), a(2)])
+    assert got.coeffs == {0: NCElement.one(), 1: y}
     assert_normal_form(got.coeffs[1])
+
+
+def test_vanishing_constant_is_not_stored():
+    # the constant of a product is the product of the constants, and that of
+    # a re-expansion is coeffs[0]: where it vanishes, no coeffs[0] is stored
+    xs = _series(2110, 12, 3)
+    assert any(0 not in s.coeffs for s in xs) and any(0 in s.coeffs for s in xs)
+    for s, t in zip(xs, xs[1:]):
+        got = s.multiply(t)
+        assert (0 in got.coeffs) == (0 in s.coeffs and 0 in t.coeffs)
+        assert got == ref_series_multiply(s, t)
+    y = NCElement.word((1,)).scale(a(1))
+    for coeffs in ({1: y}, {0: NCElement.zero(), 1: y}):
+        got = reexpand_values(2, coeffs, [a(1), a(2)])
+        assert got.coeffs == {1: y, 2: y.scale(a(1))}
 
 
 def test_cancelled_coefficient_is_not_stored():

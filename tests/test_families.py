@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+from ncshift import families
 from ncshift.algebra import NCElement, apply_letters, complete_homogeneous
 from ncshift.families import (
     all_words,
@@ -21,12 +22,13 @@ from ncshift.families import (
     s_to_lambda,
     s_to_psi,
     shift_Lambda,
-    verify_translations,
-    verify_wronski_newton,
+    translation_failures,
+    wronski_newton_failures,
 )
 from ncshift.params import ParamPoly, SEQ_A, SEQ_AHAT
 from ncshift.quasidet import hessenberg_quasidet
 from ncshift.shifts import a_binomial, phi_shift, shift_S
+from ncshift.suites import suite_translation, suite_wronski_newton
 
 from tests_support import project_shifted_closed_form
 
@@ -229,14 +231,27 @@ def test_psi_shift_is_phi():
 
 def test_wronski_newton():
     for n in range(1, 8):
-        ok, witness = verify_wronski_newton(n)
-        assert ok, witness
+        assert list(wronski_newton_failures(n)) == []
 
 
 def test_translations():
     for n in range(1, 6):
-        ok, witness = verify_translations(n)
-        assert ok, witness
+        assert list(translation_failures(n)) == []
+
+
+def test_failure_streams_name_each_broken_identity(monkeypatch):
+    # a wrong Psi_n breaks the Wronski identity and the two Psi quasideterminants
+    # only; each suite case reports the first witness of its stream
+    monkeypatch.setattr(families, "psi", lambda n: psi(n) + S(n))
+    assert list(wronski_newton_failures(3)) == ["Wronski identity fails at n=3"]
+    assert list(translation_failures(3)) == [
+        "Psi-from-S quasideterminant fails at n=3",
+        "Psi-from-Lambda quasideterminant fails at n=3",
+    ]
+    wronski = {c.id: c.witness for c in suite_wronski_newton(degree=3).cases}
+    assert wronski["wronski-newton-n3"] == "Wronski identity fails at n=3"
+    translation = {c.id: c.witness for c in suite_translation(degree=3).cases}
+    assert translation["translation-n3"] == "Psi-from-S quasideterminant fails at n=3"
 
 
 def test_psi_rewrite_round_trip():

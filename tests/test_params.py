@@ -16,10 +16,10 @@ from ncshift.params import (
     ParamSubstitution,
     SEQ_A,
     SEQ_AHAT,
-    factors,
 )
 from tests_support import (
     factor_terms,
+    factors,
     random_element,
     ref_degree,
     ref_from_json,

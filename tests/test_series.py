@@ -1,14 +1,18 @@
 """Truncated series: re-expansion oracles and the defining relation."""
 
+import dataclasses
 from fractions import Fraction
 
+from ncshift import series
 from ncshift.algebra import NCElement
 from ncshift.params import ParamPoly, SEQ_A, SEQ_AHAT
 from ncshift.series import (
+    TruncatedTSeries,
     defining_relation_defect,
     lambda_series_at_minus_t,
     reexpand_values,
     sigma_series,
+    unit_defect,
 )
 
 from tests_support import reexpand
@@ -39,7 +43,7 @@ def geometric_plain_coeffs(values, order):
 
 def inverse_shifted_power(order, k, seq):
     """1/((t-b_1)...(t-b_k)) over the sequence b = seq, in plain powers."""
-    return reexpand_values(order, NCElement.zero(), {k: NCElement.one()}, seq.values(order))
+    return reexpand_values(order, {k: NCElement.one()}, seq.values(order))
 
 
 def test_single_shifted_power_geometric_series():
@@ -85,10 +89,10 @@ def test_tau_recursion_between_bases():
 def test_round_trip_shifted_plain_shifted():
     N = 6
     s = sigma_series(N)
-    assert reexpand(s, SEQ_A) == {k: NCElement.gen(k) for k in range(1, N + 1)}
+    assert reexpand(s, SEQ_A) == {k: NCElement.gen(k) for k in range(N + 1)}
     b = SEQ_AHAT.tau(2)
     other = reexpand(s, b)
-    back = reexpand_values(N, s.constant, other, b.values(N))
+    back = reexpand_values(N, other, b.values(N))
     assert back == s
     assert reexpand(back, SEQ_A) == reexpand(s, SEQ_A)
 
@@ -101,6 +105,31 @@ def test_defining_relation_small_orders():
 
 def test_defining_relation_detects_perturbation():
     lam = lambda_series_at_minus_t(4)
-    lam.coeffs[2] = lam.coeffs.get(2, NCElement.zero()) + NCElement.gen(1)
+    lam.coeffs[2] = lam.coeff(2) + NCElement.gen(1)
     prod = lam.multiply(sigma_series(4))
-    assert any(not prod.coeff(k).is_zero() for k in range(1, 5))
+    assert min(unit_defect(prod)) == 2
+    # the zero series misses the unit at 1/t^0 only
+    assert unit_defect(TruncatedTSeries(4, {})) == {0: -NCElement.one()}
+
+
+def test_defects_are_keyed_by_product_and_power(monkeypatch):
+    # perturbing Lambda_2 breaks both products from 1/t^2 on; the keys of the
+    # two products stay apart at every order
+    def perturbed(order):
+        lam = lambda_series_at_minus_t(order)
+        lam.coeffs[2] = lam.coeff(2) + NCElement.gen(1)
+        return lam
+
+    monkeypatch.setattr(series, "lambda_series_at_minus_t", perturbed)
+    defects = defining_relation_defect(4)
+    assert min(defects) == (0, 2) and (1, 2) in defects
+    assert {product for product, _ in defects} == {0, 1}
+    assert all(2 <= k <= 4 for _, k in defects)
+
+
+def test_a_series_is_its_order_and_one_coefficient_map():
+    # the constant is coefficient 0 of coeffs, not a field of its own
+    assert [f.name for f in dataclasses.fields(TruncatedTSeries)] == ["order", "coeffs"]
+    s = sigma_series(3)
+    assert s.coeffs[0] == s.coeff(0) == NCElement.one()
+    assert lambda_series_at_minus_t(3).multiply(s).coeffs == {0: NCElement.one()}

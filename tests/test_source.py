@@ -342,3 +342,16 @@ def test_the_accumulator_stays_inside_params():
         )
 
     assert {scope.split(".")[0] for scope in _scopes(SRC, refers)} == {"params"}
+
+
+def test_only_the_prime_table_and_the_decoder_read_the_index_table():
+    # a monomial's factors are read once, as (index, exponent) pairs of the
+    # one cached decoder params.exponents; no reader rebuilds them by counting
+    def reads_index_table(node):
+        return isinstance(node, ast.Name) and node.id == "_INDEX_OF" and isinstance(node.ctx, ast.Load)
+
+    def counts(node):
+        return _names(node, "Counter") or (isinstance(node, ast.alias) and node.name == "Counter")
+
+    assert sorted(set(_scopes(SRC, reads_index_table))) == ["params._prime", "params.exponents"]
+    assert _scopes(SRC, counts) == []

@@ -14,7 +14,7 @@ from ncshift.params import (
     ParamPoly,
     ParamSequence,
     accumulate,
-    factors,
+    exponents,
     monomial,
     signed,
 )
@@ -87,11 +87,11 @@ def phi_psi_relation_defect(k: int, assignment: VariableAssignment):
 
 def reexpand(series: TruncatedTSeries, target: ParamSequence) -> dict[int, NCElement]:
     """The nonzero coefficients c_k of the series over the shifted powers of
-    target b: series = constant + sum_k c_k/((t-b_1)...(t-b_k)) up to its order."""
+    target b: series = sum_k c_k/((t-b_1)...(t-b_k)) for k = 0..order."""
     # triangular solve: c_k = p_k - sum_{m<k} c_m h_{k-m}(b_1..b_m)
     values = target.values(series.order)
     out: dict[int, NCElement] = {}
-    for k in range(1, series.order + 1):
+    for k in range(series.order + 1):
         acc = series.coeff(k)
         for m, prev in out.items():
             h = complete_homogeneous(values[:m], k - m)[k - m]
@@ -217,6 +217,12 @@ def ref_hessenberg_quasidet(n, entry, subdiag=None):
 # (a_1^2 a_3 is (1, 1, 3)) to its coefficient: the product of two monomials is
 # their sorted concatenation, and the (index, exponent) form is read off the
 # tuple only to print it.
+
+
+def factors(m: int) -> tuple[int, ...]:
+    """The factor indices of a monomial in increasing order, each index
+    repeated by its exponent: (1, 1, 3) for a_1^2 a_3."""
+    return tuple(i for i, e in exponents(m) for _ in range(e))
 
 
 def factor_terms(p: ParamPoly) -> dict:
@@ -360,18 +366,18 @@ def ref_series_multiply(s: TruncatedTSeries, t: TruncatedTSeries) -> TruncatedTS
     nested products."""
     n = min(s.order, t.order)
     out: dict[int, NCElement] = {}
-    for k in range(1, n + 1):
+    for k in range(n + 1):
         acc = NCElement.zero()
         for i in range(k + 1):
             acc = acc + ref_nested_product(s.coeff(i), t.coeff(k - i), add)
         if not acc.is_zero():
             out[k] = acc
-    return TruncatedTSeries(n, ref_nested_product(s.constant, t.constant, add), out)
+    return TruncatedTSeries(n, out)
 
 
-def ref_reexpand_values(order, constant, coeffs, values) -> TruncatedTSeries:
-    """constant + sum_k coeffs[k]/((t-v_1)...(t-v_k)) in plain powers, each
-    scaled coefficient added to its order on its own."""
+def ref_reexpand_values(order, coeffs, values) -> TruncatedTSeries:
+    """sum_k coeffs[k]/((t-v_1)...(t-v_k)) in plain powers, each scaled
+    coefficient added to its order on its own."""
     out: dict[int, NCElement] = {}
     for k, c in coeffs.items():
         if k > order:
@@ -380,7 +386,7 @@ def ref_reexpand_values(order, constant, coeffs, values) -> TruncatedTSeries:
         for i in range(order - k + 1):
             scaled = ref_sum_of_products((w, d, hs[i]) for w, d in c.terms.items())
             accumulate(out, k + i, NCElement._of(scaled))
-    return TruncatedTSeries(order, constant, out)
+    return TruncatedTSeries(order, out)
 
 
 def ref_from_ribbon_basis(x: RibbonElement) -> NCElement:
