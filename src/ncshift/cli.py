@@ -6,7 +6,8 @@ S-basis), convert (between the S, L, Psi and R generating sets), verify
 assignment file).  Exit status 0 when every requested check passes, 1 on a
 verification failure, 2 on usage and input errors.  Every usage error, the
 ones argparse finds included, is a ValueError that `main` prints as one
-`error: ...` line on stderr.
+`error: ...` line on stderr.  JSON output is the text of
+`json.dumps(payload, indent=2)`, written in one pass by `_dumps`.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import json
 import sys
 from fractions import Fraction
 from functools import cache
+from json.encoder import encode_basestring_ascii
 
 from .algebra import NCElement
 from .families import (
@@ -103,11 +105,64 @@ def _parse_params(text: str) -> ParamSubstitution | None:
     raise ValueError("--params symbolic | equidistant:c,base | file:<path>")
 
 
+def _dumps(payload) -> str:
+    """The text of json.dumps(payload, indent=2), written in one pass.
+
+    Python's json module runs its C encoder only without indent, and its
+    pure-Python one took a third of a warm request.  Strings are escaped by
+    the C function json.dumps uses, ints are written by int.__repr__, and
+    every other scalar (bool, None, float) is spelled by json.dumps itself.
+    Keys must be str: the package writes no other, and json.dumps would
+    silently convert one.
+    """
+    parts: list[str] = []
+    _write_json(payload, "\n", parts.append)
+    return "".join(parts)
+
+
+def _write_json(value, newline: str, write) -> None:
+    """Write value's JSON text through write; newline is the line break and
+    indent of the line value starts on."""
+    # a module function, not a closure over parts: a closure that calls
+    # itself is a reference cycle, which would keep every piece of the text
+    # alive until the cyclic collector runs
+    if type(value) is str:
+        write(encode_basestring_ascii(value))
+    elif type(value) is int:  # bool is no int here
+        write(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            write("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
+            write(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(item, inner, write)
+            sep = "," + inner
+        write(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            write("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            write(sep)
+            _write_json(item, inner, write)
+            sep = "," + inner
+        write(newline + "]")
+    else:
+        write(json.dumps(value))
+
+
 def _emit(element: NCElement, fmt: str):
     if fmt == "latex":
         print(element.latex("S"))
     else:
-        print(json.dumps(element.to_json("S"), indent=2))
+        print(_dumps(element.to_json("S")))
 
 
 def cmd_expand(args) -> int:
@@ -161,7 +216,7 @@ def cmd_convert(args) -> int:
             payload["integer_coefficients"] = out.integer_coefficients(sub)
         except MissingIndex as e:
             raise ValueError(f"the --params file gives no value for a_{e.args[0]}") from None
-    print(json.dumps(payload, indent=2))
+    print(_dumps(payload))
     return 0
 
 
@@ -171,7 +226,7 @@ def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     reports = [run_suite(name, degree=args.degree, seed=args.seed) for name in names]
     payload = [r.to_json() for r in reports]
-    print(json.dumps(payload[0] if len(payload) == 1 else payload, indent=2))
+    print(_dumps(payload[0] if len(payload) == 1 else payload))
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -184,7 +239,7 @@ def cmd_specialize(args) -> int:
         value = spec_value(args.family, args.k, assignment)
     except SingularMinor:
         raise ValueError("singular assignment: a quasiminor of its shifted powers is not invertible")
-    print(json.dumps({"family": args.family, "k": args.k, "value": value.to_json()}, indent=2))
+    print(_dumps({"family": args.family, "k": args.k, "value": value.to_json()}))
     return 0
 
 

@@ -35,6 +35,16 @@ class TruncatedTSeries:
     order: int
     coeffs: dict[int, NCElement]
 
+    def __post_init__(self):
+        # == compares coefficient maps, so each series must have only one
+        if self.order < 0:
+            raise ValueError(f"negative series order {self.order}")
+        for k, c in self.coeffs.items():
+            if not 0 <= k <= self.order:
+                raise ValueError(f"coefficient of 1/t^{k} outside 0..{self.order}")
+            if not c:
+                raise ValueError(f"zero coefficient of 1/t^{k}")
+
     def coeff(self, k: int) -> NCElement:
         return self.coeffs.get(k, NCElement.zero())
 

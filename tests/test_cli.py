@@ -1,5 +1,6 @@
 """Command-line interface: flags, formats, exit codes, determinism."""
 
+import gc
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ncshift.cli import main
+from ncshift.cli import _dumps, main
 
 
 def run_cli(args, capsys):
@@ -659,3 +660,107 @@ def test_console_entry_point():
     from ncshift.families import psi
 
     assert NCElement.from_json(json.loads(proc.stdout)) == psi(2)
+
+
+#: leaves whose spelling json.dumps decides: escapes, a surrogate pair, big ints, floats
+_LEAVES = [
+    'say "hi"', "back\\slash", "tab\t nul\x00 us\x1f del\x7f\r\n", "Λ_k, ω^[s] café",
+    "\U0001d54a", "", 0, -7, -(10**299) - 12345, 10**299, True, False, None, 0.5, -1e300,
+]
+
+
+def _payloads():
+    """The package's own kinds of CLI payload, each with its name."""
+    from ncshift.algebra import NCElement
+    from ncshift.families import lambda_in_S, psi_shifted, shift_Lambda
+    from ncshift.params import ParamSubstitution
+    from ncshift.ribbon import Composition, ribbon_shifted, to_ribbon_basis
+    from ncshift.shifts import shift_S
+    from ncshift.special import VariableAssignment, spec_value
+    from ncshift.suites import run_suite
+
+    ribbons = to_ribbon_basis(lambda_in_S(2) * NCElement.gen(1))
+    whole_distant = {
+        **ribbons.to_json(),
+        "whole_distant": True,
+        "integer_coefficients": ribbons.integer_coefficients(ParamSubstitution.equidistant(1, -1)),
+    }
+    report = run_suite("macmahon", degree=4).to_json()
+    witnesses = {c["witness"] is None for c in report["cases"]}
+    assert witnesses == {True, False}  # a None and a text witness
+    assignment = VariableAssignment.from_json(
+        {"c": "1", "base": "-1", "d": 2, "vars": [["3", "1/2", "0", "-4"], ["5", "2", "7/3", "1"]]}
+    )
+    value = spec_value("S", 2, assignment).to_json()
+    return {
+        "expand-S": shift_S(4, 1).to_json("S"),
+        "expand-L": shift_Lambda(4, 0).to_json("S"),
+        "expand-Psi": psi_shifted(4, 0).to_json("S"),
+        "expand-ribbon": ribbon_shifted(Composition((2, 1, 2)), (1, 0, -1)).to_json("S"),
+        "convert-R-whole-distant": whole_distant,
+        "verify": report,
+        "verify-all": [report, report],
+        "specialize": {"family": "S", "k": 2, "value": value},
+    }
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        *_LEAVES,
+        {}, [], [[]], [{}], {"e": {}}, {"x": [[], {}]}, ("tuple", 1),
+        list(_LEAVES), {str(i): leaf for i, leaf in enumerate(_LEAVES)},
+        {'k"\\\x01ω\U0001d54a': [{"a": [1, [2, []]], "b": None}]},
+    ],
+)
+def test_dumps_writes_the_text_of_indented_json_dumps(value):
+    assert _dumps(value) == json.dumps(value, indent=2)
+
+
+def test_dumps_matches_json_dumps_on_real_payloads():
+    for name, payload in _payloads().items():
+        assert _dumps(payload) == json.dumps(payload, indent=2), name
+
+
+def test_dumps_leaves_no_reference_cycle():
+    # a cycle would keep every piece of an answer alive until the cyclic collector ran
+    payload = _payloads()["expand-S"]
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        _dumps(payload)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("key", [1, None, True, 0.5])
+def test_dumps_rejects_a_key_that_is_not_a_string(key):
+    # json.dumps would write str(key) or "true"; the package writes str keys only
+    with pytest.raises(TypeError, match="JSON keys must be str"):
+        _dumps({"terms": [{key: 1}]})
+
+
+def test_every_subcommand_prints_indented_json_dumps_text(tmp_path, capsys):
+    from ncshift.algebra import NCElement
+    from ncshift.families import lambda_in_S
+
+    element = tmp_path / "x.json"
+    element.write_text(json.dumps((lambda_in_S(2) * NCElement.gen(1)).to_json("S")))
+    assignment = tmp_path / "vars.json"
+    assignment.write_text(json.dumps({"c": "1", "base": "-1", "d": 1, "vars": [["3"], ["5"]]}))
+    requests = [
+        ["expand", "--s", "3", "--shift", "1"],
+        ["expand", "--ribbon", "2,1", "--shifts", "3,1"],
+        *(["convert", "--to", basis, "--input", str(element)] for basis in ("S", "L", "Psi", "R")),
+        ["convert", "--to", "R", "--input", str(element), "--params", "equidistant:1,-1"],
+        ["verify", "macmahon", "--degree", "4"],
+        ["verify", "all", "--degree", "3"],
+        ["specialize", "--family", "S", "--k", "1", "--assignment", str(assignment)],
+    ]
+    for argv in requests:
+        code, out, err = run_cli(argv, capsys)
+        assert code in (0, 1) and err == "", argv
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", argv

@@ -1,7 +1,10 @@
 """Truncated series: re-expansion oracles and the defining relation."""
 
 import dataclasses
+import re
 from fractions import Fraction
+
+import pytest
 
 from ncshift import series
 from ncshift.algebra import NCElement
@@ -133,3 +136,18 @@ def test_a_series_is_its_order_and_one_coefficient_map():
     s = sigma_series(3)
     assert s.coeffs[0] == s.coeff(0) == NCElement.one()
     assert lambda_series_at_minus_t(3).multiply(s).coeffs == {0: NCElement.one()}
+
+
+@pytest.mark.parametrize(
+    "order, coeffs, named",
+    [
+        (-1, {}, "negative series order -1"),
+        (2, {5: NCElement.one()}, "1/t^5 outside 0..2"),
+        (2, {-1: NCElement.one()}, "1/t^-1 outside 0..2"),
+        (2, {0: NCElement.zero()}, "zero coefficient of 1/t^0"),
+    ],
+)
+def test_a_series_rejects_a_second_form_of_itself(order, coeffs, named):
+    # a zero entry or one past the order would make == read equal series as different
+    with pytest.raises(ValueError, match=re.escape(named)):
+        TruncatedTSeries(order, coeffs)

@@ -355,3 +355,24 @@ def test_only_the_prime_table_and_the_decoder_read_the_index_table():
 
     assert sorted(set(_scopes(SRC, reads_index_table))) == ["params._prime", "params.exponents"]
     assert _scopes(SRC, counts) == []
+
+
+def test_only_cli_dumps_writes_json_text():
+    # json.dumps with indent runs the stdlib's pure-Python encoder; every JSON
+    # text the package prints is written by cli._dumps through its one-pass
+    # walk cli._write_json, which escapes through the C function json uses and
+    # spells the other scalars by compact json.dumps
+    def indents(node):
+        return isinstance(node, ast.Call) and any(kw.arg == "indent" for kw in node.keywords)
+
+    def writes_json(node):
+        return isinstance(node, ast.Call) and any(
+            _names(node.func, name) for name in ("dumps", "dump", "encode_basestring_ascii")
+        )
+
+    def calls_the_walk(node):
+        return isinstance(node, ast.Call) and _names(node.func, "_write_json")
+
+    assert _scopes(SRC, indents) == []
+    assert set(_scopes(SRC, calls_the_walk)) == {"cli._dumps", "cli._write_json"}
+    assert set(_scopes(SRC, writes_json)) == {"cli._write_json"}
