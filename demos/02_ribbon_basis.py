@@ -13,12 +13,11 @@ from ncshift import (
     from_ribbon_basis,
     macmahon_product,
     omega,
-    ribbon,
     ribbon_uniform,
     to_ribbon_basis,
 )
 from ncshift.params import SEQ_AHAT
-from ncshift.ribbon import macmahon_left_shift
+from ncshift.ribbon import macmahon_left_shift, ribbon
 
 S = NCElement.gen
 C = Composition

@@ -10,10 +10,8 @@ zero-tolerance equality test.
 
 from .algebra import NCElement, Word
 from .families import (
-    embed_unshifted,
     lambda_by_quasidet,
     lambda_in_S,
-    project_shifted,
     psi,
     psi_shifted,
     psi_words_to_s,
@@ -50,7 +48,6 @@ from .ribbon import (
     macmahon_product,
     nagelsbach_form,
     omega,
-    ribbon,
     ribbon_shifted,
     ribbon_uniform,
     to_ribbon_basis,

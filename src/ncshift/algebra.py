@@ -102,15 +102,8 @@ class NCElement(LinComb):
         # scalars commute with everything
         return self.scale(other)
 
-    def degree(self) -> int:
-        """Top word degree; -1 for the zero element."""
-        return max(map(word_degree, self.terms), default=-1)
-
     def constant_term(self) -> ParamPoly:
         return self.terms.get((), ParamPoly.zero())
-
-    def coefficient(self, w: Iterable[int]) -> ParamPoly:
-        return self.terms.get(tuple(w), ParamPoly.zero())
 
     def leading_word(self) -> Word:
         """Maximal support word in the elimination order."""
@@ -158,11 +151,11 @@ class NCElement(LinComb):
 
         return self._show(term)
 
-    def latex(self, letter: str = "S", family_tag: str = "a") -> str:
+    def latex(self, letter: str = "S") -> str:
         """Emit the S_{k;a}-style notation used in the literature."""
 
         def term(w, c):
-            body = "".join(f"{letter}_{{{k};{family_tag}}}" for k in w) or "1"
+            body = "".join(f"{letter}_{{{k};a}}" for k in w) or "1"
             cl = c.latex()
             scaled = f"\\left({cl}\\right) {body}" if len(c.terms) > 1 else f"{cl}\\, {body}"
             return signed(cl, body, scaled)
@@ -212,7 +205,7 @@ def word_image(image: Callable[..., NCElement], w: Word, *args) -> NCElement:
 
 # -- commutative symmetric polynomials of parameter values -------------------
 #
-# Needed by the series re-expansions and by the finite-variable embedding.
+# Needed by the series re-expansions.
 # The standard one-variable-at-a-time recurrence; inputs are plain lists of
 # ParamPoly values.
 

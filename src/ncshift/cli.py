@@ -28,7 +28,7 @@ from .families import (
     s_to_psi,
     shift_Lambda,
 )
-from .params import MissingIndex, ParamSubstitution, as_fraction, canonical_int
+from .params import SEQ_A, MissingIndex, ParamSubstitution, as_fraction, canonical_int
 from .quasidet import SingularMinor
 from .ribbon import (
     Composition,
@@ -179,7 +179,7 @@ def cmd_expand(args) -> int:
         shifts = args.shifts
         if shifts is None:
             shifts = tuple(x + args.shift for x in comp.row_shifts())
-        out = ribbon_shifted(comp, shifts)
+        out = ribbon_shifted(comp, shifts, SEQ_A)
     _emit(out, args.format)
     return 0
 

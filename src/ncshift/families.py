@@ -40,7 +40,7 @@ from functools import cache
 from itertools import combinations, pairwise
 from operator import add
 
-from .algebra import NCElement, Word, apply_letters, complete_homogeneous
+from .algebra import NCElement, Word, apply_letters
 from .params import SEQ_A, SEQ_AHAT, ParamSequence
 from .quasidet import hessenberg_quasidet
 from .shifts import shift_S
@@ -258,38 +258,6 @@ def translation_failures(n: int) -> Iterator[str]:
         yield f"S-from-Psi quasideterminant fails at n={n}"
     if translation_lambda_from_psi(n) != lambda_in_S(n).scale(Fraction(n)):
         yield f"Lambda-from-Psi quasideterminant fails at n={n}"
-
-
-# -- the finite-variable embedding --------------------------------------------
-
-
-@cache
-def embed_unshifted(n: int) -> NCElement:
-    """The unshifted S_n written in the shifted S-basis.
-
-    Coefficient of S_{n-i;a} is h_i(a_1, ..., a_{n-i}), read off from the
-    geometric-series re-expansion of the generating series.
-    """
-    if n == 0:
-        return NCElement.one()
-    return NCElement(
-        {(k,): complete_homogeneous(SEQ_A.values(k), n - k)[n - k] for k in range(1, n + 1)}
-    )
-
-
-@cache
-def project_shifted(n: int) -> NCElement:
-    """S_{n;a} written in unshifted S-letters (triangular inverse of embed).
-
-    Matches sum_i (-1)^i e_i(a_1,...,a_{n-1}) S_{n-i}.
-    """
-    if n == 0:
-        return NCElement.one()
-    embedded = embed_unshifted(n).terms
-    out = NCElement.gen(n)
-    for k in range(1, n):
-        out = out - project_shifted(k).scale(embedded[(k,)])
-    return out
 
 
 def all_words(max_degree: int) -> list[Word]:

@@ -35,17 +35,6 @@ class TensorElement(LinComb):
     __slots__ = ()
     _sort_key = None  # word pairs in their own order
 
-    @staticmethod
-    def one() -> "TensorElement":
-        return TensorElement._of({((), ()): ParamPoly.one()})
-
-    @staticmethod
-    def of(x: NCElement, y: NCElement) -> "TensorElement":
-        # distinct word pairs, and Q[a] has no zero divisors: nothing to merge
-        return TensorElement._of(
-            {(w1, w2): c1 * c2 for w1, c1 in x.terms.items() for w2, c2 in y.terms.items()}
-        )
-
     def __mul__(self, other: "TensorElement") -> "TensorElement":
         return self._product(other, lambda k1, k2: (k1[0] + k2[0], k1[1] + k2[1]))
 

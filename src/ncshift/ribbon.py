@@ -81,10 +81,8 @@ def all_compositions(degree: int) -> list[Composition]:
 
 
 @cache
-def ribbon_shifted(
-    I: Composition, K: tuple[int, ...], base: ParamSequence = SEQ_A
-) -> NCElement:
-    """R_I^[K] in the S-basis, via the Hessenberg expansion."""
+def ribbon_shifted(I: Composition, K: tuple[int, ...], base: ParamSequence) -> NCElement:
+    """R_I^[K] over the sequence base in the S-basis, via the Hessenberg expansion."""
     n = I.length
     if len(K) != n:
         raise ValueError("shift vector length must match the composition")
@@ -95,7 +93,7 @@ def ribbon_shifted(
 
 def ribbon(I: Composition) -> NCElement:
     """R_I at the canonical shifts."""
-    return ribbon_shifted(I, I.row_shifts())
+    return ribbon_shifted(I, I.row_shifts(), SEQ_A)
 
 
 def ribbon_uniform(I: Composition, s: int, base: ParamSequence = SEQ_A) -> NCElement:
@@ -165,7 +163,7 @@ class RibbonElement(LinComb):
 
 
 def from_ribbon_basis(x: RibbonElement) -> NCElement:
-    return NCElement.linear(x, lambda key: ribbon_shifted(Composition(key[0]), key[1]))
+    return NCElement.linear(x, lambda key: ribbon_shifted(Composition(key[0]), key[1], SEQ_A))
 
 
 def to_ribbon_basis(x: NCElement) -> RibbonElement:

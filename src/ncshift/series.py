@@ -74,7 +74,10 @@ def reexpand_values(
 
 
 def sigma_series(order: int) -> TruncatedTSeries:
-    """The complete homogeneous series sum_k S_k/((t-a_1)...(t-a_k)), truncated."""
+    """The complete homogeneous series sum_k S_k/((t-a_1)...(t-a_k)), truncated.
+
+    Its coefficient of 1/t^n is the unshifted S_n in the shifted S-basis.
+    """
     coeffs = {k: NCElement.gen(k) for k in range(order + 1)}
     return reexpand_values(order, coeffs, SEQ_A.values(order))
 
@@ -95,8 +98,11 @@ def lambda_series_at_minus_t(order: int) -> TruncatedTSeries:
 
 def unit_defect(s: TruncatedTSeries) -> dict[int, NCElement]:
     """The nonzero coefficients of s - 1, keyed by the power k of 1/t."""
-    unit = TruncatedTSeries(s.order, {0: NCElement.one()})
-    return {k: c for k in range(s.order + 1) if (c := s.coeff(k) - unit.coeff(k))}
+    return {
+        k: c
+        for k in range(s.order + 1)
+        if (c := s.coeff(k) - NCElement.one() if k == 0 else s.coeff(k))
+    }
 
 
 def defining_relation_defect(order: int) -> dict[tuple[int, int], NCElement]:

@@ -95,7 +95,8 @@ class Report:
         self.cases.append(Case(id, bool(passed), witness if not passed else None))
 
     def check_nc(self, id: str, got: LinComb, want: LinComb):
-        self.add(id, got == want, nc_witness(got, want))
+        passed = got == want
+        self.add(id, passed, None if passed else nc_witness(got, want))
 
     def first(self, id: str, failures: Iterable[str]):
         """Record id from a lazy stream of failure witnesses.

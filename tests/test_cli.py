@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from ncshift.cli import _dumps, main
+from ncshift.params import SEQ_A
 
 
 def run_cli(args, capsys):
@@ -34,7 +35,7 @@ def test_expand_ribbon_json_matches_library(capsys):
     from ncshift.ribbon import Composition, ribbon_shifted
 
     got = NCElement.from_json(json.loads(out))
-    assert got == ribbon_shifted(Composition((2, 1)), (3, 1))
+    assert got == ribbon_shifted(Composition((2, 1)), (3, 1), SEQ_A)
 
 
 def test_expand_negative_first_shift_takes_equals_form(capsys):
@@ -46,7 +47,7 @@ def test_expand_negative_first_shift_takes_equals_form(capsys):
     assert code == 0
     from ncshift.ribbon import Composition, ribbon_shifted
 
-    assert json.loads(out) == ribbon_shifted(Composition((1, 2)), (-1, 0)).to_json("S")
+    assert json.loads(out) == ribbon_shifted(Composition((1, 2)), (-1, 0), SEQ_A).to_json("S")
 
 
 def test_expand_shifted_generator(capsys):
@@ -644,7 +645,7 @@ def test_shared_parser_keeps_no_state_between_calls(capsys):
 
     assert shared[2][1] == as_output(shift_S(2, 0))  # --shift is back to 0
     comp = Composition((2, 1))
-    assert shared[4][1] == as_output(ribbon_shifted(comp, comp.row_shifts()))  # --shifts is None
+    assert shared[4][1] == as_output(ribbon_shifted(comp, comp.row_shifts(), SEQ_A))  # --shifts is None
 
 
 def test_console_entry_point():
@@ -696,7 +697,7 @@ def _payloads():
         "expand-S": shift_S(4, 1).to_json("S"),
         "expand-L": shift_Lambda(4, 0).to_json("S"),
         "expand-Psi": psi_shifted(4, 0).to_json("S"),
-        "expand-ribbon": ribbon_shifted(Composition((2, 1, 2)), (1, 0, -1)).to_json("S"),
+        "expand-ribbon": ribbon_shifted(Composition((2, 1, 2)), (1, 0, -1), SEQ_A).to_json("S"),
         "convert-R-whole-distant": whole_distant,
         "verify": report,
         "verify-all": [report, report],

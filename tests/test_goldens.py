@@ -169,7 +169,10 @@ def _outputs(group, tmp_path, capsys):
         for x in elements:
             yield f"{x}\n{x!r}\n"
             for letter, tag in (("S", "a"), ("L", "ahat"), ("\\Psi", "a")):
-                yield f"{x.pretty(letter)}\n{x.latex(letter, tag)}\n"
+                # the digest was captured while latex took the family tag
+                # after ";" as a parameter; it is now always a
+                latex = x.latex(letter).replace(";a}", f";{tag}}}")
+                yield f"{x.pretty(letter)}\n{latex}\n"
         for r in ribbons:
             yield f"{r}\n{r!r}\n{r.latex()}\n"
         for t in tensors:

@@ -2,12 +2,13 @@
 
 import random
 from fractions import Fraction
+from types import ModuleType
 
 import pytest
 
 from ncshift.algebra import NCElement
 from ncshift.families import lambda_in_S, shift_Lambda
-from ncshift.params import ParamPoly, ParamSubstitution, SEQ_AHAT
+from ncshift.params import ParamPoly, ParamSubstitution, SEQ_A, SEQ_AHAT
 from ncshift.quasidet import hessenberg_quasidet
 from ncshift.ribbon import (
     Composition,
@@ -99,14 +100,21 @@ def test_ribbon_three_rows_expansion():
     assert got == want
 
 
+def test_the_ribbon_module_is_not_shadowed():
+    import ncshift.ribbon as R
+
+    assert isinstance(R, ModuleType)
+    assert R.ribbon_shifted is ribbon_shifted
+
+
 def test_ribbon_shifted_reductions():
     for I in (C((3,)), C((2, 1)), C((1, 2, 1))):
-        assert ribbon_shifted(I, I.row_shifts()) == ribbon(I)
+        assert ribbon_shifted(I, I.row_shifts(), SEQ_A) == ribbon(I)
     for n, s in ((2, 3), (4, -1)):
-        assert ribbon_shifted(C((n,)), (s,)) == shift_S(n, s)
-    assert ribbon_shifted(C((1, 1)), (1, 0)) == lambda_in_S(2)
+        assert ribbon_shifted(C((n,)), (s,), SEQ_A) == shift_S(n, s)
+    assert ribbon_shifted(C((1, 1)), (1, 0), SEQ_A) == lambda_in_S(2)
     with pytest.raises(ValueError):
-        ribbon_shifted(C((1, 2)), (1, 2, 3))
+        ribbon_shifted(C((1, 2)), (1, 2, 3), SEQ_A)
 
 
 def test_ribbon_leading_word():
@@ -114,7 +122,7 @@ def test_ribbon_leading_word():
         for I in all_compositions(d):
             r = ribbon(I)
             assert r.leading_word() == I.parts
-            assert r.coefficient(I.parts) == ParamPoly.one()
+            assert r.terms.get(I.parts) == ParamPoly.one()
 
 
 def test_uniform_shift_is_phi():
@@ -187,9 +195,9 @@ def test_generalized_macmahon_random_shift_vectors():
         J = rng.choice(all_compositions(dJ))
         K = tuple(rng.randint(-3, 4) for _ in I.parts)
         L = tuple(rng.randint(-3, 4) for _ in J.parts)
-        lhs = ribbon_shifted(I, K) * ribbon_shifted(J, L)
-        rhs = ribbon_shifted(I.concat(J), K + L) + ribbon_shifted(
-            I.fuse(J), K + L[1:]
+        lhs = ribbon_shifted(I, K, SEQ_A) * ribbon_shifted(J, L, SEQ_A)
+        rhs = ribbon_shifted(I.concat(J), K + L, SEQ_A) + ribbon_shifted(
+            I.fuse(J), K + L[1:], SEQ_A
         )
         assert lhs == rhs
         assert from_ribbon_basis(generalized_macmahon_rhs(I, K, J, L)) == rhs

@@ -132,7 +132,7 @@ def test_negative_shift_matches_bracket_enumeration():
 def test_shift_coeffs_unit_leading():
     for k in range(1, 7):
         for s in (-3, -1, 0, 1, 3):
-            assert shift_S(k, s).coefficient((k,)) == ParamPoly.one()
+            assert shift_S(k, s).terms.get((k,)) == ParamPoly.one()
 
 
 def test_phi_examples():

@@ -14,8 +14,6 @@ ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
 #: top-level definitions that no module of the package uses, each kept for
 #: the callers outside it that the reason names
 EXTERNAL_ONLY = {
-    "families.project_shifted": "public inverse of embed_unshifted; tests hold it "
-    "to the printed elementary closed form",
     "hopf.antipode": "public antipode map of demos/03, held by tests to the "
     "letter-by-letter reference; the hopf suite reads it through algebra.word_image",
     "quasidet.verify_bazin": "the numeric bench's Bazin op, with its own "
@@ -136,10 +134,11 @@ def test_only_the_duality_layer_takes_a_sequence():
             _names(d, "SEQ_A") or _names(d, "SEQ_AHAT") for d in defaults
         )
 
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     found = [
-        f"{path.stem}.{node.name}"
-        for path in sorted(SRC.glob("*.py"))
-        for node in ast.parse(path.read_text()).body
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
         if isinstance(node, ast.FunctionDef) and takes_sequence(node)
     ]
     assert found == [
@@ -150,6 +149,21 @@ def test_only_the_duality_layer_takes_a_sequence():
         "shifts.a_binomial",
         "shifts.shift_S",
     ]
+    # the ribbon table keys each value once: ribbon_shifted has no default
+    # sequence, and every call in the package passes (I, K, base)
+    (definition,) = [
+        node for node in trees["ribbon"].body
+        if isinstance(node, ast.FunctionDef) and node.name == "ribbon_shifted"
+    ]
+    assert definition.args.defaults == [] and len(definition.args.args) == 3
+    calls = [
+        (module, node.lineno, len(node.args), len(node.keywords))
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _names(node.func, "ribbon_shifted")
+    ]
+    assert len(calls) >= 5
+    assert [c for c in calls if c[2:] != (3, 0)] == []
 
 
 def _added_to_itself(node):

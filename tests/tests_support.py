@@ -395,7 +395,7 @@ def ref_from_ribbon_basis(x: RibbonElement) -> NCElement:
         ref_sum_of_products(
             (u, c, d)
             for (comp, K), c in x.terms.items()
-            for u, d in ribbon_shifted(Composition(comp), K).terms.items()
+            for u, d in ribbon_shifted(Composition(comp), K, SEQ_A).terms.items()
         )
     )
 
