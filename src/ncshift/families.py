@@ -196,13 +196,13 @@ def wronski_newton_failures(n: int) -> Iterator[str]:
         yield f"fundamental identity fails at n={n}"
     # n S_n^[n-1] = sum_{k=0}^{n-1} S_k^[n-1] Psi_{n-k}
     rhs = NCElement.sum_of_products(((shift_S(k, n - 1), psi(n - k)) for k in range(n)), add)
-    if shift_S(n, n - 1).scale(Fraction(n)) != rhs:
+    if shift_S(n, n - 1).scale(n) != rhs:
         yield f"Wronski identity fails at n={n}"
     # n Lambda_n = sum_{k=0}^{n-1} (-1)^{n-k-1} Psi_{n-k}^[k] Lambda_k
     rhs = NCElement.sum_of_products(
         ((psi_shifted(n - k, k).scale((-1) ** (n - k - 1)), lambda_in_S(k)) for k in range(n)), add
     )
-    if lambda_in_S(n).scale(Fraction(n)) != rhs:
+    if lambda_in_S(n).scale(n) != rhs:
         yield f"Newton identity fails at n={n}"
 
 
@@ -212,7 +212,7 @@ def translation_psi_from_s(n: int) -> NCElement:
 
     def entry(i: int, j: int) -> NCElement:
         e = shift_S(j - i + 1, n - i)
-        return e.scale(Fraction(sign * (n - i + 1))) if j == n else e
+        return e.scale(sign * (n - i + 1)) if j == n else e
 
     return hessenberg_quasidet(n, entry)
 
@@ -222,7 +222,7 @@ def translation_psi_from_lambda(n: int) -> NCElement:
 
     def entry(i: int, j: int) -> NCElement:
         e = shift_Lambda(j - i + 1, n - j)
-        return e.scale(Fraction(j)) if i == 1 else e
+        return e.scale(j) if i == 1 else e
 
     return hessenberg_quasidet(n, entry)
 
@@ -254,9 +254,9 @@ def translation_failures(n: int) -> Iterator[str]:
         yield f"Psi-from-S quasideterminant fails at n={n}"
     if translation_psi_from_lambda(n) != p:
         yield f"Psi-from-Lambda quasideterminant fails at n={n}"
-    if translation_s_from_psi(n) != shift_S(n, n - 1).scale(Fraction(n)):
+    if translation_s_from_psi(n) != shift_S(n, n - 1).scale(n):
         yield f"S-from-Psi quasideterminant fails at n={n}"
-    if translation_lambda_from_psi(n) != lambda_in_S(n).scale(Fraction(n)):
+    if translation_lambda_from_psi(n) != lambda_in_S(n).scale(n):
         yield f"Lambda-from-Psi quasideterminant fails at n={n}"
 
 

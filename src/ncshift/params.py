@@ -8,24 +8,29 @@ printed signed sum and the bilinear product loop written once, and
 accumulate() the in-place sum of the linear structure.  Each class prints only
 its own term, most through signed(), which writes coefficient 1 or -1 as the
 bare or negated term.  ParamPoly is the LinComb of monomials with rational
-coefficients, each an int where it is integral and a Fraction otherwise; the
-element classes downstream are LinCombs with ParamPoly coefficients.  A
-monomial is a positive int, the product of one prime per factor: each index
-gets the next unused prime the first time it is seen (a per-process table),
-so a_1^2 a_3 is p(1)^2 p(3), the constant monomial is 1, and the product of
-two monomials is their integer product, exact by unique factorization.  Only
-the serialization order, the printers, the JSON form, tau, substitute and
-degree read a monomial's factors, each through the one cached decoder to
-(index, exponent) pairs.
+coefficients, stored as int numerators over one positive denominator in
+lowest terms; the element classes downstream are LinCombs with ParamPoly
+coefficients.  A monomial is a positive int, the product of one prime per
+factor: each index gets the next unused prime the first time it is seen (a
+per-process table), so a_1^2 a_3 is p(1)^2 p(3), the constant monomial is 1,
+and the product of two monomials is their integer product, exact by unique
+factorization.  Only the serialization order, the printers, the JSON form,
+tau, substitute and degree read a monomial's factors, each through the one
+cached decoder to (index, exponent) pairs.
 
 Every sum of products over Q[a] -- element products, letter substitutions,
 ribbon and coproduct expansions, the signed sums of the generator families --
 is one call of LinComb.sum_of_products() (the sum of x*y over pairs of
 combinations) or LinComb.linear() (the sum of c_k image(k) over the terms of
 a combination).  Both write each coefficient product straight into one
-accumulator, a dict from output key to a raw monomial -> coefficient dict,
-and normalize it once at the end: zeros dropped, integral Fractions turned
-into ints, vanished keys dropped.  The accumulator never leaves this module.
+accumulator, a dict from output key to a raw monomial -> int numerator dict
+and its one denominator, and normalize it once at the end: zeros dropped,
+numerators and denominator divided by their gcd, vanished keys dropped.  A
+product over a denominator that the key's does not divide first puts the key
+over their lcm, so the monomial loop adds ints only.  The accumulator never
+leaves this module, and a Fraction is built only where a coefficient leaves
+the ring: as text, as the number substitute() returns, or to hash a constant
+that is no integer.
 ParamPoly's own product runs through the same monomial loop, so the monomial
 join is written once.
 
@@ -45,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import takewhile
-from math import prod
+from math import gcd, lcm, prod
 from typing import Callable, Iterable, Mapping
 
 Monomial = int  # a product of index primes: a_1^2 a_3 is p(1)^2 p(3), and 1 is constant
@@ -129,9 +134,10 @@ def exponents(m: Monomial) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(out))
 
 
-def _integral(c):
-    """An integral Fraction as its int numerator; anything else unchanged."""
-    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+def _ratio(c) -> tuple[int, int]:
+    """An int, a Fraction or a 'p/q' string as (numerator, denominator > 0) in
+    lowest terms; an int passes no coercion."""
+    return (c if type(c) is int else as_fraction(c)).as_integer_ratio()
 
 
 def accumulate(terms: dict, key, c) -> None:
@@ -139,31 +145,58 @@ def accumulate(terms: dict, key, c) -> None:
     s = terms.get(key)
     s = c if s is None else s + c
     if s:
-        terms[key] = _integral(s)
+        terms[key] = s
     else:
         terms.pop(key, None)
 
 
-def _add_monomial_products(t: dict, p: dict, q: dict) -> None:
-    """t[m1 m2] += a*b over the terms a m1 of p and b m2 of q, with no pruning:
-    t may hold zeros and integral Fractions until _normal_terms() reads it."""
+def _add_monomial_products(t: dict, p: dict, q: dict, f: int = 1) -> None:
+    """t[m1 m2] += f*a*b over the int terms a m1 of p and b m2 of q, with no
+    pruning: t may hold zeros until _reduced() reads it."""
     for m1, a in p.items():
+        a *= f
         for m2, b in q.items():
             m = m1 * m2
             t[m] = t.get(m, 0) + a * b
 
 
-def _normal_terms(t: dict) -> dict:
-    """A raw monomial dict in normal form: no zero, every integral value an int."""
-    return {m: _integral(c) for m, c in t.items() if c}
+def _reduced(t: dict, den: int) -> tuple[dict, int]:
+    """The numerators t over den in normal form: no zero, and numerators and
+    denominator divided by their gcd (the zero polynomial has den 1)."""
+    t = {m: c for m, c in t.items() if c}
+    if den != 1:
+        g = gcd(den, *t.values())
+        if g != 1:
+            den //= g
+            t = {m: c // g for m, c in t.items()}
+    return t, den
+
+
+def _rational_terms(pairs: Iterable) -> tuple[dict, int]:
+    """The normal form of the sum of c m over (monomial m, rational c) pairs."""
+    ratios = [(m, *_ratio(c)) for m, c in pairs]
+    den = lcm(*(d for _, _, d in ratios))
+    t: dict = {}
+    for m, n, d in ratios:
+        t[m] = t.get(m, 0) + n * (den // d)
+    return _reduced(t, den)
 
 
 def add_product(acc: dict, key, p: "ParamPoly", q: "ParamPoly") -> None:
-    """Add the polynomial product p*q into acc[key], a raw monomial dict."""
-    t = acc.get(key)
-    if t is None:
-        t = acc[key] = {}
-    _add_monomial_products(t, p.terms, q.terms)
+    """Add the polynomial product p*q into acc[key], a [numerators, den]
+    entry: if the denominator of p*q does not divide den, the entry is first
+    put over their lcm."""
+    d = p.den * q.den
+    e = acc.get(key)
+    if e is None:
+        e = acc[key] = [{}, d]
+    elif e[1] % d:
+        f = lcm(e[1], d) // e[1]
+        t = e[0]
+        for m in t:
+            t[m] *= f
+        e[1] *= f
+    _add_monomial_products(e[0], p.terms, q.terms, e[1] // d)
 
 
 def signed(coeff: str, body: str, scaled: str) -> str:
@@ -195,13 +228,13 @@ class LinComb:
 
     @classmethod
     def _summed(cls, acc: dict):
-        """The combination an accumulator holds: each raw monomial dict in
-        normal form, and the keys whose polynomial vanished dropped."""
+        """The combination an accumulator holds: each entry in normal form,
+        and the keys whose polynomial vanished dropped."""
         out = {}
-        for key, t in acc.items():
-            t = _normal_terms(t)
+        for key, (t, den) in acc.items():
+            t, den = _reduced(t, den)
             if t:
-                out[key] = ParamPoly._of(t)
+                out[key] = ParamPoly._of(t, den)
         return cls._of(out)
 
     @classmethod
@@ -263,7 +296,7 @@ class LinComb:
         """Multiply every coefficient by c, used as given; the int 1 returns self."""
         if type(c) is int and c == 1:
             return self
-        return self._of({k: _integral(c * v) for k, v in self.terms.items()} if c else {})
+        return self._of({k: c * v for k, v in self.terms.items()} if c else {})
 
     def _product(self, other, join: Callable):
         """The bilinear product of two combinations with ParamPoly coefficients:
@@ -309,23 +342,38 @@ def _monomial_sort_key(m: Monomial):
 
 class ParamPoly(LinComb):
     """Sparse polynomial in the a_i: a LinComb of monomials with rational
-    coefficients, stored as an int where integral (int arithmetic is cheap,
-    and an int agrees with the equal Fraction on ==, hash and str) and as a
-    Fraction with denominator > 1 otherwise.  No coefficient is ever
-    divided: scalings multiply by Fraction(1, n), so no float can arise.
+    coefficients, stored as int numerators (terms) over one positive
+    denominator (den) with gcd(den, *numerators) == 1; the zero polynomial
+    has den 1.  So the ring operations add and multiply ints, and a
+    coefficient becomes a Fraction only where it leaves the ring: in
+    sorted_terms (the printers and to_json read it), in substitute, and to
+    hash a constant that is no integer.  Numerators are only added,
+    multiplied and floor-divided by a common gcd, so no float can arise.
 
-    Ints and Fractions are constants: they compare, add and multiply as such.
+    Ints and Fractions are constants: they compare, add and multiply as such,
+    and a constant hashes as the number it equals.
     """
 
-    __slots__ = ()
+    __slots__ = ("den",)
     _sort_key = staticmethod(_monomial_sort_key)
+
+    def __init__(self, terms: Mapping | None = None):
+        """The sum of c m over the items (m, c) of a monomial -> rational map."""
+        self.terms, self.den = _rational_terms(terms.items() if terms else ())
+
+    @classmethod
+    def _of(cls, terms: dict, den: int = 1) -> "ParamPoly":
+        """Wrap numerators in normal form over den without copying them."""
+        out = cls.__new__(cls)
+        out.terms, out.den = terms, den
+        return out
 
     # -- constructors -----------------------------------------------------
 
     @staticmethod
     def const(c) -> "ParamPoly":
-        c = _integral(as_fraction(c))
-        return ParamPoly._of({1: c} if c else {})
+        n, d = _ratio(c)
+        return ParamPoly._of({1: n} if n else {}, d)
 
     @staticmethod
     def one() -> "ParamPoly":
@@ -347,31 +395,61 @@ class ParamPoly(LinComb):
     def __eq__(self, other) -> bool:
         if type(other) is int or isinstance(other, Fraction):
             other = ParamPoly.const(other)
-        return super().__eq__(other)
+        elif type(other) is not ParamPoly:
+            return NotImplemented
+        return self.den == other.den and self.terms == other.terms
 
     def __hash__(self):
         # a constant hashes as the number it equals, the zero polynomial as 0
         if self.terms.keys() <= {1}:
-            return hash(self.terms.get(1, 0))
-        return super().__hash__()
+            c = self.terms.get(1, 0)
+            return hash(c if self.den == 1 else Fraction(c, self.den))
+        return hash((frozenset(self.terms.items()), self.den))
+
+    def _plus(self, other: "ParamPoly", sign: int) -> "ParamPoly":
+        """self + sign*other, over the lcm of the two denominators."""
+        den = lcm(self.den, other.den)
+        f = den // self.den
+        t = {m: f * c for m, c in self.terms.items()} if f != 1 else dict(self.terms)
+        f = sign * (den // other.den)
+        for m, c in other.terms.items():
+            s = t.get(m, 0) + f * c
+            if s:
+                t[m] = s
+            else:
+                del t[m]
+        return ParamPoly._of(t) if den == 1 else ParamPoly._of(*_reduced(t, den))
 
     def __add__(self, other) -> "ParamPoly":
-        return super().__add__(ParamPoly.coerce(other))
+        return self._plus(ParamPoly.coerce(other), 1)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "ParamPoly":
-        return super().__sub__(ParamPoly.coerce(other))
+        return self._plus(ParamPoly.coerce(other), -1)
 
     def __rsub__(self, other) -> "ParamPoly":
         return ParamPoly.coerce(other) - self
 
+    def __neg__(self) -> "ParamPoly":
+        return ParamPoly._of({m: -c for m, c in self.terms.items()}, self.den)
+
+    def scale(self, c) -> "ParamPoly":
+        """Multiply by c, an int, a Fraction, a 'p/q' string or a ParamPoly;
+        the int 1 returns self."""
+        if isinstance(c, ParamPoly):
+            return self * c
+        if type(c) is int and c == 1:
+            return self
+        n, d = _ratio(c)
+        return ParamPoly._of(*_reduced({m: n * v for m, v in self.terms.items()}, d * self.den))
+
     def __mul__(self, other) -> "ParamPoly":
         if not isinstance(other, ParamPoly):
-            return self.scale(other if type(other) is int else _integral(as_fraction(other)))
+            return self.scale(other)
         t: dict = {}
         _add_monomial_products(t, self.terms, other.terms)
-        return ParamPoly._of(_normal_terms(t))
+        return ParamPoly._of(*_reduced(t, self.den * other.den))
 
     __rmul__ = __mul__
 
@@ -394,7 +472,8 @@ class ParamPoly(LinComb):
         if s == 0:
             return self
         return ParamPoly._of(
-            {monomial((i + s, e) for i, e in exponents(m)): c for m, c in self.terms.items()}
+            {monomial((i + s, e) for i, e in exponents(m)): c for m, c in self.terms.items()},
+            self.den,
         )
 
     def substitute(self, sub: "ParamSubstitution") -> Fraction:
@@ -407,12 +486,18 @@ class ParamPoly(LinComb):
             for i, e in exponents(m):
                 x = values.get(i)
                 if x is None:
-                    x = values[i] = _integral(sub.index_value(i))
+                    x = sub.index_value(i)
+                    x = values[i] = x.numerator if x.denominator == 1 else x
                 v *= x**e
             total += v
-        return Fraction(total)
+        return Fraction(total) if self.den == 1 else Fraction(total, self.den)
 
     # -- presentation --------------------------------------------------------
+
+    def sorted_terms(self) -> list:
+        """The (monomial, rational coefficient) pairs in serialization order."""
+        terms, den = LinComb.sorted_terms(self), self.den
+        return terms if den == 1 else [(m, Fraction(c, den)) for m, c in terms]
 
     def to_json(self) -> list:
         return [
@@ -422,15 +507,15 @@ class ParamPoly(LinComb):
 
     @staticmethod
     def from_json(data: Iterable) -> "ParamPoly":
-        out: dict[Monomial, int | Fraction] = {}
+        pairs = []
         for item in data:
             exponents = []
             for key, e in item["e"].items():
                 if type(e) is not int or not 0 <= e <= MAX_JSON_EXPONENT:
                     raise ValueError(f"exponent not in 0..{MAX_JSON_EXPONENT} in {item!r}")
                 exponents.append((canonical_int(key), e))
-            accumulate(out, monomial(exponents), as_fraction(item["c"]))
-        return ParamPoly._of(out)
+            pairs.append((monomial(exponents), item["c"]))
+        return ParamPoly._of(*_rational_terms(pairs))
 
     def __str__(self) -> str:
         def term(m, c):

@@ -400,14 +400,14 @@ def suite_wronski_newton(degree: int = 8, seed: int = 0) -> Report:
     rep.check_nc(
         "psi-2",
         psi(2),
-        shift_S(2, 1).scale(Fraction(2)) - shift_Lambda(1, 1) * S(1),
+        shift_S(2, 1).scale(2) - shift_Lambda(1, 1) * S(1),
     )
     rep.check_nc("psi-2-short", psi(2), shift_S(2, 1) - lambda_in_S(2))
     rep.check_nc(
         "psi-3",
         psi(3),
-        shift_S(3, 2).scale(Fraction(3))
-        - (shift_Lambda(1, 2) * shift_S(2, 1)).scale(Fraction(2))
+        shift_S(3, 2).scale(3)
+        - (shift_Lambda(1, 2) * shift_S(2, 1)).scale(2)
         + shift_Lambda(2, 1) * S(1),
     )
     rep.check_nc(

@@ -392,6 +392,20 @@ def test_criterion_08_hopf_at_degree_6():
     _assert_cases(rep, others, label="hopf at degree 6: every other case")
 
 
+def test_criterion_08_hopf_at_degree_7():
+    """The Hopf suite two degrees past its default: the same cases and
+    verdicts as at degree 6, and the report `ncshift verify hopf --degree 6`
+    prints, byte for byte."""
+    rep = run_suite("hopf", degree=7)
+    printed = {"delta-s3-printed-symbolic"}
+    _assert_refuted(rep, printed, label="hopf at degree 7: printed Delta(S_3)")
+    others = {c.id for c in rep.cases} - printed
+    _assert_cases(rep, others, label="hopf at degree 7: every other case")
+    text = json.dumps(rep.to_json(), indent=2) + "\n"
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "3177346019916eac5fe871ba454760b848584f9a41eec5a594a29ef073ca5bc7"
+
+
 def test_criterion_08_delta_s3_printed_symbolic():
     """Delta(S_3) with the displayed (4/3)(a_0 - a_1) term, symbolically.
 

@@ -52,7 +52,7 @@ def _tensor(x, y):
 def test_corpus_has_several_monomials_and_fractions():
     coeffs = [c for x in _elements(2101, 30, 4) for c in x.terms.values()]
     assert any(len(c.terms) > 1 for c in coeffs)
-    assert any(type(r) is Fraction for c in coeffs for r in c.terms.values())
+    assert any(Fraction(r, c.den).denominator > 1 for c in coeffs for r in c.terms.values())
 
 
 def test_element_products_match_nested_reference():
@@ -219,14 +219,46 @@ def test_cancelled_coefficient_is_not_stored():
 
 
 def test_integral_product_is_stored_as_int():
+    # 1/2 * 2 is the numerator 1 over the denominator 1
     x = S(1).scale(Fraction(1, 2))
     y = S(1).scale(2)
-    c = factor_terms((x * y).terms[(1, 1)])[()]
-    assert type(c) is int and c == 1
+    p = (x * y).terms[(1, 1)]
+    assert (p.terms, p.den) == ({1: 1}, 1) and type(p.terms[1]) is int
     t = TensorElement({((1,), ()): ParamPoly.const(Fraction(1, 2))})
     u = TensorElement({((), (1,)): ParamPoly.const(2) * a(0)})
-    c = factor_terms((t * u).terms[((1,), (1,))])[(0,)]
-    assert type(c) is int and c == 1
+    p = (t * u).terms[((1,), (1,))]
+    assert (p.terms, p.den) == (a(0).terms, 1) and all(type(c) is int for c in p.terms.values())
+
+
+#: (c1, c2) pairs whose products land in one key, and their sum: over the
+#: lcm 6, cancelling to the denominator 1, to a smaller one, and to zero
+SHARED_KEY_SUMS = [
+    ([(Fraction(1, 2), 1), (1, Fraction(1, 3))], Fraction(5, 6)),
+    ([(Fraction(1, 2), 1), (1, Fraction(1, 2))], 1),
+    ([(Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 4), 3)], 1),
+    ([(Fraction(1, 2), Fraction(1, 3)), (Fraction(1, 3), 1)], Fraction(1, 2)),
+    ([(Fraction(1, 2), 1), (-1, Fraction(1, 3)), (Fraction(-1, 6), 1)], 0),
+]
+
+
+@pytest.mark.parametrize("pairs, total", SHARED_KEY_SUMS)
+def test_products_over_different_denominators_share_one_key(pairs, total):
+    # sum_of_products: c1 a_1 S_1 times c2 S_2 lands at the word (1, 2), and
+    # a product over the denominator 1 rides along at (2,); linear: the
+    # i-th term c1 S_i of x is sent to c2 S_9
+    word = NCElement.word
+    xs = [(word((1,)).scale(a(1).scale(c1)), word((2,)).scale(c2)) for c1, c2 in pairs]
+    xs.append((word((2,)).scale(a(2)), NCElement.one().scale(3)))
+    x = NCElement({(i,): ParamPoly.const(c1) for i, (c1, _) in enumerate(pairs, 1)})
+    ys = {(i,): word((9,)).scale(c2) for i, (_, c2) in enumerate(pairs, 1)}
+    for got, key, monomial, rest in (
+        (NCElement.sum_of_products(xs, add), (1, 2), (1,), {(2,): {(2,): 3}}),
+        (NCElement.linear(x, ys.__getitem__), (9,), (), {}),
+    ):
+        assert_normal_form(got)
+        want = rest | ({key: {monomial: Fraction(total)}} if total else {})
+        assert {k: factor_terms(c) for k, c in got.terms.items()} == want
+        assert total == 0 or got.terms[key].den == Fraction(total).denominator
 
 
 def test_int_scalars_skip_the_fraction_coercion(monkeypatch):

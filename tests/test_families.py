@@ -268,7 +268,7 @@ def test_psi_rewrite_leaves_z_lattice():
     # the inverse transition genuinely needs denominators
     expansion = s_to_psi(S(3))
     denominators = {
-        c.denominator
+        Fraction(c, coeff.den).denominator
         for coeff in expansion.terms.values()
         for c in coeff.terms.values()
     }

@@ -182,8 +182,10 @@ def _elements():
 
 
 def test_elements_have_fractional_coefficients():
-    rationals = [r for x in _elements() for c in x.terms.values() for r in c.terms.values()]
-    assert any(type(r) is Fraction for r in rationals)
+    rationals = [
+        Fraction(r, c.den) for x in _elements() for c in x.terms.values() for r in c.terms.values()
+    ]
+    assert any(r.denominator > 1 for r in rationals)
 
 
 @pytest.mark.parametrize("warm", [False, True])

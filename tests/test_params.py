@@ -18,8 +18,10 @@ from ncshift.params import (
     SEQ_AHAT,
 )
 from tests_support import (
+    assert_lowest_terms,
     factor_terms,
     factors,
+    from_factor_terms,
     random_element,
     ref_degree,
     ref_from_json,
@@ -27,6 +29,7 @@ from tests_support import (
     ref_latex,
     ref_monomial_product,
     ref_poly_sum,
+    ref_scale,
     ref_sorted_terms,
     ref_str,
     ref_substitute,
@@ -130,11 +133,6 @@ def test_json_term_order(p, q, s):
         assert all(list(t["e"]) == sorted(t["e"], key=int) for t in data)
 
 
-def _assert_int_or_proper_fraction(p: ParamPoly):
-    for c in p.terms.values():
-        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), repr(c)
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     polys(),
@@ -143,19 +141,19 @@ def _assert_int_or_proper_fraction(p: ParamPoly):
     st.fractions(-3, 3, max_denominator=4),
     st.integers(0, 3),
 )
-def test_coefficients_are_ints_where_integral(p, q, n, f, e):
-    """Every coefficient is an int, or a Fraction with denominator > 1: never a
-    bool, a float or an integral Fraction."""
+def test_coefficients_are_int_numerators_in_lowest_terms(p, q, n, f, e):
+    """Every result stores int numerators over an int den >= 1 with
+    gcd(den, *numerators) == 1: never a bool, a float or a Fraction."""
     results = [
         p + q, p - q, p * q, p + n, n - p, p - f,
-        p.scale(n), p.scale(f), n * p, p * f, f * p, p ** e,
+        p.scale(n), p.scale(f), p.scale(str(f)), p.scale(q), n * p, p * f, f * p, p ** e,
         p.tau(n), ref_hat(p), -p,
         ParamPoly.const(n), ParamPoly.const(f), ParamPoly.gen(n),
         ParamPoly.from_json(p.to_json()),
         ParamPoly.from_json([{"c": "6/3", "e": {"1": 1}}, {"c": "1/2", "e": {}}]),
     ]
     for r in results:
-        _assert_int_or_proper_fraction(r)
+        assert_lowest_terms(r)
 
 
 def test_integral_fraction_prints_as_its_int():
@@ -312,22 +310,61 @@ def _differential_polys() -> list[ParamPoly]:
 
 
 def test_ring_matches_the_tuple_monomial_reference():
-    """Every operation that builds or reads a monomial, against the
-    sorted-factor-tuple loop of tests_support."""
-    polys = _differential_polys()
-    sub = ParamSubstitution.equidistant(Fraction(2, 3), Fraction(-1, 5))
+    """Every operation that builds or reads a monomial or a coefficient,
+    against the sorted-factor-tuple loop of tests_support on plain Fractions
+    (factor_terms reads each numerator over the denominator), every result
+    in lowest terms."""
+    h, t = Fraction(1, 2), Fraction(1, 3)
+    polys = _differential_polys() + [
+        ParamPoly.const(h),
+        ParamPoly.const(-t),
+        ParamPoly.const(Fraction(1, 6)),
+        a(1).scale(h) + t,
+        a(1).scale(h) - a(2).scale(Fraction(1, 4)),
+        a(2).scale(Fraction(3, 4)) - a(1).scale(Fraction(5, 6)),
+    ]
+    subs = [
+        ParamSubstitution.equidistant(Fraction(2, 3), Fraction(-1, 5)),
+        ParamSubstitution.equidistant(3, 1),
+        ParamSubstitution.explicit({i: Fraction(i, 7) + 1 for i in INDICES}),
+    ]
+    scalars = [0, 1, -1, 6, h, Fraction(-4, 3), "5/6", "-3"]
     for p, q in zip(polys, polys[1:] + polys[:1]):
         f, g = factor_terms(p), factor_terms(q)
-        assert factor_terms(p * q) == ref_monomial_product(f, g)
-        assert factor_terms(p + q) == ref_poly_sum(f, g)
-        for s in (-3, 0, 5):
-            assert factor_terms(p.tau(s)) == ref_tau(f, s)
-        assert p.substitute(sub) == ref_substitute(f, sub)
+        results = [
+            (p + q, ref_poly_sum(f, g)),
+            (p - q, ref_poly_sum(f, ref_scale(g, -1))),
+            (-p, ref_scale(f, -1)),
+            (p * q, ref_monomial_product(f, g)),
+            (p.scale(q), ref_monomial_product(f, g)),
+            (ParamPoly.from_json(p.to_json()), ref_from_json(p.to_json())),
+        ]
+        results += [(p.tau(s), ref_tau(f, s)) for s in (-3, 0, 5)]
+        results += [(p.scale(c), ref_scale(f, Fraction(c))) for c in scalars]
+        for got, want in results:
+            assert_lowest_terms(got)
+            assert factor_terms(got) == want
+            assert got == from_factor_terms(want) and hash(got) == hash(from_factor_terms(want))
+        assert ref_from_json(p.to_json()) == f
+        for sub in subs:
+            assert p.substitute(sub) == ref_substitute(f, sub)
         assert p.degree() == ref_degree(f)
         assert p.to_json() == ref_to_json(f)
-        assert factor_terms(ParamPoly.from_json(p.to_json())) == ref_from_json(p.to_json()) == f
         assert (str(p), p.latex()) == (ref_str(f), ref_latex(f))
         assert [(factors(m), c) for m, c in p.sorted_terms()] == ref_sorted_terms(f)
+
+
+def test_equality_and_hash_across_denominators():
+    h, t, s = (ParamPoly.const(Fraction(1, d)) for d in (2, 3, 6))
+    # sums whose denominator shrinks are the numbers they equal
+    for p, c in ((h + h, 1), (s + t, h), (h - t, s), (s - h + t, 0), (h * 4, 2)):
+        assert_lowest_terms(p)
+        assert p == c and c == p and hash(p) == hash(c)
+        assert p.__eq__(bool(c)) is NotImplemented
+    half = a(1).scale(Fraction(1, 2))
+    assert half != a(1) and half.terms == a(1).terms and half.den == 2
+    assert half + half == a(1) and hash(half + half) == hash(a(1))
+    assert half.scale(2) == a(1) and (half + Fraction(1, 2)).scale("2") == a(1) + 1
 
 
 def test_round_trip_at_the_largest_json_exponent():

@@ -390,3 +390,63 @@ def test_only_cli_dumps_writes_json_text():
     assert _scopes(SRC, indents) == []
     assert set(_scopes(SRC, calls_the_walk)) == {"cli._dumps", "cli._write_json"}
     assert set(_scopes(SRC, writes_json)) == {"cli._write_json"}
+
+
+#: the ring's hot path: the accumulator, its monomial loop and ParamPoly's
+#: own sums and products
+RING_OPERATIONS = [
+    "_add_monomial_products",
+    "add_product",
+    "LinComb._summed",
+    "LinComb.sum_of_products",
+    "LinComb.linear",
+    "ParamPoly.__add__",
+    "ParamPoly.__sub__",
+    "ParamPoly.__mul__",
+    "ParamPoly.scale",
+]
+
+
+def _params_calls(fn, defs) -> set[str]:
+    """The params definitions fn calls: a module function by name, and a
+    LinComb or ParamPoly method through self, cls, super() or a class name."""
+    receivers = {"self", "cls", "LinComb", "ParamPoly"}
+    out = set()
+    for node in ast.walk(fn):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Name):
+            out.add(f.id)
+        elif isinstance(f, ast.Attribute) and (
+            (isinstance(f.value, ast.Name) and f.value.id in receivers)
+            or (isinstance(f.value, ast.Call) and _names(f.value.func, "super"))
+        ):
+            out |= {f"LinComb.{f.attr}", f"ParamPoly.{f.attr}"}
+    return out & set(defs)
+
+
+def test_the_ring_operations_build_no_fraction():
+    # a ParamPoly is int numerators over one denominator: the ring operations,
+    # and every params definition they call, name no Fraction.  The call walk
+    # stops at _ratio, where a rational from outside the ring (an int, a
+    # Fraction or a string operand) is split into (numerator, denominator).
+    tree = ast.parse((SRC / "params.py").read_text())
+    defs = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            defs[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            defs |= {f"{node.name}.{m.name}": m for m in node.body if isinstance(m, ast.FunctionDef)}
+    assert "_integral" not in defs
+    assert set(RING_OPERATIONS) <= set(defs)
+    seen, todo, found = {"_ratio"}, list(RING_OPERATIONS), set()
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            todo += _params_calls(defs[name], defs)
+            if any(_names(node, "Fraction") for node in ast.walk(defs[name])):
+                found.add(name)
+    assert found == set()
+    assert {"_reduced", "ParamPoly._plus", "ParamPoly.coerce", "_ratio"} <= seen

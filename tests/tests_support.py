@@ -3,7 +3,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 from operator import add
 
 from ncshift.algebra import NCElement, complete_homogeneous
@@ -226,8 +226,9 @@ def factors(m: int) -> tuple[int, ...]:
 
 
 def factor_terms(p: ParamPoly) -> dict:
-    """The terms of p keyed by the decoded factor tuple of each monomial."""
-    return {factors(m): c for m, c in p.terms.items()}
+    """The rational coefficients of p keyed by the decoded factor tuple of
+    each monomial."""
+    return {factors(m): Fraction(c, p.den) for m, c in p.terms.items()}
 
 
 def from_factor_terms(terms: dict) -> ParamPoly:
@@ -241,6 +242,11 @@ def ref_poly_sum(p: dict, q: dict) -> dict:
     for f, c in q.items():
         accumulate(out, f, c)
     return out
+
+
+def ref_scale(p: dict, r: Fraction) -> dict:
+    """r p on a factor-tuple dict."""
+    return {f: r * c for f, c in p.items()} if r else {}
 
 
 def ref_monomial_product(p: dict, q: dict) -> dict:
@@ -434,11 +440,17 @@ def ref_convolution_defect(x: NCElement) -> tuple[NCElement, NCElement]:
     )
 
 
+def assert_lowest_terms(p: ParamPoly) -> None:
+    """p stores nonzero int numerators over an int den >= 1, and
+    gcd(den, *numerators) == 1: the zero polynomial has den 1."""
+    assert type(p) is ParamPoly and type(p.den) is int and p.den >= 1, (p, p.den)
+    assert all(type(c) is int and c for c in p.terms.values()), (p, p.terms)
+    assert gcd(p.den, *p.terms.values()) == 1, (p, p.den)
+
+
 def assert_normal_form(x) -> None:
-    """No zero or empty coefficient is stored, and every rational is an int
-    or a Fraction with denominator > 1."""
+    """No zero or empty coefficient is stored, and every coefficient is in
+    lowest terms."""
     for key, c in x.terms.items():
         assert type(c) is ParamPoly and c.terms, (key, c)
-        for m, r in c.terms.items():
-            ok = type(r) is int or (type(r) is Fraction and r.denominator > 1)
-            assert r and ok, (key, m, r)
+        assert_lowest_terms(c)
