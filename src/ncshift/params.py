@@ -293,10 +293,11 @@ class LinComb:
         return self._of(out)
 
     def scale(self, c):
-        """Multiply every coefficient by c, used as given; the int 1 returns self."""
+        """Multiply every coefficient by c, used as given; the int 1 returns self.
+        A c that is zero after coercion ('0', '0/3', a zero ParamPoly) gives zero."""
         if type(c) is int and c == 1:
             return self
-        return self._of({k: c * v for k, v in self.terms.items()} if c else {})
+        return self._of({k: p for k, v in self.terms.items() if (p := c * v)})
 
     def _product(self, other, join: Callable):
         """The bilinear product of two combinations with ParamPoly coefficients:

@@ -30,7 +30,10 @@ result once.  Only values that are returned are reduced: a flattened minor,
 row or column is integer rows over the lcm of its block denominators, passed
 unreduced to the elimination and the product, and the shifted-power step
 (times_shifted) and the scaled sum (combination) are each one integer
-computation with one reduction.
+computation with one reduction.  A rational from outside -- a matrix entry or a
+scalar operand c of +, -, scale and scalar, read as c Id -- is split once into
+(numerator, denominator) by params._ratio, so an int operand builds no
+Fraction; random_mat draws integer numerators over 2.
 
 Randomized checks evaluate at seeded random points and redraw a point whose
 quasiminor is singular.  first_nonsingular is the one draw loop: it spends
@@ -52,7 +55,7 @@ from operator import add, mul
 from typing import Callable, Iterable, Sequence
 
 from .algebra import NCElement
-from .params import as_fraction
+from .params import _ratio, as_fraction
 
 #: redraws a randomized check may spend on singular points: 1 + MAX_RESEED draws in all
 MAX_RESEED = 16
@@ -138,12 +141,12 @@ class MatValue:
     __slots__ = ("num", "den", "n")
 
     def __init__(self, data):
-        rows = [[as_fraction(x) for x in row] for row in data]
+        rows = [[_ratio(x) for x in row] for row in data]
         if any(len(row) != len(rows) for row in rows):
             raise ValueError("matrix must be square")
         # over the lcm of the denominators the numerators are coprime to it
-        den = math.lcm(*(x.denominator for row in rows for x in row))
-        self.num = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rows)
+        den = math.lcm(*(q for row in rows for _, q in row))
+        self.num = tuple(tuple(p * (den // q) for p, q in row) for row in rows)
         self.den = den
         self.n = len(rows)
 
@@ -161,7 +164,7 @@ class MatValue:
 
     @staticmethod
     def scalar(n: int, c) -> "MatValue":
-        p, q = as_fraction(c).as_integer_ratio()
+        p, q = _ratio(c)
         return _lowest([[p * (i == j) for j in range(n)] for i in range(n)], q)
 
     def __eq__(self, other) -> bool:
@@ -175,11 +178,11 @@ class MatValue:
     def is_zero(self) -> bool:
         return not any(map(any, self.num))
 
-    def _plus_scalar(self, c: Fraction) -> "MatValue":
-        """self + c Id: c is added to the diagonal only."""
-        den = math.lcm(self.den, c.denominator)
-        f, diag = den // self.den, c.numerator * (den // c.denominator)
-        rows = [[x * f for x in row] for row in self.num]
+    def _plus_scalar(self, p: int, q: int) -> "MatValue":
+        """self + (p/q) Id for q > 0: p/q is added to the diagonal only."""
+        den = math.lcm(self.den, q)
+        f, diag = den // self.den, p * (den // q)
+        rows = [[x * f for x in row] for row in self.num] if f != 1 else list(map(list, self.num))
         for i, row in enumerate(rows):
             row[i] += diag
         return _lowest(rows, den)
@@ -187,20 +190,21 @@ class MatValue:
     def __add__(self, other) -> "MatValue":
         """Entrywise sum; a rational c is read as c Id."""
         if not isinstance(other, MatValue):
-            return self._plus_scalar(as_fraction(other))
+            return self._plus_scalar(*_ratio(other))
         return _combine(self.num, self.den, other.num, other.den, 1)
 
     def __sub__(self, other) -> "MatValue":
         """Entrywise difference; a rational c is read as c Id."""
         if not isinstance(other, MatValue):
-            return self._plus_scalar(-as_fraction(other))
+            p, q = _ratio(other)
+            return self._plus_scalar(-p, q)
         return _combine(self.num, self.den, other.num, other.den, -1)
 
     def __neg__(self) -> "MatValue":
         return _lowest([[-x for x in row] for row in self.num], self.den)
 
     def scale(self, c) -> "MatValue":
-        p, q = as_fraction(c).as_integer_ratio()
+        p, q = _ratio(c)
         return _lowest([[p * x for x in row] for row in self.num], self.den * q)
 
     def __mul__(self, other: "MatValue") -> "MatValue":
@@ -362,12 +366,13 @@ def block_quasidet(
 
 # -- randomized property checks ----------------------------------------------
 
-#: sampling pool for random rational matrices
-RANDOM_POOL = [Fraction(k) for k in range(-3, 4)] + [Fraction(1, 2), Fraction(-1, 2)]
+#: sampling pool for random rational matrices, as numerators over 2: the
+#: entries -3..3, 1/2 and -1/2
+RANDOM_POOL = [-6, -4, -2, 0, 2, 4, 6, 1, -1]
 
 
 def random_mat(rng: random.Random, d: int) -> MatValue:
-    return MatValue([[rng.choice(RANDOM_POOL) for _ in range(d)] for _ in range(d)])
+    return _lowest([[rng.choice(RANDOM_POOL) for _ in range(d)] for _ in range(d)], 2)
 
 
 def bazin_matrix(rng: random.Random, n: int, d: int) -> list:

@@ -16,8 +16,13 @@ chains, minor solves, inverted denominators, S/Lambda values and quasi-Schur
 values for as long as it lives, so each point is evaluated once.  The chain of
 x_j starts from z = x_j - a_{1+t}; since a_{i+t} = a_{1+t} + (i-1) c, each
 further power is one fused step P_i = P_{i-1} (z - (i-1) c)
-(MatValue.times_shifted), with c read once.  Every grid is boxed at its last
-column, so a quasideterminant is a solve of its minor rows against that column
+(MatValue.times_shifted).  The integer ratios of base and c are read once per
+chain, so its start is one integer shift of x_j and no Fraction is built for a
+draw, a shift or a power; random points share one substitution a_i = i - 1,
+which is safe because values are memoized per assignment, not per
+substitution.  The commutative oracle stays in Fractions, as the independent
+reference, with each y_j's falling powers built once.  Every grid is boxed at
+its last column, so a quasideterminant is a solve of its minor rows against that column
 plus one Schur complement for the boxed row; the solve is keyed by the minor's
 exponents and shared by every row boxed against it (the S_k numerators,
 Lambda_1 and the S denominator share one, each Lambda_k shares its own with its
@@ -98,7 +103,8 @@ class VariableAssignment:
 
     def shift_all(self, s: int) -> "VariableAssignment":
         """Every variable moved by s*c (the variable shift psi^[s])."""
-        return self.replace_vars(v + s * self.c for v in self.vars)
+        p, q = self.c.as_integer_ratio()
+        return self.replace_vars(v._plus_scalar(s * p, q) for v in self.vars)
 
     @staticmethod
     def from_json(data) -> "VariableAssignment":
@@ -135,11 +141,14 @@ class VariableAssignment:
         }
 
 
+#: the falling-power parameters a_i = i - 1 of random points and of the
+#: commutative recovery; values are memoized per assignment, so points share it
+_FALLING = ParamSubstitution.equidistant(1, -1)
+
+
 def random_assignment(rng: random.Random, n: int, d: int) -> VariableAssignment:
     """n random d x d variables at a_i = i - 1."""
-    return VariableAssignment(
-        tuple(random_mat(rng, d) for _ in range(n)), ParamSubstitution.equidistant(1, -1)
-    )
+    return VariableAssignment(tuple(random_mat(rng, d) for _ in range(n)), _FALLING)
 
 
 def shifted_power(x: MatValue, sub: ParamSubstitution, k: int) -> MatValue:
@@ -157,12 +166,15 @@ def _power(assignment: VariableAssignment, j: int, t: int, m: int) -> MatValue:
     for z = x_j - a_{1+t}."""
     memo = assignment._memo
     chain = memo.get(("power", j, t))
-    if chain is None:
-        x = assignment.vars[j]
-        chain = memo["power", j, t] = [MatValue.identity(x.n), x - assignment.a(1 + t)]
-    if len(chain) <= m:
-        z = chain[1]
+    if chain is None or len(chain) <= m:
         p, q = assignment.c.as_integer_ratio()
+        if chain is None:
+            # a_{1+t} = base + (1+t) c = (bp q + (1+t) p bq) / (bq q)
+            bp, bq = assignment.sub.base.as_integer_ratio()
+            x = assignment.vars[j]
+            z = x._plus_scalar(-(bp * q + (1 + t) * p * bq), bq * q)
+            chain = memo["power", j, t] = [MatValue.identity(x.n), z]
+        z = chain[1]
         while len(chain) <= m:
             chain.append(chain[-1].times_shifted(z, (len(chain) - 1) * p, q))
     return chain[m]
@@ -312,6 +324,14 @@ def falling(x: Fraction, m: int) -> Fraction:
     return out
 
 
+def _falling_powers(x: Fraction, top: int) -> list[Fraction]:
+    """[falling(x, 0), ..., falling(x, top)], each power from the one before."""
+    out = [Fraction(1)]
+    for t in range(top):
+        out.append(out[-1] * (x - t))
+    return out
+
+
 def commutative_oracle(family: str, k: int, scalars: list[Fraction]) -> Fraction:
     """Shifted symmetric h_k* or e_k* of commuting scalars, for a_i = i - 1.
 
@@ -331,10 +351,11 @@ def commutative_oracle(family: str, k: int, scalars: list[Fraction]) -> Fraction
         exps = [m for m in range(n + 1) if m != n - k]
     else:
         raise ValueError(f"unknown family {family!r}")
-    den = MatValue([[falling(y, m) for y in ys] for m in range(n)]).det()
+    powers = [_falling_powers(y, max(exps)) for y in ys]
+    den = MatValue([[f[m] for f in powers] for m in range(n)]).det()
     if den == 0:
         raise ZeroDenominator("vanishing Vandermonde-type determinant")
-    num = MatValue([[falling(y, m) for y in ys] for m in exps]).det()
+    num = MatValue([[f[m] for f in powers] for m in exps]).det()
     return num / den
 
 
@@ -343,10 +364,7 @@ def commutative_recovery(k: int, n: int, scalars) -> bool:
     scalars = [as_fraction(x) for x in scalars]
     if len(scalars) != n:
         raise ValueError("need n scalar variables")
-    assignment = VariableAssignment(
-        tuple(MatValue([[x]]) for x in scalars),
-        ParamSubstitution.equidistant(1, -1),
-    )
+    assignment = VariableAssignment(tuple(MatValue([[x]]) for x in scalars), _FALLING)
     for family in ("S", "L"):
         want = commutative_oracle(family, k, scalars)
         got = spec_value(family, k, assignment)

@@ -19,11 +19,29 @@ from ncshift.algebra import (
     word_degree,
 )
 from ncshift.families import lambda_in_S, psi
+from ncshift.hopf import TensorElement
 from ncshift.params import ParamPoly
+from ncshift.ribbon import Composition, RibbonElement
 from ncshift.shifts import shift_S
 
 a = ParamPoly.gen
 S = NCElement.gen
+
+
+def test_scaling_by_zero_stores_no_coefficient():
+    # a scalar that is zero only after coercion ('0', '0/3') gives the zero
+    # element, not a zero coefficient
+    elements = [
+        S(1) + S(2).scale(a(1)),
+        RibbonElement.single(Composition((2, 1))),
+        TensorElement({((1,), (2,)): a(3), ((), (1,)): ParamPoly.one()}),
+    ]
+    for x in elements:
+        for zero in ("0", "0/3", Fraction(0), 0, ParamPoly.zero()):
+            scaled = x.scale(zero)
+            assert scaled.terms == {} and scaled.is_zero() and scaled == type(x).zero()
+    for zero in ("0", "0/3"):
+        assert (S(1) * zero).is_zero() and (zero * S(1)).is_zero()
 
 
 def test_multiply_examples():

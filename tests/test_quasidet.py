@@ -5,6 +5,7 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from itertools import count, permutations
 
 import pytest
@@ -36,6 +37,7 @@ from tests_support import (
     ref_hessenberg_quasidet,
     ref_inverse,
     ref_product,
+    ref_random_mat,
     ref_scalar,
     ref_sum,
 )
@@ -238,6 +240,48 @@ def test_matvalue_ops_match_fraction_reference():
         else:
             assert _agrees(A.inverse(), inv)
     assert 0 < singular < 400
+
+
+def test_random_mat_draws_the_fraction_pool_matrices():
+    # the int pool over 2 picks the same entries as the Fraction pool and
+    # leaves the stream where the Fraction draws left it
+    for d in (1, 2, 3):
+        for seed in range(50):
+            rng, ref = random.Random(seed), random.Random(seed)
+            for _ in range(3):
+                m = random_mat(rng, d)
+                assert m == ref_random_mat(ref, d) and _lowest_terms(m) is m
+            assert rng.getstate() == ref.getstate()
+
+
+#: scalar operands of every form MatValue accepts: ints (zero and negative
+#: included), Fractions and 'p/q' strings, some not in lowest terms
+SCALARS = [0, 1, 3, -4, Fraction(5, 6), Fraction(-7, 4), Fraction(-3), "2/3", "-9/6", "5", "0/7"]
+
+
+def test_matvalue_scalar_operands_match_fraction_reference():
+    rng = random.Random(73)
+    for d in (1, 2, 3):
+        assert _agrees(MatValue.identity(d), ref_scalar(d, 1))
+        for c in SCALARS:
+            assert _agrees(MatValue.scalar(d, c), ref_scalar(d, Fraction(c)))
+        for _ in range(20):
+            a = _mixed(rng, d)
+            A = MatValue(a)
+            for c in SCALARS:
+                cid = ref_scalar(d, Fraction(c))
+                assert _agrees(A + c, ref_sum(a, cid)) and _agrees(A - c, ref_sum(a, cid, -1))
+                assert _agrees(A.scale(c), ref_product(cid, a))
+            for p, q in ((0, 1), (5, 1), (-3, 2), (4, 6), (-10, 4)):
+                assert _agrees(A._plus_scalar(p, q), ref_sum(a, ref_scalar(d, Fraction(p, q))))
+
+
+def test_matvalue_rejects_non_rational_scalars():
+    A = MatValue.identity(2)
+    for c in (True, 0.5, None):
+        for op in (A.__add__, A.__sub__, A.scale, partial(MatValue.scalar, 2)):
+            with pytest.raises(TypeError):
+                op(c)
 
 
 def test_fused_step_and_combination_match_fraction_reference():

@@ -450,3 +450,40 @@ def test_the_ring_operations_build_no_fraction():
                 found.add(name)
     assert found == set()
     assert {"_reduced", "ParamPoly._plus", "ParamPoly.coerce", "_ratio"} <= seen
+
+
+#: the numeric layer's point evaluation: the random draws, the scalar shifts
+#: and the shifted-power chains
+POINT_EVALUATION = {
+    "quasidet.random_mat",
+    "quasidet.MatValue._plus_scalar",
+    "quasidet.MatValue.__add__",
+    "quasidet.MatValue.__sub__",
+    "quasidet.MatValue.scale",
+    "quasidet.MatValue.scalar",
+    "quasidet.MatValue.identity",
+    "quasidet.MatValue.times_shifted",
+    "special._power",
+    "special.random_assignment",
+    "special.VariableAssignment.shift_all",
+}
+#: calls that build a Fraction: the coercion, an index value (also through its
+#: alias VariableAssignment.a), MatValue's entrywise-coercing constructor and
+#: a new substitution
+FRACTION_CALLS = {"as_fraction", "index_value", "a", "MatValue", "equidistant"}
+
+
+def test_point_evaluation_builds_no_fraction():
+    # a rational from outside enters the numeric layer once, split by
+    # params._ratio into (numerator, denominator); random entries are
+    # numerators over 2 and the chain start is an integer shift
+    from ncshift.quasidet import RANDOM_POOL
+
+    def builds_fraction(node):
+        return _names(node, "Fraction") or (
+            isinstance(node, ast.Call) and any(_names(node.func, f) for f in FRACTION_CALLS)
+        )
+
+    assert POINT_EVALUATION <= set(_scopes(SRC, lambda node: True))
+    assert POINT_EVALUATION.isdisjoint(_scopes(SRC, builds_fraction))
+    assert all(type(x) is int for x in RANDOM_POOL)

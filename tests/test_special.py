@@ -43,6 +43,7 @@ from ncshift.special import (
 from tests_support import (
     phi_psi_relation_defect,
     random_element,
+    ref_commutative_oracle,
     ref_evaluate_nc,
     ref_hessenberg_quasidet,
 )
@@ -227,6 +228,31 @@ def test_recovery_k_beyond_n():
     assert commutative_oracle("L", 3, [Fraction(2), Fraction(5, 2)]) == 0
     val = commutative_oracle("S", 2, [Fraction(5, 2)])
     assert val == Fraction(5, 2) * Fraction(3, 2)
+
+
+def test_oracle_matches_the_per_entry_falling_powers():
+    # the oracle builds each y_j's falling powers once; the reference
+    # computes falling(y_j, m) entry by entry.  Points with two equal y_j
+    # (x_j + n - j) make the Vandermonde-type denominator vanish.
+    rng = random.Random(37)
+    vanished = 0
+    for n in range(1, 5):
+        points = [[Fraction(rng.randint(-9, 12), rng.choice([1, 2, 3])) for _ in range(n)]
+                  for _ in range(6)]
+        points.append([Fraction(4 - j) for j in range(1, n + 1)])  # y_j = 4 + n - 2j: integral
+        if n > 1:
+            points.append([Fraction(1, 2), Fraction(3, 2)] + [Fraction(0)] * (n - 2))  # y_1 = y_2
+        for scalars in points:
+            for family in ("S", "L"):
+                for k in range(6):
+                    want = ref_commutative_oracle(family, k, scalars)
+                    if want is None:
+                        vanished += 1
+                        with pytest.raises(ZeroDenominator):
+                            commutative_oracle(family, k, scalars)
+                    else:
+                        assert commutative_oracle(family, k, scalars) == want
+    assert vanished >= 15 + 9  # S at k = 1..5 and L at k = 1..n, for n = 2, 3, 4
 
 
 def test_quasi_schur_row_and_column():

@@ -21,7 +21,7 @@ from ncshift.params import (
 from ncshift.quasidet import MatValue
 from ncshift.ribbon import Composition, RibbonElement, ribbon_shifted
 from ncshift.series import TruncatedTSeries
-from ncshift.special import VariableAssignment, evaluate_nc, s_spec
+from ncshift.special import VariableAssignment, evaluate_nc, falling, s_spec
 from ncshift.shifts import shift_S
 
 
@@ -151,6 +151,36 @@ def ref_det(a):
             f = m[r][col] / m[col][col]
             m[r] = [x - f * y for x, y in zip(m[r], m[col])]
     return det
+
+
+#: the Fraction pool random matrices were drawn from before their entries
+#: became numerators over 2
+REF_RANDOM_POOL = [Fraction(k) for k in range(-3, 4)] + [Fraction(1, 2), Fraction(-1, 2)]
+
+
+def ref_random_mat(rng: random.Random, d: int) -> MatValue:
+    """quasidet.random_mat as a d x d matrix of Fractions drawn from REF_RANDOM_POOL."""
+    return MatValue([[rng.choice(REF_RANDOM_POOL) for _ in range(d)] for _ in range(d)])
+
+
+def ref_commutative_oracle(family: str, k: int, scalars: list) -> Fraction:
+    """special.commutative_oracle with every entry its own falling power: the
+    ratio of determinants of falling(x_j + n - j, m) over Fraction, None
+    where the denominator vanishes."""
+    n = len(scalars)
+    if k == 0:
+        return Fraction(1)
+    if family == "L" and k > n:
+        return Fraction(0)
+    ys = [Fraction(x) + n - j for j, x in enumerate(scalars, start=1)]
+    if family == "S":
+        exps = list(range(n - 1)) + [n + k - 1]
+    else:
+        exps = [m for m in range(n + 1) if m != n - k]
+    den = ref_det([[falling(y, m) for y in ys] for m in range(n)])
+    if den == 0:
+        return None
+    return ref_det([[falling(y, m) for y in ys] for m in exps]) / den
 
 
 def ref_flatten(blocks):
