@@ -27,10 +27,13 @@ accumulator, a dict from output key to a raw monomial -> int numerator dict
 and its one denominator, and normalize it once at the end: zeros dropped,
 numerators and denominator divided by their gcd, vanished keys dropped.  A
 product over a denominator that the key's does not divide first puts the key
-over their lcm, so the monomial loop adds ints only.  The accumulator never
-leaves this module, and a Fraction is built only where a coefficient leaves
-the ring: as text, as the number substitute() returns, or to hash a constant
-that is no integer.
+over their lcm, so the monomial loop adds ints only.  A product with the
+unit polynomial as one factor skips that loop: a new key holds the other
+factor itself (already in normal form, and shared as + shares coefficients),
+and only a second product at that key opens it into a fresh entry.  The
+accumulator never leaves this module, and a Fraction is built only where a
+coefficient leaves the ring: as text, as the number substitute() returns, or
+to hash a constant that is no integer.
 ParamPoly's own product runs through the same monomial loop, so the monomial
 join is written once.
 
@@ -160,6 +163,9 @@ def _add_monomial_products(t: dict, p: dict, q: dict, f: int = 1) -> None:
             t[m] = t.get(m, 0) + a * b
 
 
+_UNIT = {1: 1}  # the terms of the unit polynomial; never mutated
+
+
 def _reduced(t: dict, den: int) -> tuple[dict, int]:
     """The numerators t over den in normal form: no zero, and numerators and
     denominator divided by their gcd (the zero polynomial has den 1)."""
@@ -185,12 +191,23 @@ def _rational_terms(pairs: Iterable) -> tuple[dict, int]:
 def add_product(acc: dict, key, p: "ParamPoly", q: "ParamPoly") -> None:
     """Add the polynomial product p*q into acc[key], a [numerators, den]
     entry: if the denominator of p*q does not divide den, the entry is first
-    put over their lcm."""
-    d = p.den * q.den
+    put over their lcm.  A new key whose product has the unit polynomial as
+    one factor holds the other factor itself, and a second product at that
+    key first opens it into a fresh [numerators, den] entry, so no input is
+    mutated."""
     e = acc.get(key)
     if e is None:
-        e = acc[key] = [{}, d]
-    elif e[1] % d:
+        if q.den == 1 and q.terms == _UNIT:
+            acc[key] = p
+            return
+        if p.den == 1 and p.terms == _UNIT:
+            acc[key] = q
+            return
+        e = acc[key] = [{}, p.den * q.den]
+    elif type(e) is ParamPoly:
+        e = acc[key] = [dict(e.terms), e.den]
+    d = p.den * q.den
+    if e[1] % d:
         f = lcm(e[1], d) // e[1]
         t = e[0]
         for m in t:
@@ -231,10 +248,13 @@ class LinComb:
         """The combination an accumulator holds: each entry in normal form,
         and the keys whose polynomial vanished dropped."""
         out = {}
-        for key, (t, den) in acc.items():
-            t, den = _reduced(t, den)
-            if t:
-                out[key] = ParamPoly._of(t, den)
+        for key, e in acc.items():
+            if type(e) is not ParamPoly:  # a stored factor is in normal form
+                t, den = _reduced(*e)
+                if not t:
+                    continue
+                e = ParamPoly._of(t, den)
+            out[key] = e
         return cls._of(out)
 
     @classmethod

@@ -6,8 +6,10 @@ Two evaluators cover everything in scope:
   algebra entries on and above the diagonal, given as a function entry(i, j)
   of 1-indexed i <= j.  It carries the outer sign of every Jacobi-Trudi,
   Nagelsbach-Kostka, ribbon and translation formula (Gelfand, Krob, Lascoux,
-  Leclerc, Retakh, Thibon, "Noncommutative symmetric functions", 1995); for a
-  unit subdiagonal it is
+  Leclerc, Retakh, Thibon, "Noncommutative symmetric functions", 1995).  The
+  ribbon functions themselves do not call it: ribbon.ribbon_shifted expands
+  their matrix along its first row over the memoized ribbons of the
+  suffixes, and the tests hold it to this engine.  For a unit subdiagonal it is
 
       (-1)^(n-1) |A|_{1n} = sum over 1 <= l_1 < ... < l_k < n of
                  (-1)^(n-1+k)  a_{1,l_1} a_{l_1+1,l_2} ... a_{l_k+1,n}.

@@ -4,8 +4,11 @@ A composition I = (i_1, ..., i_n) encodes a ribbon; its canonical row shifts
 are s_k = i_k + ... + i_{n-1} (and s_n = 0).  The ribbon function R_I is the
 (1,n) quasideterminant, with outer sign (-1)^(n-1), of the Hessenberg matrix
 whose (p,q) entry is S_{i_p+...+i_q}^[s_p]; generalized shift vectors K
-replace the canonical s.  The expansions are triangular with leading word I
-under the (length, degree, lex) order, which drives the basis conversion.
+replace the canonical s.  It is expanded along its first row: the rows below
+are the matrix of the suffix (i_{m+1}, ..., i_n) with its shifts, so each
+ribbon is one sum of products over the memoized ribbons of its suffixes.  The
+expansions are triangular with leading word I under the (length, degree, lex)
+order, which drives the basis conversion.
 
 The conjugate composition is the descent-set complement reversed; it is the
 diagonal reflection of the ribbon diagram, and satisfies
@@ -19,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
+from operator import add
 
 from .algebra import NCElement
 from .params import SEQ_A, LinComb, ParamPoly, ParamSequence, json_ints
@@ -82,13 +86,25 @@ def all_compositions(degree: int) -> list[Composition]:
 
 @cache
 def ribbon_shifted(I: Composition, K: tuple[int, ...], base: ParamSequence) -> NCElement:
-    """R_I^[K] over the sequence base in the S-basis, via the Hessenberg expansion."""
+    """R_I^[K] over the sequence base in the S-basis: the Hessenberg expansion
+    along its first row, the rows below it read as the memoized ribbon of a
+    suffix,
+
+        R_I^[K] = sum_{m=1..n} (-1)^(m-1) S_{i_1+...+i_m}^[k_1] R_{I_m}^[K_m]
+
+    where I_m = (i_{m+1}, ..., i_n), K_m = (k_{m+1}, ..., k_n) and R of the
+    empty composition is 1.  So the table holds I and every proper suffix, and
+    the recursion is as deep as I is long."""
     n = I.length
     if len(K) != n:
         raise ValueError("shift vector length must match the composition")
-    return hessenberg_quasidet(
-        n, lambda p, q: shift_S(sum(I.parts[p - 1 : q]), K[p - 1], base)
-    )
+    parts = I.parts
+    pairs = []
+    for m, d in enumerate(accumulate(parts), 1):
+        head = shift_S(d, K[0], base)
+        tail = ribbon_shifted(Composition(parts[m:]), K[m:], base) if m < n else NCElement.one()
+        pairs.append((head if m % 2 else -head, tail))
+    return NCElement.sum_of_products(pairs, add)
 
 
 def ribbon(I: Composition) -> NCElement:

@@ -31,6 +31,7 @@ from tests_support import (
     ref_nested_product,
     ref_reexpand_values,
     ref_series_multiply,
+    ref_sum_of_products,
 )
 
 a = ParamPoly.gen
@@ -279,3 +280,70 @@ def test_int_scalars_skip_the_fraction_coercion(monkeypatch):
     for bad in (1.0, 2.5, True):
         with pytest.raises(TypeError):
             xs[0].scale(bad)
+
+
+_p = a(1) + a(2).scale(Fraction(1, 3))  # over the denominator 3
+_q = a(1) * a(2) - 2
+_r = _p.scale(Fraction(-1, 2))
+
+#: (c1, c2) pairs whose products land in one key, where the unit polynomial 1
+#: is a factor of some of them: a unit product followed or preceded by
+#: another, two unit products, a unit times a polynomial over 3, and unit
+#: products that a later product cancels to zero
+UNIT_PRODUCTS = {
+    "unit-then-product": [(1, _p), (_q, _r)],
+    "product-then-unit": [(_q, _r), (_p, 1)],
+    "two-units": [(1, _p), (_q, 1)],
+    "unit-times-fraction": [(_p, 1), (1, _r)],
+    "cancelled-by-a-product": [(1, _p), (_r, 2)],
+    "cancelled-by-a-unit": [(_p, 1), (1, -_p)],
+}
+
+
+def _coefficient_snapshot(elements):
+    return [(dict(c.terms), c.den) for x in elements for c in x.terms.values()]
+
+
+@pytest.mark.parametrize("name", UNIT_PRODUCTS)
+def test_unit_products_match_the_fraction_reference(name):
+    # sum_of_products: c1 S_1 times c2 S_2 lands at (1, 2); linear: the i-th
+    # term c1 S_i of x is sent to c2 S_9.  Riders hold one unit product each,
+    # _p * 1 at (3,) or (8,) and 1 * _r at (4,) or (7,), and that key holds
+    # the other factor itself.  No input coefficient is changed.
+    pairs = [(ParamPoly.coerce(c1), ParamPoly.coerce(c2)) for c1, c2 in UNIT_PRODUCTS[name]]
+    one = NCElement.one()
+    xs = [(NCElement({(1,): c1}), NCElement({(2,): c2})) for c1, c2 in pairs]
+    xs += [(NCElement({(3,): _p}), one), (one, NCElement({(4,): _r}))]
+    x = NCElement({(i,): c1 for i, (c1, _) in enumerate(pairs, 1)})
+    x += NCElement({(10,): ParamPoly.one(), (11,): _r})
+    images = {(i,): NCElement({(9,): c2}) for i, (_, c2) in enumerate(pairs, 1)}
+    images |= {(10,): NCElement({(8,): _p}), (11,): NCElement({(7,): ParamPoly.one()})}
+    inputs = [y for pair in xs for y in pair] + [x, *images.values()]
+    before = _coefficient_snapshot(inputs)
+    for got, triples, key, shared in (
+        (
+            NCElement.sum_of_products(xs, add),
+            [
+                (k1 + k2, c1, c2)
+                for y, z in xs
+                for k1, c1 in y.terms.items()
+                for k2, c2 in z.terms.items()
+            ],
+            (1, 2),
+            {(3,): _p, (4,): _r},
+        ),
+        (
+            NCElement.linear(x, images.__getitem__),
+            [(u, c, d) for k, c in x.terms.items() for u, d in images[k].terms.items()],
+            (9,),
+            {(8,): _p, (7,): _r},
+        ),
+    ):
+        want = ref_sum_of_products(triples)
+        assert {k: factor_terms(c) for k, c in got.terms.items()} == {
+            k: factor_terms(c) for k, c in want.items()
+        }
+        assert_normal_form(got)
+        assert (key in got.terms) != name.startswith("cancelled")
+        assert all(got.terms[k] is c for k, c in shared.items())
+        assert _coefficient_snapshot(inputs) == before

@@ -27,7 +27,7 @@ from ncshift.ribbon import (
 )
 from ncshift.shifts import phi_shift, shift_S
 
-from tests_support import generalized_macmahon_rhs, random_element
+from tests_support import generalized_macmahon_rhs, random_element, ref_ribbon_shifted
 
 a = ParamPoly.gen
 S = NCElement.gen
@@ -115,6 +115,52 @@ def test_ribbon_shifted_reductions():
     assert ribbon_shifted(C((1, 1)), (1, 0), SEQ_A) == lambda_in_S(2)
     with pytest.raises(ValueError):
         ribbon_shifted(C((1, 2)), (1, 2, 3), SEQ_A)
+
+
+def _shift_vectors(I, rng):
+    """The canonical shifts of I, moved uniformly by 0, -2, 1 and 3, and one
+    random shift vector."""
+    K = I.row_shifts()
+    return [tuple(x + s for x in K) for s in (0, -2, 1, 3)] + [
+        tuple(rng.randint(-3, 5) for _ in K)
+    ]
+
+
+def test_ribbon_shifted_matches_the_hessenberg_reference():
+    # every ribbon of degree <= 6, built from its memoized suffix ribbons,
+    # against the Hessenberg quasideterminant of its full matrix: first from
+    # an empty table, where each suffix is computed on the way, then again
+    # from the table that pass filled, where each is read and none is added
+    def check_every_ribbon():
+        rng = random.Random(3401)
+        for d in range(1, 7):
+            for I in all_compositions(d):
+                for K in _shift_vectors(I, rng):
+                    for base in (SEQ_A, SEQ_AHAT):
+                        assert ribbon_shifted(I, K, base) == ref_ribbon_shifted(I, K, base)
+
+    ribbon_shifted.cache_clear()
+    check_every_ribbon()
+    misses = ribbon_shifted.cache_info().misses
+    check_every_ribbon()
+    assert ribbon_shifted.cache_info().misses == misses
+
+
+def test_the_ribbon_table_holds_a_ribbon_and_its_suffixes():
+    # R_I is built from the ribbons of its proper suffixes, each stored once
+    # under its own key; a second ribbon adds only the suffixes it lacks
+    ribbon_shifted.cache_clear()
+    I = C((2, 1, 3))
+    ribbon(I)
+    assert ribbon_shifted.cache_info().currsize == 3
+    for m in range(I.length):
+        ribbon(C(I.parts[m:]))  # canonical shifts restrict to the suffix's own
+    assert ribbon_shifted.cache_info()[1:] == (3, None, 3)  # misses, maxsize, currsize
+    ribbon(C((1, 1, 3)))  # shares the suffixes (1, 3) and (3,) of I
+    assert ribbon_shifted.cache_info().currsize == 4
+    # other shifts are other keys: R_(1,3)^[1,1] adds itself and R_(3)^[1]
+    ribbon_shifted(C((1, 3)), (1, 1), SEQ_A)
+    assert ribbon_shifted.cache_info().currsize == 6
 
 
 def test_ribbon_leading_word():

@@ -18,7 +18,7 @@ from ncshift.params import (
     monomial,
     signed,
 )
-from ncshift.quasidet import MatValue
+from ncshift.quasidet import MatValue, hessenberg_quasidet
 from ncshift.ribbon import Composition, RibbonElement, ribbon_shifted
 from ncshift.series import TruncatedTSeries
 from ncshift.special import VariableAssignment, evaluate_nc, falling, s_spec
@@ -239,6 +239,14 @@ def ref_hessenberg_quasidet(n, entry, subdiag=None):
             acc = acc - scaled(i, m) * tail[m + 1]
         tail[i] = acc
     return tail[1] if n % 2 else -tail[1]
+
+
+def ref_ribbon_shifted(I: Composition, K: tuple, base: ParamSequence) -> NCElement:
+    """R_I^[K] as the Hessenberg quasideterminant of its full matrix, whose
+    (p, q) entry is S_{i_p+...+i_q}^[k_p] over base."""
+    return hessenberg_quasidet(
+        I.length, lambda p, q: shift_S(sum(I.parts[p - 1 : q]), K[p - 1], base)
+    )
 
 
 # -- tuple-monomial reference for ParamPoly --------------------------------------
