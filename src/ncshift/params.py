@@ -168,8 +168,10 @@ _UNIT = {1: 1}  # the terms of the unit polynomial; never mutated
 
 def _reduced(t: dict, den: int) -> tuple[dict, int]:
     """The numerators t over den in normal form: no zero, and numerators and
-    denominator divided by their gcd (the zero polynomial has den 1)."""
-    t = {m: c for m, c in t.items() if c}
+    denominator divided by their gcd (the zero polynomial has den 1).  t
+    itself is returned when no numerator is zero and the gcd is 1."""
+    if 0 in t.values():
+        t = {m: c for m, c in t.items() if c}
     if den != 1:
         g = gcd(den, *t.values())
         if g != 1:
@@ -498,20 +500,25 @@ class ParamPoly(LinComb):
         )
 
     def substitute(self, sub: "ParamSubstitution") -> Fraction:
-        """Numeric evaluation under a substitution; the value of each index
-        is read from sub once per call, as an int where integral."""
-        values: dict[int, int | Fraction] = {}
-        total = 0
-        for m, c in self.terms.items():
-            v = c
+        """Numeric evaluation under a substitution.  Each a_i is an integer
+        numerator over the one denominator of sub.index_numerators(), read
+        once per call, so the terms of each degree e are summed over the
+        integers, and that sum is put over den^e."""
+        numerator, den = sub.index_numerators()
+        values: dict[int, int] = {}
+        sums: dict[int, int] = {}
+        for m, v in self.terms.items():
+            degree = 0
             for i, e in exponents(m):
                 x = values.get(i)
                 if x is None:
-                    x = sub.index_value(i)
-                    x = values[i] = x.numerator if x.denominator == 1 else x
+                    x = values[i] = numerator(i)
                 v *= x**e
-            total += v
-        return Fraction(total) if self.den == 1 else Fraction(total, self.den)
+                degree += e
+            sums[degree] = sums.get(degree, 0) + v
+        top = max(sums, default=0)
+        total = sum(v * den ** (top - e) for e, v in sums.items())
+        return Fraction(total, self.den * den**top)
 
     # -- presentation --------------------------------------------------------
 
@@ -623,13 +630,28 @@ class ParamSubstitution:
         table = tuple(sorted((i, as_fraction(v)) for i, v in mapping.items()))
         return ParamSubstitution("explicit", table=table)
 
-    def index_value(self, i: int) -> Fraction:
+    def index_numerators(self) -> tuple[Callable[[int], int], int]:
+        """(numerator, den): a_i = numerator(i) / den, one den > 0 for every
+        index, from the integer ratios of base and c or of the table entries.
+        numerator(i) raises MissingIndex for an index the table lacks."""
         if self.kind == "equidistant":
-            return self.base + i * self.c
-        for j, v in self.table:
-            if j == i:
-                return v
-        raise MissingIndex(i)
+            (b, bq), (c, cq) = self.base.as_integer_ratio(), self.c.as_integer_ratio()
+            den = lcm(bq, cq)
+            b, c = b * (den // bq), c * (den // cq)
+            return (lambda i: b + i * c), den
+        den = lcm(*(v.denominator for _, v in self.table))
+        nums = {j: v.numerator * (den // v.denominator) for j, v in self.table}
+
+        def numerator(i: int) -> int:
+            if i not in nums:
+                raise MissingIndex(i)
+            return nums[i]
+
+        return numerator, den
+
+    def index_value(self, i: int) -> Fraction:
+        numerator, den = self.index_numerators()
+        return Fraction(numerator(i), den)
 
     def is_whole_distant(self) -> bool:
         """Whether a_i - a_j is an integer for all covered i, j."""

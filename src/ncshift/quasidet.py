@@ -21,14 +21,15 @@ Two evaluators cover everything in scope:
   matrices, using the defining formula
   |A|_{pq} = a_{pq} - row_p(A^{pq}) ((A^{pq})^{-1} col_q(A^{pq})) with the
   minor, the row and the column flattened to rational matrices: one
-  elimination of [minor | column] and one product.  The bracketed solve does
-  not read row p, so it is its own step (solve_minor) for callers that box
-  several rows against one minor.
+  elimination of [minor | column], flattened together over one denominator,
+  and one product.  The bracketed solve does not read row p, so it is its own
+  step (solve_minor) for callers that box several rows against one minor:
+  bazin_holds solves each distinct minor of its quasiminors once per call.
 
 A MatValue is integer numerators over one positive denominator, in lowest
 terms; every operation works on the integers (inverses and solves by Bareiss
-elimination), lifts blocks to the lcm of their denominators and reduces its
-result once.  Only values that are returned are reduced: a flattened minor,
+elimination, each step of which drops its finished pivot column), lifts
+blocks to the lcm of their denominators and reduces its result once.  Only values that are returned are reduced: a flattened minor,
 row or column is integer rows over the lcm of its block denominators, passed
 unreduced to the elimination and the product, and the shifted-power step
 (times_shifted) and the scaled sum (combination) are each one integer
@@ -225,13 +226,14 @@ class MatValue:
     def inverse(self) -> "MatValue":
         """den num^{-1} by Bareiss elimination; raises SingularMinor if singular."""
         n = self.n
-        p, _, right = _bareiss(self.num, [[int(i == j) for j in range(n)] for i in range(n)])
+        unit = [[int(i == j) for j in range(n)] for i in range(n)]
+        p, _, right = _bareiss([[*row, *e] for row, e in zip(self.num, unit)])
         if not p:
             raise SingularMinor("singular matrix")
         return _lowest([[self.den * x for x in row] for row in right], p)
 
     def det(self) -> Fraction:
-        p, sign, _ = _bareiss(self.num, [()] * self.n)
+        p, sign, _ = _bareiss(self.num)
         return Fraction(sign * p, self.den**self.n)
 
     def to_json(self) -> list:
@@ -247,7 +249,7 @@ def _lowest(num: Sequence[Sequence[int]], den: int) -> MatValue:
     """The square matrix num / den (den != 0) in lowest terms, with den > 0."""
     g = math.gcd(den, *chain.from_iterable(num)) * (-1 if den < 0 else 1)
     out = object.__new__(MatValue)
-    out.num = tuple(tuple(row) if g == 1 else tuple(x // g for x in row) for row in num)
+    out.num = tuple(map(tuple, num)) if g == 1 else tuple(tuple(x // g for x in row) for row in num)
     out.den = den // g
     out.n = len(num)
     return out
@@ -280,31 +282,35 @@ def _product(left: Sequence[Sequence[int]], right: Sequence[Sequence[int]]) -> l
     return [[sum(map(mul, r, c)) for c in cols] for r in left]
 
 
-def _bareiss(num: Sequence[Sequence[int]], rhs: Sequence[Sequence[int]]) -> tuple:
-    """Fraction-free Gauss-Jordan elimination of [num | rhs] (Bareiss 1968).
+def _bareiss(aug: Sequence[Sequence[int]]) -> tuple:
+    """Fraction-free Gauss-Jordan elimination of the n augmented integer rows
+    [num | rhs], num n x n (Bareiss 1968).
 
-    Every entry stays an integer minor, so each division is exact.  Returns
-    (p, sign, right): p = sign det(num), the last pivot, with sign that of the
-    row exchanges, and right = p num^{-1} rhs; p = 0 if num is singular.
+    Every entry stays an integer minor, so each division is exact.  No later
+    step reads a pivot column, so each step drops it and works on the entries
+    to the right of the pivot only.  Returns (p, sign, right): p = sign
+    det(num), the last pivot, with sign that of the row exchanges, and
+    right = p num^{-1} rhs; p = 0 if num is singular.
     """
-    n = len(num)
-    m = [list(row) + list(r) for row, r in zip(num, rhs)]
+    n = len(aug)
+    m = list(aug)
     prev, sign = 1, 1
     for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
+        # every row now holds the columns col, col + 1, ... of [num | rhs]
+        piv = next((r for r in range(col, n) if m[r][0]), None)
         if piv is None:
             return 0, sign, None
         if piv != col:
             m[col], m[piv] = m[piv], m[col]
             sign = -sign
-        pivot_row = m[col]
-        p = pivot_row[col]
-        for r in range(n):
+        p, *rest = m[col]
+        for r, row in enumerate(m):
             if r != col:
-                f = m[r][col]
-                m[r] = [(p * x - f * y) // prev for x, y in zip(m[r], pivot_row)]
+                f = row[0]
+                m[r] = [(p * x - f * y) // prev for x, y in zip(row[1:], rest)]
+        m[col] = rest
         prev = p
-    return prev, sign, [row[n:] for row in m]
+    return prev, sign, m
 
 
 def _flatten(blocks: Sequence[Sequence[MatValue]], d: int) -> tuple[list, int]:
@@ -325,17 +331,16 @@ def solve_minor(minor: Sequence[Sequence[MatValue]], col: Sequence[MatValue]) ->
     Gelfand, Retakh, Wilson, "Quasideterminants", 2005) that does not read the
     boxed row, so quasideterminants that differ only in that row can share it.
     The solve is (integer rows, denominator), from one Bareiss elimination of
-    [M | c].  Raises SingularMinor if M is singular; an empty minor gives the
-    empty solve.
+    [M | c] flattened over one denominator, which cancels in M^{-1} c.  Raises
+    SingularMinor if M is singular; an empty minor gives the empty solve.
     """
     if not col:
         return ()
-    m, m_den = _flatten(minor, col[0].n)
-    c, c_den = _flatten([[blk] for blk in col], col[0].n)
-    p, _, right = _bareiss(m, c)
+    aug, _ = _flatten([[*brow, blk] for brow, blk in zip(minor, col)], col[0].n)
+    p, _, right = _bareiss(aug)
     if not p:
         raise SingularMinor("singular matrix")
-    return [[m_den * x for x in row] for row in right], p * c_den
+    return right, p
 
 
 def schur_complement(corner: MatValue, row: Sequence[MatValue], solved: tuple) -> MatValue:
@@ -397,6 +402,12 @@ def bazin_holds(A: Sequence[Sequence[MatValue]], k: int, variant: str) -> bool:
     indexed by the column and the quasideterminant boxes the bottom-left
     corner, |B|_{k1} with b_{ij} = |A_(j..j+n-2, n+i)|_{n+i,n} (the transpose
     of the printed B), which holds for matrix entries of any size.
+
+    Every quasiminor here boxes column n, so it is schur_complement of its
+    boxed row and the solve_minor of its other rows against column n.  A call
+    solves each distinct tuple of other rows once, at its first use: 4 solves
+    for the 12 quasiminors at n = k = 3.  The outer quasideterminant of B is
+    one block_quasidet.
     """
     n = len(A[0])
     if not (1 <= k <= n):
@@ -404,21 +415,28 @@ def bazin_holds(A: Sequence[Sequence[MatValue]], k: int, variant: str) -> bool:
     if variant not in ("printed", "corrected"):
         raise ValueError("variant must be 'printed' or 'corrected'")
 
-    def quasiminor(rows: list[int], pos: int, q: int) -> MatValue:
-        # pos is the 1-indexed position of the boxed row within the list;
-        # the list may repeat a row label, in which case the block is a
-        # legitimate zero of the identity, not a sampling failure.
-        return block_quasidet([A[i - 1] for i in rows], pos, q)
+    solves = {}
 
-    B = [[quasiminor(list(range(i, i + n - 1)) + [n + j], n, n) for j in range(1, k + 1)]
+    def quasiminor(others: tuple, boxed: int) -> MatValue:
+        # the quasideterminant of the rows others and boxed of A, boxed at
+        # row boxed and column n; quasiminors with the same other rows share
+        # their solve.  Row boxed may be one of others, in which case the
+        # block is a legitimate zero of the identity, not a sampling failure.
+        solved = solves.get(others)
+        if solved is None:
+            solved = solves[others] = solve_minor(
+                [A[i - 1][: n - 1] for i in others], [A[i - 1][n - 1] for i in others]
+            )
+        row = A[boxed - 1]
+        return schur_complement(row[n - 1], row[: n - 1], solved)
+
+    B = [[quasiminor(tuple(range(i, i + n - 1)), n + j) for j in range(1, k + 1)]
          for i in range(1, k + 1)]
     lhs = block_quasidet(B, 1, k) if variant == "printed" else block_quasidet([*zip(*B)], k, 1)
-    rows1 = list(range(k, n)) + list(range(n + 1, n + k + 1))
-    f1 = quasiminor(rows1, len(rows1), n)
-    rows2 = list(range(k, n + k))
-    f2 = quasiminor(rows2, rows2.index(n) + 1, n)
-    f3 = quasiminor(list(range(1, n + 1)), n, n)
-    return lhs == f1 * f2.inverse() * f3
+    # rows k..n-1 and n+1..n+k-1 are the other rows of both of the first two factors
+    shared = (*range(k, n), *range(n + 1, n + k))
+    f1, f2 = quasiminor(shared, n + k), quasiminor(shared, n)
+    return lhs == f1 * f2.inverse() * quasiminor(tuple(range(1, n)), n)
 
 
 def verify_bazin(n: int, k: int, d: int, seed: int, variant: str = "corrected") -> bool:

@@ -1,6 +1,7 @@
 """Coefficient ring: shift, dual map, substitution, serialization."""
 
 import json
+import math
 import random
 import time
 from fractions import Fraction
@@ -16,6 +17,7 @@ from ncshift.params import (
     ParamSubstitution,
     SEQ_A,
     SEQ_AHAT,
+    _reduced,
 )
 from tests_support import (
     assert_lowest_terms,
@@ -26,6 +28,7 @@ from tests_support import (
     ref_degree,
     ref_from_json,
     ref_hat,
+    ref_index_value,
     ref_latex,
     ref_monomial_product,
     ref_poly_sum,
@@ -352,6 +355,50 @@ def test_ring_matches_the_tuple_monomial_reference():
         assert p.to_json() == ref_to_json(f)
         assert (str(p), p.latex()) == (ref_str(f), ref_latex(f))
         assert [(factors(m), c) for m, c in p.sorted_terms()] == ref_sorted_terms(f)
+
+
+@pytest.mark.parametrize(
+    "sub",
+    [
+        ParamSubstitution.equidistant(3, -2),
+        ParamSubstitution.equidistant(0, 0),
+        ParamSubstitution.equidistant(2, Fraction(1, 2)),
+        ParamSubstitution.equidistant(Fraction(-3, 4), 5),
+        ParamSubstitution.equidistant(Fraction(2, 3), Fraction(-5, 6)),
+        ParamSubstitution.explicit({i: i * i - 3 for i in INDICES}),
+        ParamSubstitution.explicit({i: Fraction(i, 1 + i % 4) for i in INDICES}),
+    ],
+)
+def test_substitute_matches_index_values(sub):
+    # substitute sums integer numerators over one denominator; the reference
+    # adds Fraction products of index_value factors, and index_value is
+    # base + i c or the table's entry
+    for i in INDICES:
+        assert sub.index_value(i) == ref_index_value(sub, i)
+    for p in _differential_polys():
+        assert p.substitute(sub) == ref_substitute(factor_terms(p), sub)
+
+
+def test_explicit_substitution_misses_an_index_like_its_reference():
+    sub = ParamSubstitution.explicit({1: Fraction(1, 2), 3: 2})
+    for read in (sub.index_value, lambda i: ref_index_value(sub, i), lambda i: a(i).substitute(sub)):
+        with pytest.raises(MissingIndex):
+            read(2)
+
+
+@pytest.mark.parametrize("den", [1, 6])
+@pytest.mark.parametrize("zeros", [False, True])
+def test_reduced_is_in_normal_form(den, zeros):
+    t = {2: 4, 3: -6, 5: 12, 7: 3}
+    if zeros:
+        t |= {11: 0, 13: 0}
+    got, got_den = _reduced(dict(t), den)
+    assert 0 not in got.values() and got_den > 0
+    assert math.gcd(got_den, *got.values()) == 1
+    assert {m: Fraction(c, got_den) for m, c in got.items()} == {
+        m: Fraction(c, den) for m, c in t.items() if c
+    }
+    assert _reduced({5: 0}, den) == ({}, 1)
 
 
 def test_equality_and_hash_across_denominators():

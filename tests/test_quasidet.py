@@ -18,7 +18,10 @@ from ncshift.quasidet import (
     MatValue,
     ShapeError,
     SingularMinor,
+    _bareiss,
     _flatten,
+    bazin_holds,
+    bazin_matrix,
     block_quasidet,
     combination,
     first_nonsingular,
@@ -31,6 +34,7 @@ from ncshift.special import ZeroDenominator
 from tests_support import (
     assert_normal_form,
     random_element,
+    ref_bazin_holds,
     ref_block_quasidet,
     ref_det,
     ref_flatten,
@@ -39,6 +43,7 @@ from tests_support import (
     ref_product,
     ref_random_mat,
     ref_scalar,
+    ref_solve,
     ref_sum,
 )
 
@@ -486,6 +491,86 @@ def test_bazin_printed_reading_fails_noncommutatively():
     # transposed reading (exercised above) does
     results = [verify_bazin(2, 2, 2, seed=400 + s, variant="printed") for s in range(6)]
     assert not all(results)
+
+
+def _bazin_or_singular(holds, A, k, variant):
+    try:
+        return holds(A, k, variant)
+    except SingularMinor:
+        return SingularMinor
+
+
+def test_bazin_matches_per_quasiminor_reference():
+    # shared minor solves give the verdict of one block_quasidet per
+    # quasiminor, or both raise SingularMinor
+    verdicts = Counter()
+    for n in range(1, 5):
+        for d in (1, 2):
+            rng = random.Random(f"bazin/{n}/{d}")
+            for _ in range(20):
+                A = bazin_matrix(rng, n, d)
+                for k in range(1, n + 1):
+                    for variant in ("printed", "corrected"):
+                        got = _bazin_or_singular(bazin_holds, A, k, variant)
+                        assert got == _bazin_or_singular(ref_bazin_holds, A, k, variant)
+                        verdicts[got] += 1
+    assert set(verdicts) == {True, False, SingularMinor}
+
+
+def _distinct_minors(n, k):
+    """The distinct tuples of the non-boxed rows over the quasiminors of the
+    Bazin identity at (n, k)."""
+    windows = {tuple(range(i, i + n - 1)) for i in range(1, k + 1)}
+    f1 = (*range(k, n), *range(n + 1, n + k))
+    f2 = tuple(i for i in range(k, n + k) if i != n)
+    return windows | {f1, f2, tuple(range(1, n))}
+
+
+def test_bazin_solves_each_minor_once(monkeypatch):
+    calls = []
+    original = quasidet.solve_minor
+
+    def counting(minor, col):
+        calls.append(minor)
+        return original(minor, col)
+
+    monkeypatch.setattr(quasidet, "solve_minor", counting)
+    counts = {}
+    for n in range(1, 5):
+        for k in range(1, n + 1):
+            for seed in count():
+                calls.clear()
+                try:
+                    bazin_holds(bazin_matrix(random.Random(seed), n, 2), k, "corrected")
+                except SingularMinor:
+                    continue
+                break
+            # one solve per distinct minor, and one for the outer |B|
+            assert len(calls) == len(_distinct_minors(n, k)) + 1
+            counts[n, k] = len(calls)
+    assert (counts[3, 3], counts[4, 4]) == (5, 6)
+
+
+def test_bareiss_matches_fraction_gauss_jordan():
+    rng = random.Random(67)
+    pool = list(range(-3, 4)) + [0] * 4
+    singular = swapped = 0
+    for trial in range(600):
+        n, r = rng.randint(1, 6), rng.randint(0, 3)
+        num = [[rng.choice(pool) for _ in range(n)] for _ in range(n)]
+        rhs = [[rng.choice(pool) for _ in range(r)] for _ in range(n)]
+        if trial % 3 == 0:
+            num[0][0] = 0  # a row exchange at the first step, if any row has a lead
+        p, sign, right = _bareiss([[*row, *b] for row, b in zip(num, rhs)])
+        det, solved = ref_solve(num, rhs)
+        assert p == sign * det
+        if not p:
+            singular += 1
+            assert right is None
+            continue
+        swapped += sign == -1
+        assert right == [[p * x for x in row] for row in solved]
+    assert singular > 30 and swapped > 30
 
 
 def test_bazin_exhausted_retries(monkeypatch):

@@ -487,3 +487,18 @@ def test_point_evaluation_builds_no_fraction():
     assert POINT_EVALUATION <= set(_scopes(SRC, lambda node: True))
     assert POINT_EVALUATION.isdisjoint(_scopes(SRC, builds_fraction))
     assert all(type(x) is int for x in RANDOM_POOL)
+
+
+def test_substitute_reads_index_values_as_integer_ratios():
+    # ParamPoly.substitute reads each a_i as an integer numerator over the one
+    # denominator of ParamSubstitution.index_numerators: neither coerces a
+    # rational nor reads an index value as a Fraction
+    scopes = ("params.ParamPoly.substitute", "params.ParamSubstitution.index_numerators")
+
+    def reads_fraction(node):
+        return isinstance(node, ast.Call) and (
+            _names(node.func, "index_value") or _names(node.func, "as_fraction")
+        )
+
+    assert set(scopes) <= set(_scopes(SRC, lambda node: True))
+    assert not [s for s in _scopes(SRC, reads_fraction) if s.startswith(scopes)]

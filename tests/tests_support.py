@@ -11,6 +11,7 @@ from ncshift.families import psi, psi_words_to_s, s_to_psi
 from ncshift.hopf import TensorElement
 from ncshift.params import (
     SEQ_A,
+    MissingIndex,
     ParamPoly,
     ParamSequence,
     accumulate,
@@ -18,7 +19,7 @@ from ncshift.params import (
     monomial,
     signed,
 )
-from ncshift.quasidet import MatValue, hessenberg_quasidet
+from ncshift.quasidet import MatValue, block_quasidet, hessenberg_quasidet
 from ncshift.ribbon import Composition, RibbonElement, ribbon_shifted
 from ncshift.series import TruncatedTSeries
 from ncshift.special import VariableAssignment, evaluate_nc, falling, s_spec
@@ -119,38 +120,55 @@ def ref_product(a, b):
     return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)] for row in a]
 
 
-def ref_inverse(a):
-    """Gauss-Jordan inverse over Fraction, or None if a is singular."""
-    n = len(a)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+def ref_solve(num, rhs):
+    """(det num, num^{-1} rhs) by Gauss-Jordan elimination over Fraction, for
+    a square num and rows rhs beside it; the solve is None if num is singular."""
+    n = len(num)
+    aug = [[Fraction(x) for x in (*row, *r)] for row, r in zip(num, rhs)]
+    det = Fraction(1)
     for col in range(n):
         piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
+            return Fraction(0), None
+        if piv != col:
+            aug[col], aug[piv] = aug[piv], aug[col]
+            det = -det
+        det *= aug[col][col]
         aug[col] = [x / aug[col][col] for x in aug[col]]
         for r in range(n):
             if r != col and aug[r][col]:
-                aug[r] = [x - aug[r][col] * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return det, [row[n:] for row in aug]
+
+
+def ref_inverse(a):
+    """Gauss-Jordan inverse over Fraction, or None if a is singular."""
+    n = len(a)
+    return ref_solve(a, [[int(i == j) for j in range(n)] for i in range(n)])[1]
 
 
 def ref_det(a):
-    """Determinant by Gaussian elimination over Fraction."""
-    m = [list(row) for row in a]
-    det = Fraction(1)
-    for col in range(len(m)):
-        piv = next((r for r in range(col, len(m)) if m[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        for r in range(col + 1, len(m)):
-            f = m[r][col] / m[col][col]
-            m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return det
+    """Determinant by Gauss-Jordan elimination over Fraction."""
+    return ref_solve(a, [()] * len(a))[0]
+
+
+def ref_bazin_holds(A, k: int, variant: str) -> bool:
+    """quasidet.bazin_holds with every quasiminor its own block_quasidet call."""
+    n = len(A[0])
+
+    def quasiminor(rows, pos):
+        return block_quasidet([A[i - 1] for i in rows], pos, n)
+
+    B = [[quasiminor(list(range(i, i + n - 1)) + [n + j], n) for j in range(1, k + 1)]
+         for i in range(1, k + 1)]
+    lhs = block_quasidet(B, 1, k) if variant == "printed" else block_quasidet([*zip(*B)], k, 1)
+    rows1 = list(range(k, n)) + list(range(n + 1, n + k + 1))
+    f1 = quasiminor(rows1, len(rows1))
+    rows2 = list(range(k, n + k))
+    f2 = quasiminor(rows2, rows2.index(n) + 1)
+    f3 = quasiminor(list(range(1, n + 1)), n)
+    return lhs == f1 * f2.inverse() * f3
 
 
 #: the Fraction pool random matrices were drawn from before their entries
@@ -306,6 +324,16 @@ def ref_hat(p: ParamPoly) -> ParamPoly:
     return from_factor_terms(
         {tuple(1 - i for i in reversed(f)): (-1) ** len(f) * c for f, c in factor_terms(p).items()}
     )
+
+
+def ref_index_value(sub, i: int) -> Fraction:
+    """a_i under sub, over Fraction: base + i c, or the table's entry."""
+    if sub.kind == "equidistant":
+        return sub.base + i * sub.c
+    table = dict(sub.table)
+    if i not in table:
+        raise MissingIndex(i)
+    return table[i]
 
 
 def ref_substitute(p: dict, sub) -> Fraction:
